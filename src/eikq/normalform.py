@@ -247,8 +247,11 @@ def _extract_exact(f: Polynomial, rotation: RationalMatrix) -> NormalForm:
 
 
 def _float_arrays(f: Polynomial):
-    exps = np.array(list(f.terms.keys()), dtype=float)
-    coeffs = np.array([float(c) for c in f.terms.values()])
+    # canonical order, so the float sums (and ties between equal maxima)
+    # do not depend on the order in which f's terms were given
+    terms = f.sorted_terms()
+    exps = np.array([mono for mono, _ in terms], dtype=float)
+    coeffs = np.array([float(c) for _, c in terms])
     return exps, coeffs
 
 

@@ -20,8 +20,9 @@ it has the same exact semantics and string form as ``fractions.Fraction``.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 try:
@@ -376,51 +377,83 @@ def evaluate(f: Polynomial, point: Sequence):
 
 
 def substitute_linear(f: Polynomial, matrix) -> Polynomial:
-    """f(Mx): replace variable x_i by the linear form sum_j M[i][j] x_j.
+    """f(Mx): replace variable x_i by the linear form L_i = sum_j M[i][j] x_j.
 
     The matrix must be square of size n = f.dimension, with exact rational
     entries (a RationalMatrix or any nested sequence of rationals).
+
+    Algorithm: Horner's scheme over the trie of monomials.  Writing each
+    monomial as a sorted index sequence i_1 <= ... <= i_d gives
+    f = c + sum_i x_i f_i with f_i built from indices >= i, so
+    f(Mx) = c + sum_i L_i f_i(Mx) and every trie node costs one product
+    with a linear form of at most n terms.  The recursion runs in Python
+    integers: the matrix is multiplied by the lcm of its denominators
+    (``scale``), f by the lcm of its coefficient denominators (``denom``),
+    and each output monomial is one packed integer, so multiplying by x_j
+    is one integer addition.  The degree-d part is divided by
+    denom * scale^d once at the end, one rational per output term.
+
+    The terms of the result are in canonical graded-lex descending order
+    (the order of ``sorted_terms``), so iterating over them does not depend
+    on the order of f's terms.
     """
     rows = matrix.entries if hasattr(matrix, "entries") else tuple(tuple(r) for r in matrix)
     n = f.dimension
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"matrix must be {n}x{n}")
-    forms = []
-    for row in rows:
-        terms = {}
-        for j, value in enumerate(row):
-            c = rational(value)
-            if c != 0:
-                terms[tuple(1 if k == j else 0 for k in range(n))] = c
-        forms.append(_raw(n, terms))
+    if not f.terms:
+        return _raw(n, {})
+    entries = [[rational(value) for value in row] for row in rows]
+    scale = lcm(*(c.denominator for row in entries for c in row))
+    denom = lcm(*(c.denominator for c in f.terms.values()))
+    degree = max(sum(mono) for mono in f.terms)
 
-    power_cache: dict[tuple[int, int], Polynomial] = {}
+    # A monomial x^a of degree d packs to d * base^n + sum_j a_j * base^(n-1-j).
+    # No digit exceeds the degree, so packing is injective, and comparing
+    # packed integers is comparing (degree, exponent tuple): grlex order.
+    base = degree + 1
+    steps = [base**n + base ** (n - 1 - j) for j in range(n)]
+    forms = [
+        [(steps[j], c.numerator * (scale // c.denominator)) for j, c in enumerate(row) if c]
+        for row in entries
+    ]
 
-    def form_power(i: int, e: int) -> Polynomial:
-        key = (i, e)
-        cached = power_cache.get(key)
-        if cached is None:
-            cached = forms[i] ** e
-            power_cache[key] = cached
-        return cached
-
-    out: dict[Monomial, object] = {}
-    for mono, coeff in f.terms.items():
-        piece = Polynomial.constant(n, coeff)
-        for i, e in enumerate(mono):
-            if e:
-                piece = piece * form_power(i, e)
-        for m, c in piece.terms.items():
-            acc = out.get(m)
-            if acc is None:
-                out[m] = c
+    def horner(items: list, depth: int) -> dict[int, int]:
+        # items: (index sequence, integer coefficient), sharing a prefix of length depth
+        out: dict[int, int] = defaultdict(int)
+        children: dict[int, list] = {}
+        for sequence, coeff in items:
+            if len(sequence) == depth:
+                out[0] += coeff
             else:
-                acc = acc + c
-                if acc == 0:
-                    del out[m]
-                else:
-                    out[m] = acc
-    return _raw(n, out)
+                children.setdefault(sequence[depth], []).append((sequence, coeff))
+        for i, child_items in children.items():
+            form = forms[i]
+            for mono, coeff in horner(child_items, depth + 1).items():
+                if coeff:
+                    for step, a in form:
+                        out[mono + step] += coeff * a
+        return out
+
+    items = [
+        (
+            [i for i, e in enumerate(mono) for _ in range(e)],
+            coeff.numerator * (denom // coeff.denominator),
+        )
+        for mono, coeff in f.terms.items()
+    ]
+    packed = horner(items, 0)
+    dividers = [denom * scale**d for d in range(degree + 1)]
+    terms: dict[Monomial, object] = {}
+    for key in sorted(packed, reverse=True):
+        coeff = packed[key]
+        if coeff:
+            exponents = []
+            for _ in range(n):
+                key, e = divmod(key, base)
+                exponents.append(e)
+            terms[tuple(reversed(exponents))] = _Q(coeff, dividers[key])
+    return _raw(n, terms)
 
 
 def homogeneous_split(

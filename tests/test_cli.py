@@ -123,6 +123,24 @@ class TestClassify:
         second = run_cli("classify", path, "--json")
         assert first.stdout == second.stdout
 
+    def test_json_independent_of_term_order(self, tmp_path):
+        import random
+
+        from eikq.constructors import make_canonical_quartic
+        from eikq.matrices import random_rational_orthogonal
+        from eikq.polyring import substitute_linear
+
+        g = substitute_linear(make_canonical_quartic(4, 1), random_rational_orthogonal(4, 1))
+        header, *body = poly_to_text(g).splitlines(keepends=True)
+        path = write(tmp_path, "sorted.txt", header + "".join(body))
+        expected = run_cli("classify", path, "--json")
+        assert json.loads(expected.stdout)["arithmetic"] == "float"
+        for seed in range(2):
+            random.Random(seed).shuffle(body)
+            shuffled = write(tmp_path, f"shuffled{seed}.txt", header + "".join(body))
+            result = run_cli("classify", shuffled, "--json")
+            assert (result.returncode, result.stdout) == (expected.returncode, expected.stdout)
+
     def test_not_eikonal_exit(self, tmp_path):
         path = write(tmp_path, "bad.txt", "n 2\n4 0 1\n")
         result = run_cli("classify", path)

@@ -269,6 +269,115 @@ def test_substitution_agrees_with_evaluation():
     assert substitute_linear(f, m).evaluate(point) == f.evaluate(m.matvec(point))
 
 
+def as_fraction(value) -> Fraction:
+    return Fraction(int(value.numerator), int(value.denominator))
+
+
+def expand_reference(f: Polynomial, rows) -> dict:
+    """f(Mx) as {exponents: Fraction}, each monomial expanded on its own."""
+    n = f.dimension
+    out: dict = {}
+    for mono, coeff in f.terms.items():
+        piece = {(0,) * n: as_fraction(coeff)}
+        for i, e in enumerate(mono):
+            for _ in range(e):
+                grown: dict = {}
+                for m, c in piece.items():
+                    for j, a in enumerate(rows[i]):
+                        if a:
+                            k = m[:j] + (m[j] + 1,) + m[j + 1:]
+                            grown[k] = grown.get(k, 0) + c * as_fraction(a)
+                piece = grown
+        for m, c in piece.items():
+            out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def assert_substitution_correct(f: Polynomial, matrix) -> Polynomial:
+    """substitute_linear against the reference, in canonical order and backend type."""
+    g = substitute_linear(f, matrix)
+    assert g.dimension == f.dimension
+    rows = matrix.entries if isinstance(matrix, RationalMatrix) else matrix
+    assert {m: as_fraction(c) for m, c in g.terms.items()} == expand_reference(f, rows)
+    assert list(g.terms) == [m for m, _ in g.sorted_terms()]
+    backend = type(rational(0))
+    assert all(type(c) is backend and c != 0 for c in g.terms.values())
+    return g
+
+
+_SMALL_RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+@st.composite
+def polys_and_matrices(draw, min_n: int = 0, max_n: int = 4):
+    n = draw(st.integers(min_n, max_n))
+    # degrees are mixed, so most drawn polynomials are not homogeneous
+    monos = st.tuples(*[st.integers(0, 3)] * n)
+    f = Polynomial(n, draw(st.dictionaries(monos, _SMALL_RATIONALS, max_size=6)))
+    entry = st.one_of(st.integers(-1, 1), _SMALL_RATIONALS)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    return f, rows
+
+
+@given(polys_and_matrices())
+@settings(max_examples=80, deadline=None)
+def test_substitution_matches_term_by_term_expansion(case):
+    f, rows = case
+    assert_substitution_correct(f, rows)
+    assert_substitution_correct(f, RationalMatrix(rows))
+
+
+@given(polys_and_matrices(min_n=2), st.data())
+@settings(max_examples=40, deadline=None)
+def test_substitution_cancels_exactly(case, data):
+    # with rows 0 and 1 equal, x0 and x1 map to the same form, so
+    # (x0 - x1) h contributes nothing and f(Mx) = r(Mx) term for term
+    r, rows = case
+    n = r.dimension
+    rows[1] = list(rows[0])
+    monos = st.tuples(*[st.integers(0, 2)] * n)
+    h = Polynomial(n, data.draw(st.dictionaries(monos, _SMALL_RATIONALS, min_size=1, max_size=4)))
+    f = (Polynomial.variable(n, 0) - Polynomial.variable(n, 1)) * h + r
+    assert assert_substitution_correct(f, rows) == substitute_linear(r, rows)
+
+
+def test_substitution_small_and_degenerate_cases():
+    assert substitute_linear(Polynomial.zero(3), RationalMatrix.identity(3)) == Polynomial.zero(3)
+    assert substitute_linear(Polynomial.zero(0), []) == Polynomial.zero(0)
+    assert assert_substitution_correct(Polynomial.constant(0, "-3/7"), []) == (
+        Polynomial.constant(0, "-3/7")
+    )
+    # n = 1: f(x) = x^3 - 2x + 1/2 at x -> -2/3 x
+    f = Polynomial(1, {(3,): 1, (1,): -2, (0,): Fraction(1, 2)})
+    g = assert_substitution_correct(f, [[Fraction(-2, 3)]])
+    assert g == Polynomial(1, {(3,): Fraction(-8, 27), (1,): Fraction(4, 3), (0,): Fraction(1, 2)})
+    # nested ints, with cancellation: x0^2 - x1^2 at (x0 + x1, x0 - x1) is 4 x0 x1
+    g = assert_substitution_correct(Polynomial(2, {(2, 0): 1, (0, 2): -1}), [[1, 1], [1, -1]])
+    assert g == Polynomial(2, {(1, 1): 4})
+    # a singular matrix sends everything onto the first coordinate
+    f = Polynomial(3, {(1, 1, 0): 2, (0, 0, 2): -1, (1, 0, 0): 5})
+    g = assert_substitution_correct(f, [[1, 0, 0], [2, 0, 0], [3, 0, 0]])
+    assert g == Polynomial(3, {(2, 0, 0): -5, (1, 0, 0): 5})
+    with pytest.raises(ValueError):
+        substitute_linear(f, [[1, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        substitute_linear(f, [[1, 0, 0], [0, 1], [0, 0, 1]])
+
+
+def test_substitution_by_rationalized_float_rotation():
+    import numpy as np
+
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    u = RationalMatrix.from_float(q)
+    f = radial_power(4, 2) + random_poly(random.Random(11), 4, max_exp=2, n_terms=6)
+    assert_substitution_correct(f, u)
+    # an exact rotation leaves |x|^4 unchanged, every cross term cancelling
+    assert assert_substitution_correct(radial_power(4, 2), random_rational_orthogonal(4, 9)) == (
+        radial_power(4, 2)
+    )
+
+
 def test_evaluate_rejects_wrong_length():
     f = Polynomial.variable(2, 0)
     with pytest.raises(ValueError):
