@@ -14,16 +14,20 @@ instead labeled by the multiplicity pair (m1, m2) = (q - 1, nu) and satisfy
 the radial Laplacian law  laplacian(f) = 8 (nu - q + 1) |x|^2.
 
 `classify` verifies eikonality first, extracts a normal form (exactly when
-possible, numerically otherwise), and reads the verdict off the pencil:
+possible, numerically otherwise), and one judge reads the verdict off the
+pencil:
 
     q = 0 or p = 0          -> primitive (trivial pencil shapes)
-    q = 1                   -> primitive (single matrix, A^2 = I or A = 0)
-    q >= 2, all tau_i = 0   -> primitive with dim H = p + 1 before folding
-    q >= 2, some tau_i != 0 -> isoparametric
+    zero pencil             -> primitive with dim H = p + 1 before folding
+    q = 1                   -> primitive (A^2 = I, dim H from the trace)
+    q >= 2, nonzero pencil  -> isoparametric
 
-Numeric inputs never silently pass: residuals above `tol` but below the
-rejection threshold come back as verdict "inconclusive_float", and larger
-ones as "not_eikonal".
+The judge compares every structural fact with a tolerance.  On the exact
+route the tolerance is 0, the facts are rational identities (A^2 = I,
+`pencil_spectrum`, the Laplacian law), and a failed one raises, because it
+contradicts the structure theory.  On the float route a residual above
+`tol` but below the rejection threshold comes back as verdict
+"inconclusive_float", and a larger one as "not_eikonal".
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import check_eikonal, check_munzner_second, pencil_spectrum
+from .analysis import check_eikonal, pencil_spectrum
 from .matrices import RationalMatrix
 from .normalform import NormalForm, NotEikonalEvidence, extract_normal_form
 from .pencils import Pencil, quadratic_form_matrix, tau_polynomials
@@ -213,7 +217,7 @@ def _obtain_normal_form(
         return extract_normal_form(-f, None, tol=tol, seeds=seeds, seed=seed), -f
 
 
-def _round_int(value: float, slack: float) -> Optional[int]:
+def _round_int(value, slack: float) -> Optional[int]:
     nearest = round(value)
     return nearest if abs(value - nearest) <= slack else None
 
@@ -263,123 +267,91 @@ def classify(
             VERDICT_NOT_EIKONAL, n, "exact" if exact_input else "float",
             max(mag, REJECT_TOL), detail=str(evidence),
         )
-    exact_mode = exact_input and nf.arithmetic == "exact"
-    if exact_mode:
-        return _branch_exact(oriented, nf)
-    return _branch_float(oriented, nf, mag, tol)
+    exact = exact_input and nf.arithmetic == "exact"
+    residual = max(mag, nf.extraction_residual)
+    return _judge(oriented, nf, residual, 0.0 if exact else tol, exact)
 
 
 def _fold(n: int, dim_raw: int) -> int:
     return min(dim_raw, n - dim_raw)
 
 
-def _branch_exact(f: Polynomial, nf: NormalForm) -> ClassificationReport:
-    n, p, q = nf.n, nf.p, nf.q
-    pencil = nf.pencil
-    if q == 0:
-        return ClassificationReport(
-            VERDICT_PRIMITIVE, n, "exact", 0.0, p=p, q=q, dim_h=_fold(n, n)
-        )
-    if p == 0:
-        return ClassificationReport(
-            VERDICT_PRIMITIVE, n, "exact", 0.0, p=p, q=q, dim_h=_fold(n, 1)
-        )
-    if q == 1:
-        a = pencil[0]
-        if a.is_zero():
-            return ClassificationReport(
-                VERDICT_PRIMITIVE, n, "exact", 0.0, p=p, q=q, dim_h=_fold(n, p + 1)
-            )
-        if (a @ a) != RationalMatrix.identity(p):
-            raise RuntimeError(
-                "eikonal quartic with a single pencil matrix that is neither "
-                "zero nor an involution; this contradicts the structure theory"
-            )
-        dim_raw = (p + int(a.trace())) // 2 + 1
-        return ClassificationReport(
-            VERDICT_PRIMITIVE, n, "exact", 0.0, p=p, q=q, dim_h=_fold(n, dim_raw)
-        )
-    if compute_tau(pencil, p).is_zero:
-        return ClassificationReport(
-            VERDICT_PRIMITIVE, n, "exact", 0.0, p=p, q=q, dim_h=_fold(n, p + 1)
-        )
-    nu, mu = pencil_spectrum(pencil, p)
-    if 2 * nu != p + 1 - q:
-        raise RuntimeError(
-            "isoparametric pencil with 2 nu != p + 1 - q; this contradicts "
-            "the structure theory"
-        )
-    constant = rational(8) * (nu - q + 1)
-    if laplacian(f) != constant * radial_power(n, 1):
-        raise RuntimeError(
-            "isoparametric quartic whose Laplacian is not 8 (nu - q + 1) |x|^2"
-        )
-    resolved = check_munzner_second(f, 4, m_sum=(n - 2) // 2)
-    assert resolved is not None
-    m1, m2 = resolved
-    return ClassificationReport(
-        VERDICT_ISOPARAMETRIC, n, "exact", 0.0, p=p, q=q,
-        nu=nu, mu=mu, m1=m1, m2=m2, laplacian_constant=str(constant),
-    )
-
-
-def _branch_float(
-    f: Polynomial, nf: NormalForm, mag: float, tol: float
+def _judge(
+    f: Polynomial, nf: NormalForm, residual: float, tol: float, exact: bool
 ) -> ClassificationReport:
+    """Read the verdict off the pencil of the normal form nf of f.
+
+    Every structural fact is a deviation compared with `tol`; the exact
+    route passes tol = 0, so there the facts are rational identities.  A
+    fact that fails on the exact route contradicts the structure theory of
+    an exactly eikonal f and raises RuntimeError (ValueError from
+    `pencil_spectrum`); on the float route it makes the verdict
+    "inconclusive_float".
+    """
     n, p, q = nf.n, nf.p, nf.q
     pencil = nf.pencil
-    residual = max(mag, nf.extraction_residual)
+    arithmetic = "exact" if exact else "float"
 
-    def inconclusive(reason: str) -> ClassificationReport:
+    def fail(detail: str, contradiction: str = "") -> ClassificationReport:
+        if exact:
+            raise RuntimeError(
+                f"{contradiction or detail}; this contradicts the structure theory"
+            )
         return ClassificationReport(
             VERDICT_INCONCLUSIVE, n, "float", max(residual, tol), p=p, q=q,
-            detail=reason,
+            detail=detail,
+        )
+
+    def primitive(dim_raw: int) -> ClassificationReport:
+        return ClassificationReport(
+            VERDICT_PRIMITIVE, n, arithmetic, residual, p=p, q=q,
+            dim_h=_fold(n, dim_raw),
         )
 
     if residual > tol:
-        return inconclusive("extraction residual exceeds tol")
-    pencil_max = max((float(a.max_abs()) for a in pencil), default=0.0)
+        return fail("extraction residual exceeds tol")
     if q == 0:
-        return ClassificationReport(
-            VERDICT_PRIMITIVE, n, "float", residual, p=p, q=q, dim_h=_fold(n, n)
-        )
+        return primitive(n)
     if p == 0:
-        return ClassificationReport(
-            VERDICT_PRIMITIVE, n, "float", residual, p=p, q=q, dim_h=_fold(n, 1)
-        )
+        return primitive(1)
+    # exact rationals, so that with tol = 0 only a zero pencil passes
+    pencil_max = max((a.max_abs() for a in pencil), default=rational(0))
     if pencil_max <= tol:
-        residual = max(residual, pencil_max)
-        return ClassificationReport(
-            VERDICT_PRIMITIVE, n, "float", residual, p=p, q=q, dim_h=_fold(n, p + 1)
-        )
+        residual = max(residual, float(pencil_max))
+        return primitive(p + 1)
     if q == 1:
         a = pencil[0]
-        square_dev = float((a @ a - RationalMatrix.identity(p)).max_abs())
-        trace_int = _round_int(float(a.trace()), tol * max(p, 1))
+        square_dev = (a @ a - RationalMatrix.identity(p)).max_abs()
+        trace_int = _round_int(a.trace(), tol * max(p, 1))
         if square_dev > tol or trace_int is None or (p + trace_int) % 2:
-            return inconclusive("single pencil matrix is not numerically an involution")
-        residual = max(residual, square_dev)
-        dim_raw = (p + trace_int) // 2 + 1
-        return ClassificationReport(
-            VERDICT_PRIMITIVE, n, "float", residual, p=p, q=q,
-            dim_h=_fold(n, dim_raw),
-        )
-    trace_sq = float((pencil[0] @ pencil[0]).trace())
-    doubled_nu = _round_int(trace_sq, tol * max(p, 1))
-    if doubled_nu is None or doubled_nu % 2 or doubled_nu < 0:
-        return inconclusive("trace of A_1^2 is not numerically an even integer")
-    residual = max(residual, abs(trace_sq - doubled_nu))
-    nu = doubled_nu // 2
+            return fail(
+                "single pencil matrix is not numerically an involution",
+                "eikonal quartic with a single pencil matrix that is neither "
+                "zero nor an involution",
+            )
+        residual = max(residual, float(square_dev))
+        return primitive((p + trace_int) // 2 + 1)
+    if exact:
+        nu, mu = pencil_spectrum(pencil, p)
+    else:
+        trace_sq = float((pencil[0] @ pencil[0]).trace())
+        doubled_nu = _round_int(trace_sq, tol * max(p, 1))
+        if doubled_nu is None or doubled_nu % 2 or doubled_nu < 0:
+            return fail("trace of A_1^2 is not numerically an even integer")
+        residual = max(residual, abs(trace_sq - doubled_nu))
+        nu = doubled_nu // 2
+        mu = p - 2 * nu
     if 2 * nu != p + 1 - q:
-        return inconclusive("pencil traces violate 2 nu = p + 1 - q")
-    mu = p - 2 * nu
-    constant = 8 * (nu - q + 1)
-    lap_dev = laplacian(f) - constant * radial_power(n, 1)
-    lap_mag = 0.0 if lap_dev.is_zero else abs(float(lap_dev.max_abs_coefficient()))
-    if lap_mag > tol:
-        return inconclusive("Laplacian is not numerically 8 (nu - q + 1) |x|^2")
-    residual = max(residual, lap_mag)
+        return fail("pencil traces violate 2 nu = p + 1 - q",
+                    "isoparametric pencil with 2 nu != p + 1 - q")
+    constant = rational(8 * (nu - q + 1))
+    lap_max = (laplacian(f) - constant * radial_power(n, 1)).max_abs_coefficient()
+    if lap_max > tol:
+        return fail("Laplacian is not numerically 8 (nu - q + 1) |x|^2",
+                    "isoparametric quartic whose Laplacian is not 8 (nu - q + 1) |x|^2")
+    residual = max(residual, float(lap_max))
+    # 2 nu = p + 1 - q and the Laplacian law fix (m1, m2) = (q - 1, nu)
     return ClassificationReport(
-        VERDICT_ISOPARAMETRIC, n, "float", residual, p=p, q=q,
+        VERDICT_ISOPARAMETRIC, n, arithmetic, residual, p=p, q=q,
         nu=nu, mu=mu, m1=q - 1, m2=nu, laplacian_constant=str(constant),
     )

@@ -12,8 +12,10 @@ Verbs:
 Polynomials travel as poly-text (see `eikq.polyring`); rotations as a file
 holding n followed by n^2 rationals row-major, comments allowed.  Exit codes:
 0 affirmative, 1 negative, 2 bad usage or bad input, 3 numerically
-inconclusive, 4 I/O failure.  `--json` produces byte-stable reports carrying
-"schema_version": "eikq-report-1".  Set EIKQ_COLOR=0 to disable ANSI color.
+inconclusive, 4 I/O failure, 5 internal error (an exception inside eikq,
+reported on stderr; never a verdict).  `--json` produces byte-stable reports
+carrying "schema_version": "eikq-report-1".  Set EIKQ_COLOR=0 to disable
+ANSI color.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from typing import Sequence
 
 from .analysis import check_eikonal
@@ -379,6 +382,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except Exception as exc:
+        # anything else is a defect in eikq; exit 1 would read as "negative"
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ from .matrices import RationalMatrix, cayley_orthogonal, random_rational_orthogo
 from .pencils import (
     Pencil,
     block_radial,
-    eta_identity_residual,
     psi_from_pencil,
     theta0_poly,
     theta2_from_pencil,
@@ -287,10 +286,12 @@ def search_isoparametric_pencil(
     Candidates are pencil seeds (pairwise +/-1 blocks, conjugated by a fixed
     list of exact rotations) combined with theta_3 drawn from the trilinear
     eigenspace basis with coefficients in {0, +/-1/4, +/-1/2, +/-1, +/-2,
-    +/-4}.  Every candidate is screened by the exact pencil identities and
-    then by the exact eikonal check on the assembled quartic; the search
-    stops once `budget` candidates have been examined.  The result order is
-    deterministic.
+    +/-4}.  Each pencil is screened once by `check_pencil`, which decides
+    the trace, spectrum and cube identity A_eta^3 = |eta|^2 A_eta exactly;
+    each theta_3 of a surviving pencil by the exact eikonal check on the
+    assembled quartic.  Pencils and grid points both count as examined
+    candidates, and the search stops once `budget` of them have been
+    examined.  The result order is deterministic.
     """
     from .analysis import check_eikonal, check_pencil
 
@@ -324,8 +325,6 @@ def search_isoparametric_pencil(
             if examined > budget:
                 return hits
             if not check_pencil(pencil, p).passed:
-                continue
-            if not eta_identity_residual(pencil, p).is_zero:
                 continue
             basis = theta3_basis(pencil, p)
             zero3 = Polynomial.zero(p + q)

@@ -12,14 +12,16 @@ diagonalizes phi, splitting x' into xi (the +1 block, size p) and eta (the
 matrix pencil comes from, and theta splits by eta-degree into theta_0,
 theta_2, theta_3, theta_4 with no eta-cubic part.
 
-Two extraction routes are provided.  With an exact orthogonal `rotation`
-everything stays in rational arithmetic and any failed structural fact is
-reported: a wrong target (ValueError) when the data merely does not expose
-the normal form, or `NotEikonalEvidence` when the failure contradicts
+One pipeline, `_extract(f, rotation, tol)`, reads the normal form off
+f(rotation x), and tol = 0 means exact.  The routes differ only in where
+the rotations come from.  With an exact orthogonal `rotation`, phi is
+diagonalized by rational row reduction and every structural fact must hold
+exactly: a failure is a wrong target (ValueError) when the data merely does
+not expose the normal form, or `NotEikonalEvidence` when it contradicts
 eikonality itself.  Without a rotation, a numeric sphere ascent finds a
-maximizer, the resulting float rotations are rationalized entry by entry,
-and the same exact pipeline runs; deviations are accumulated into
-`extraction_residual` and judged against a snap tolerance.
+maximizer, a float eigensolver diagonalizes phi, both rotations are
+rationalized entry by entry, and every deviation is accumulated into
+`extraction_residual` and judged against the snap tolerance SNAP_TOL.
 """
 
 from __future__ import annotations
@@ -120,6 +122,20 @@ def _theta_components(theta: Polynomial, p: int) -> dict[int, Polynomial]:
     return {k: _raw(dim, terms) for k, terms in buckets.items()}
 
 
+def _refuse_stray(stray: Polynomial, tol: float, message: str) -> float:
+    """Magnitude of a part that must vanish; NotEikonalEvidence beyond tol.
+
+    With tol = 0 any nonzero coefficient is refused, however small.
+    """
+    magnitude = _magnitude(stray)
+    if not stray.is_zero and (tol == 0 or magnitude > tol):
+        raise NotEikonalEvidence(message)
+    return magnitude
+
+
+_THETA_STRAY = "theta has a component linear in xi, which no eikonal quartic allows"
+
+
 def split_theta(
     theta: Polynomial, p: int, q: int, tol: float = 0.0
 ) -> tuple[Polynomial, Polynomial, Polynomial, Polynomial]:
@@ -131,11 +147,7 @@ def split_theta(
     if theta.dimension != p + q:
         raise ValueError("theta must live in p + q variables")
     parts = _theta_components(theta, p)
-    stray = parts[1]
-    if not stray.is_zero and abs(float(stray.max_abs_coefficient())) > tol:
-        raise NotEikonalEvidence(
-            "theta has a component linear in xi, which no eikonal quartic allows"
-        )
+    _refuse_stray(parts[1], tol, _THETA_STRAY)
     return parts[0], parts[2], parts[3], parts[4]
 
 
@@ -153,10 +165,10 @@ def _magnitude(f: Polynomial) -> float:
 
 
 def _extract_psi_pencil(
-    psi: Polynomial, p: int, q: int, tol: float
-) -> tuple[Pencil, float]:
-    """Read the pencil off psi = xi^T A_eta xi; measure stray components."""
-    stray = 0.0
+    psi: Polynomial, p: int, q: int
+) -> tuple[Pencil, Polynomial]:
+    """Read the pencil off psi = xi^T A_eta xi; return the stray terms too."""
+    stray: dict = {}
     entries = [
         [[rational(0) for _ in range(p)] for _ in range(p)] for _ in range(q)
     ]
@@ -164,7 +176,7 @@ def _extract_psi_pencil(
         d_xi = sum(mono[:p])
         d_eta = sum(mono[p:])
         if d_xi != 2 or d_eta != 1:
-            stray = max(stray, abs(float(coeff)))
+            stray[mono] = coeff
             continue
         i = next(k for k in range(q) if mono[p + k])
         support = [j for j in range(p) if mono[j]]
@@ -175,33 +187,14 @@ def _extract_psi_pencil(
             half = coeff / 2
             entries[i][j][k] = half
             entries[i][k][j] = half
-    if stray > tol:
-        raise NotEikonalEvidence(
-            "the x_n-linear coefficient is not of the form xi^T A_eta xi"
-        )
     pencil = tuple(RationalMatrix(rows) for rows in entries)
-    return pencil, stray
+    return pencil, _raw(psi.dimension, stray)
 
 
-def _extract_exact(f: Polynomial, rotation: RationalMatrix) -> NormalForm:
-    n = f.dimension
-    if not rotation.is_square or rotation.n_rows != n:
-        raise ValueError(f"rotation must be {n} x {n}")
-    if not rotation.is_orthogonal():
-        raise ValueError("rotation must be exactly orthogonal")
-    g = substitute_linear(f, rotation)
-    layers = _xn_layers(g)
-    m = n - 1
-    if layers[4] != Polynomial.constant(m, 1):
-        raise ValueError(
-            "rotation must send the last basis vector to a point with f = 1"
-        )
-    if not layers[3].is_zero:
-        raise ValueError(
-            "rotation does not target a critical point of f on the sphere"
-        )
-    phi = rational(1, 2) * layers[2]
-    big_phi = quadratic_form_matrix(phi, range(m))
+def _rational_eigenbasis(big_phi: RationalMatrix) -> tuple[RationalMatrix, int]:
+    """Rational orthogonal V whose columns span the +1, then the -3 eigenspace
+    of phi, and the dimension p of the +1 eigenspace."""
+    m = big_phi.n_rows
     ident = RationalMatrix.identity(m)
     if not ((big_phi - ident) @ (big_phi + ident.scale(3))).is_zero():
         raise NotEikonalEvidence(
@@ -209,8 +202,7 @@ def _extract_exact(f: Polynomial, rotation: RationalMatrix) -> NormalForm:
         )
     plus = (big_phi - ident).kernel_basis()
     minus = (big_phi + ident.scale(3)).kernel_basis()
-    p, q = len(plus), len(minus)
-    if p + q != m:
+    if len(plus) + len(minus) != m:
         raise NotEikonalEvidence("the x_n^2 coefficient is not diagonalizable")
     plus_on = orthonormalize_rational(plus)
     minus_on = orthonormalize_rational(minus)
@@ -221,6 +213,69 @@ def _extract_exact(f: Polynomial, rotation: RationalMatrix) -> NormalForm:
         )
     columns = plus_on + minus_on
     v = RationalMatrix([[columns[j][i] for j in range(m)] for i in range(m)])
+    return v, len(plus_on)
+
+
+def _float_eigenbasis(
+    big_phi: RationalMatrix, tol: float
+) -> tuple[RationalMatrix, int, float]:
+    """Rationalized eigenvectors of phi, eigenvalue +1 first, then -3.
+
+    Eigenvalues are snapped to +1 or -3 within tol; also returns p and the
+    largest distance of an eigenvalue from its snapped value.
+    """
+    m = big_phi.n_rows
+    if m == 0:
+        return RationalMatrix.identity(0), 0, 0.0
+    eigvals, eigvecs = np.linalg.eigh(np.array(big_phi.to_float()))
+    plus, minus = [], []
+    deviation = 0.0
+    for index, lam in enumerate(eigvals):
+        target = 1.0 if abs(lam - 1.0) <= tol else -3.0
+        if abs(lam - target) > tol:
+            raise NotEikonalEvidence(
+                f"the x_n^2 coefficient has eigenvalue {lam}, outside {{1, -3}}"
+            )
+        (plus if target > 0 else minus).append(index)
+        deviation = max(deviation, abs(lam - target))
+    return RationalMatrix.from_float(eigvecs[:, plus + minus]), len(plus), deviation
+
+
+def _extract(f: Polynomial, rotation: RationalMatrix, tol: float) -> NormalForm:
+    """Read the normal form of f off f(rotation x), up to `tol`.
+
+    tol = 0 is the exact route: every structural fact must hold exactly,
+    the eigenbasis of phi is found in rational arithmetic, and a rotation
+    that misses a maximizer with value 1 raises ValueError.  With tol > 0
+    the eigenbasis comes from a float eigensolver, everything dropped is
+    accumulated into `extraction_residual`, and any deviation above tol is
+    NotEikonalEvidence.
+    """
+    exact = tol == 0
+    m = f.dimension - 1
+    g = substitute_linear(f, rotation)
+    layers = _xn_layers(g)
+    top = layers[4] - Polynomial.constant(m, 1)
+    if exact and not top.is_zero:
+        raise ValueError(
+            "rotation must send the last basis vector to a point with f = 1"
+        )
+    if exact and not layers[3].is_zero:
+        raise ValueError(
+            "rotation does not target a critical point of f on the sphere"
+        )
+    residual = max(_magnitude(top), _magnitude(layers[3]))
+    if residual > tol:
+        raise NotEikonalEvidence(
+            "no sphere maximum with value 1 and critical structure was found"
+        )
+    big_phi = quadratic_form_matrix(rational(1, 2) * layers[2], range(m))
+    if exact:
+        v, p = _rational_eigenbasis(big_phi)
+    else:
+        v, p, deviation = _float_eigenbasis(big_phi, tol)
+        residual = max(residual, deviation)
+    q = m - p
     if v != RationalMatrix.identity(m):
         w_rows = [list(v.row(i)) + [rational(0)] for i in range(m)]
         w_rows.append([rational(0)] * m + [rational(1)])
@@ -228,21 +283,36 @@ def _extract_exact(f: Polynomial, rotation: RationalMatrix) -> NormalForm:
         rotation = rotation @ w
         g = substitute_linear(g, w)
         layers = _xn_layers(g)
-    psi = rational(1, 8) * layers[1]
-    pencil, _ = _extract_psi_pencil(psi, p, q, 0.0)
-    theta0, theta2, theta3, theta4 = split_theta(layers[0], p, q, 0.0)
+    eigenvalues = (1,) * p + (-3,) * q
+    ideal = _raw(
+        m,
+        {
+            tuple(2 if j == i else 0 for j in range(m)): rational(s)
+            for i, s in enumerate(eigenvalues)
+        },
+    )
+    residual = max(residual, _refuse_stray(
+        rational(1, 2) * layers[2] - ideal, tol,
+        "the x_n^2 coefficient did not diagonalize",
+    ))
+    pencil, stray = _extract_psi_pencil(rational(1, 8) * layers[1], p, q)
+    residual = max(residual, _refuse_stray(
+        stray, tol, "the x_n-linear coefficient is not of the form xi^T A_eta xi"
+    ))
+    parts = _theta_components(layers[0], p)
+    residual = max(residual, _refuse_stray(parts[1], tol, _THETA_STRAY))
     return NormalForm(
         rotation=rotation,
         p=p,
         q=q,
-        phi_eigenvalues=(1,) * p + (-3,) * q,
+        phi_eigenvalues=eigenvalues,
         pencil=pencil,
-        theta0=theta0,
-        theta2=theta2,
-        theta3=theta3,
-        theta4=theta4,
-        arithmetic="exact",
-        extraction_residual=0.0,
+        theta0=parts[0],
+        theta2=parts[2],
+        theta3=parts[3],
+        theta4=parts[4],
+        arithmetic="exact" if exact else "float",
+        extraction_residual=residual,
     )
 
 
@@ -389,87 +459,6 @@ def _householder_to_last(v: np.ndarray) -> np.ndarray:
     return np.eye(n) - 2.0 * np.outer(w, w) / norm_sq
 
 
-def _extract_float(
-    f: Polynomial, tol: float, seeds: int, seed: int
-) -> NormalForm:
-    n = f.dimension
-    point = np.array(sphere_maximize(f, seeds=seeds, tol=tol, seed=seed))
-    rot1 = RationalMatrix.from_float(_householder_to_last(point))
-    g = substitute_linear(f, rot1)
-    layers = _xn_layers(g)
-    m = n - 1
-    residual = _magnitude(layers[4] - Polynomial.constant(m, 1))
-    residual = max(residual, _magnitude(layers[3]))
-    if residual > SNAP_TOL:
-        raise NotEikonalEvidence(
-            "no sphere maximum with value 1 and critical structure was found"
-        )
-    phi = rational(1, 2) * layers[2]
-    big_phi = quadratic_form_matrix(phi, range(m))
-    phi_float = np.array(big_phi.to_float()) if m else np.zeros((0, 0))
-    eigvals, eigvecs = np.linalg.eigh(phi_float) if m else (np.array([]), np.eye(0))
-    snapped = []
-    for lam in eigvals:
-        if abs(lam - 1.0) <= SNAP_TOL:
-            snapped.append(1)
-        elif abs(lam + 3.0) <= SNAP_TOL:
-            snapped.append(-3)
-        else:
-            raise NotEikonalEvidence(
-                f"the x_n^2 coefficient has eigenvalue {lam}, outside {{1, -3}}"
-            )
-        residual = max(residual, abs(lam - snapped[-1]))
-    order = [i for i, s in enumerate(snapped) if s == 1] + [
-        i for i, s in enumerate(snapped) if s == -3
-    ]
-    p = sum(1 for s in snapped if s == 1)
-    q = m - p
-    if m:
-        basis = eigvecs[:, order]
-        w_float = np.zeros((n, n))
-        w_float[:m, :m] = basis
-        w_float[m, m] = 1.0
-        w = RationalMatrix.from_float(w_float)
-        g = substitute_linear(g, w)
-        layers = _xn_layers(g)
-        rotation = rot1 @ w
-    else:
-        rotation = rot1
-    phi2 = rational(1, 2) * layers[2]
-    ideal = _raw(
-        m,
-        {
-            tuple(2 if j == i else 0 for j in range(m)): rational(s)
-            for i, s in enumerate((1,) * p + (-3,) * q)
-        },
-    )
-    residual = max(residual, _magnitude(phi2 - ideal))
-    if residual > SNAP_TOL:
-        raise NotEikonalEvidence("the x_n^2 coefficient did not diagonalize")
-    psi = rational(1, 8) * layers[1]
-    pencil, stray = _extract_psi_pencil(psi, p, q, SNAP_TOL)
-    residual = max(residual, stray)
-    parts = _theta_components(layers[0], p)
-    residual = max(residual, _magnitude(parts[1]))
-    if _magnitude(parts[1]) > SNAP_TOL:
-        raise NotEikonalEvidence(
-            "theta has a component linear in xi, which no eikonal quartic allows"
-        )
-    return NormalForm(
-        rotation=rotation,
-        p=p,
-        q=q,
-        phi_eigenvalues=(1,) * p + (-3,) * q,
-        pencil=pencil,
-        theta0=parts[0],
-        theta2=parts[2],
-        theta3=parts[3],
-        theta4=parts[4],
-        arithmetic="float",
-        extraction_residual=residual,
-    )
-
-
 def extract_normal_form(
     f: Polynomial,
     rotation: RationalMatrix | None = None,
@@ -480,17 +469,29 @@ def extract_normal_form(
 ) -> NormalForm:
     """Rotate f into normal form, exactly or numerically.
 
-    With `rotation` given, the whole extraction is exact: ValueError means
-    the rotation does not expose the normal form (wrong target, or no
-    rational orthonormal eigenbasis), while NotEikonalEvidence means f
-    cannot be eikonal at all.  Without a rotation, a numeric maximizer is
-    located first and every later rotation is rationalized, so the result
-    carries arithmetic="float" and a nonzero extraction residual.
+    One pipeline serves both routes and differs only in how the x_n^2
+    coefficient phi is diagonalized.  With `rotation` given, the extraction
+    is exact: phi's eigenspaces are found by rational row reduction, and
+    ValueError means the rotation does not expose the normal form (wrong
+    target, or no rational orthonormal eigenbasis).  Without a rotation, a
+    numeric maximizer (`sphere_maximize`, with `tol`, `seeds`, `seed`) and
+    a float eigensolver supply rotations that are rationalized entry by
+    entry, so the result carries arithmetic="float" and an extraction
+    residual, and deviations above SNAP_TOL are NotEikonalEvidence.  On
+    either route NotEikonalEvidence means f cannot be eikonal at all.
     """
     if f.dimension < 1:
         raise ValueError("f must have at least one variable")
     if f.is_zero or not f.is_homogeneous(4):
         raise ValueError("f must be a nonzero homogeneous quartic")
-    if rotation is not None:
-        return _extract_exact(f, rotation)
-    return _extract_float(f, tol=tol, seeds=seeds, seed=seed)
+    if rotation is None:
+        point = np.array(sphere_maximize(f, seeds=seeds, tol=tol, seed=seed))
+        return _extract(
+            f, RationalMatrix.from_float(_householder_to_last(point)), SNAP_TOL
+        )
+    n = f.dimension
+    if not rotation.is_square or rotation.n_rows != n:
+        raise ValueError(f"rotation must be {n} x {n}")
+    if not rotation.is_orthogonal():
+        raise ValueError("rotation must be exactly orthogonal")
+    return _extract(f, rotation, 0)

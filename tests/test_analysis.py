@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 import _data as data
 import _oracles as oracles
+from eikq import analysis
 from eikq.analysis import (
+    PencilReport,
     Residual,
     check_eikonal,
     check_munzner_second,
@@ -23,10 +25,12 @@ from eikq.constructors import (
     assemble_from_normal_form,
     make_canonical_quartic,
     make_primitive,
+    search_isoparametric_pencil,
 )
 from eikq.matrices import RationalMatrix, random_rational_orthogonal
 from eikq.pencils import (
     block_radial,
+    eta_identity_residual,
     psi_from_pencil,
     theta0_poly,
     theta2_from_pencil,
@@ -231,11 +235,30 @@ class TestCheckPencil:
         with pytest.raises(ValueError, match="at least one"):
             check_pencil((), 3)
 
-    def test_deterministic(self):
-        pencil = data.isoparametric_data().pencil
-        assert check_pencil(pencil, 3, trials=5, seed=1) == check_pencil(
-            pencil, 3, trials=5, seed=1
-        )
+    def test_symmetrized_identity_is_eta_identity(self, monkeypatch):
+        pencils = [
+            ((RationalMatrix.diagonal([1, -1, 0]),), 3),
+            ((RationalMatrix.diagonal([2, 0]),), 2),
+            ((RationalMatrix.identity(2),), 2),
+            ((RationalMatrix.zeros(3, 3),), 3),
+            (data.isoparametric_data().pencil, 3),
+            ((RationalMatrix.diagonal([1, -1, 0]), RationalMatrix.diagonal([1, 0, -1])), 3),
+        ]
+        # every pencil search(3, 2, 1) screens; failing them all skips the grid
+        screened = []
+
+        def record(pencil, p):
+            screened.append((pencil, p))
+            return PencilReport(1, None, None, False, False, False, False)
+
+        monkeypatch.setattr(analysis, "check_pencil", record)
+        assert search_isoparametric_pencil(3, 2, 1) == []
+        monkeypatch.undo()
+        assert len(screened) > 100
+        for pencil, p in pencils + screened:
+            assert check_pencil(pencil, p).symmetrized_identity == (
+                eta_identity_residual(pencil, p).is_zero
+            )
 
     def test_json_dict(self):
         payload = check_pencil((RationalMatrix.zeros(2, 2),), 2).to_json_dict()

@@ -96,6 +96,20 @@ class TestClassifyExact:
         rotated = classify(substitute_linear(f, u), rotation=u.transpose())
         assert rotated.to_json_dict() == classify(f).to_json_dict()
 
+    @pytest.mark.xfail(
+        strict=True, raises=ValueError,
+        reason="Gram-Schmidt on the row-reduced kernel finds no rational "
+        "orthonormal eigenbasis of phi, though one exists",
+    )
+    def test_block_rotation_fixing_last_axis(self):
+        # diag(W, 1) is exactly orthogonal and keeps e_6, a maximizer with f = 1
+        w = random_rational_orthogonal(5, 1)
+        rows = [list(w.row(i)) + [0] for i in range(5)] + [[0] * 5 + [1]]
+        report = classify(make_canonical_quartic(6, 2), rotation=RationalMatrix(rows))
+        assert report.verdict == VERDICT_PRIMITIVE
+        assert report.dim_h == 2
+        assert report.arithmetic == "exact"
+
     def test_exact_only_needs_position_or_rotation(self):
         f = make_canonical_quartic(4, 1)
         g = substitute_linear(f, random_rational_orthogonal(4, 7))

@@ -182,6 +182,19 @@ class TestClassify:
         assert result.returncode == 2
         assert "rotation" in result.stderr
 
+    def test_internal_error_exit(self, tmp_path, monkeypatch, capsys):
+        import eikq.cli
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("this contradicts the structure theory")
+
+        monkeypatch.setattr(eikq.cli, "classify", broken)
+        path = write(tmp_path, "f.txt", poly_to_text(data.corpus()[4]))
+        assert eikq.cli.main(["classify", path]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "internal error: RuntimeError: this contradicts" in captured.err
+
     def test_no_ansi_when_disabled(self, tmp_path):
         path = write(tmp_path, "f.txt", poly_to_text(data.corpus()[0]))
         result = run_cli("classify", path)
