@@ -49,7 +49,6 @@ from .polyring import (
     PolyTextError,
     evaluate,
     extend_dimension,
-    gradient,
     gradient_inner,
     gradient_norm_sq,
     homogeneous_split,
@@ -93,7 +92,6 @@ __all__ = [
     "evaluate",
     "extend_dimension",
     "extract_normal_form",
-    "gradient",
     "gradient_inner",
     "gradient_norm_sq",
     "homogeneous_split",

@@ -190,7 +190,6 @@ def _obtain_normal_form(
     exact_input: bool,
     allow_float: bool,
     tol: float,
-    seeds: int,
     seed: int,
 ) -> tuple[NormalForm, Polynomial]:
     """Extract a normal form of f or -f; returns the oriented polynomial too."""
@@ -212,9 +211,9 @@ def _obtain_normal_form(
             "explicit rotation; rerun without --exact to allow the float path"
         )
     try:
-        return extract_normal_form(f, None, tol=tol, seeds=seeds, seed=seed), f
+        return extract_normal_form(f, None, tol=tol, seed=seed), f
     except NotEikonalEvidence:
-        return extract_normal_form(-f, None, tol=tol, seeds=seeds, seed=seed), -f
+        return extract_normal_form(-f, None, tol=tol, seed=seed), -f
 
 
 def _round_int(value, slack: float) -> Optional[int]:
@@ -228,7 +227,6 @@ def classify(
     *,
     allow_float: bool = True,
     tol: float = 1e-9,
-    seeds: int = 64,
     seed: int = 0,
 ) -> ClassificationReport:
     """Decide primitive vs isoparametric for a quartic, with eikonal checks.
@@ -257,10 +255,10 @@ def classify(
             VERDICT_INCONCLUSIVE, n, "float", mag,
             detail="the eikonal residual sits between tol and the rejection threshold",
         )
-    exact_input = mag == 0.0
+    exact_input = eik.is_zero
     try:
         nf, oriented = _obtain_normal_form(
-            f, rotation, exact_input, allow_float, tol, seeds, seed
+            f, rotation, exact_input, allow_float, tol, seed
         )
     except NotEikonalEvidence as evidence:
         return ClassificationReport(

@@ -200,14 +200,17 @@ def _cmd_normalform(args) -> int:
     if args.exact and rotation is None:
         raise ValueError("--exact extraction needs --rotation")
     try:
-        if rotation is None:
-            # stay exact when f is already in normal-form position
+        nf = None
+        if rotation is not None:
+            nf = extract_normal_form(f, rotation, tol=args.tol, seed=args.seed)
+        elif check_eikonal(f, 4).is_zero:
+            # like classify, stay exact when f is exactly eikonal and in normal-form position
             try:
                 nf = extract_normal_form(f, RationalMatrix.identity(f.dimension))
             except ValueError:
-                nf = extract_normal_form(f, None, tol=args.tol, seed=args.seed)
-        else:
-            nf = extract_normal_form(f, rotation, tol=args.tol, seed=args.seed)
+                pass
+        if nf is None:
+            nf = extract_normal_form(f, None, tol=args.tol, seed=args.seed)
     except NotEikonalEvidence as evidence:
         print(_styled(f"not eikonal: {evidence}", _RED, sys.stdout))
         return 1

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
 
 from .matrices import RationalMatrix, cayley_orthogonal, random_rational_orthogonal
 from .pencils import (
@@ -38,7 +39,6 @@ from .pencils import (
 from .polyring import (
     PolyTextError,
     Polynomial,
-    binomial,
     extend_dimension,
     poly_from_text,
     poly_mul,
@@ -72,13 +72,13 @@ def make_primitive(g: int, n: int, dimh: int) -> Polynomial:
         for k in range(g // 2 + 1):
             sign = -1 if k % 2 else 1
             term = poly_mul(xi_sq ** ((g - 2 * k) // 2), eta_sq ** k)
-            out = out + sign * binomial(g, 2 * k) * term
+            out = out + sign * comb(g, 2 * k) * term
     else:
         x0 = Polynomial.variable(n, 0)
         for k in range((g - 1) // 2 + 1):
             sign = -1 if k % 2 else 1
             term = poly_mul(x0 ** (g - 2 * k), eta_sq ** k)
-            out = out + sign * binomial(g, 2 * k) * term
+            out = out + sign * comb(g, 2 * k) * term
     return out
 
 

@@ -464,7 +464,6 @@ def extract_normal_form(
     rotation: RationalMatrix | None = None,
     *,
     tol: float = 1e-9,
-    seeds: int = 64,
     seed: int = 0,
 ) -> NormalForm:
     """Rotate f into normal form, exactly or numerically.
@@ -474,7 +473,7 @@ def extract_normal_form(
     is exact: phi's eigenspaces are found by rational row reduction, and
     ValueError means the rotation does not expose the normal form (wrong
     target, or no rational orthonormal eigenbasis).  Without a rotation, a
-    numeric maximizer (`sphere_maximize`, with `tol`, `seeds`, `seed`) and
+    numeric maximizer (`sphere_maximize`, with `tol` and `seed`) and
     a float eigensolver supply rotations that are rationalized entry by
     entry, so the result carries arithmetic="float" and an extraction
     residual, and deviations above SNAP_TOL are NotEikonalEvidence.  On
@@ -485,7 +484,7 @@ def extract_normal_form(
     if f.is_zero or not f.is_homogeneous(4):
         raise ValueError("f must be a nonzero homogeneous quartic")
     if rotation is None:
-        point = np.array(sphere_maximize(f, seeds=seeds, tol=tol, seed=seed))
+        point = np.array(sphere_maximize(f, tol=tol, seed=seed))
         return _extract(
             f, RationalMatrix.from_float(_householder_to_last(point)), SNAP_TOL
         )

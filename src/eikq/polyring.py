@@ -13,6 +13,11 @@ tuple.  ``poly_to_text`` and ``poly_from_text`` implement the line-based
 wire format used by the command line tools (one term per line: n exponent
 integers followed by the coefficient as ``p`` or ``p/q``).
 
+Products and ``substitute_linear`` run in Python ints (gmpy2's ``mpz``
+under ``mpq``) on packed monomials over one common denominator
+(``_pack``), with one rational division per output term (``_unpack``);
+their terms come out grlex-descending.
+
 When gmpy2 is installed its ``mpq`` type is used as the scalar backend;
 it has the same exact semantics and string form as ``fractions.Fraction``.
 """
@@ -22,7 +27,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 try:
@@ -252,51 +257,70 @@ def _raw(dimension: int, terms: dict) -> Polynomial:
 # -- ring operations ----------------------------------------------------------
 
 
+def _pack(f: Polynomial, base: int) -> tuple[list[tuple[int, int]], int]:
+    """(key, integer numerator) per term of f, in f's term order, and the denominator.
+
+    The denominator is the lcm of f's coefficient denominators.  A monomial
+    x^a of degree d packs to the key d * base^n + sum_j a_j * base^(n-1-j).
+    While degrees stay below ``base``, packing is injective, multiplying
+    monomials is adding keys, and key order is grlex order.
+    """
+    denom = lcm(*(c.denominator for c in f.terms.values()))
+    packed = []
+    for mono, coeff in f.terms.items():
+        key = sum(mono)
+        for e in mono:
+            key = key * base + e
+        packed.append((key, coeff.numerator * (denom // coeff.denominator)))
+    return packed, denom
+
+
+def _unpack(n: int, packed: Mapping[int, int], base: int, dividers: Sequence[int]) -> Polynomial:
+    """The polynomial of ``_pack``'s packed terms, in grlex-descending order.
+
+    The numerator at a key of degree d is divided by ``dividers[d]``, one
+    rational division per output term; zero numerators are dropped.
+    """
+    terms: dict[Monomial, object] = {}
+    for key in sorted(packed, reverse=True):
+        coeff = packed[key]
+        if coeff:
+            exponents = []
+            for _ in range(n):
+                key, e = divmod(key, base)
+                exponents.append(e)
+            terms[tuple(reversed(exponents))] = _Q(coeff, dividers[key])
+    return _raw(n, terms)
+
+
+def _sum_of_products(n: int, pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
+    """Sum of a * b over the pairs: the one product loop, in Python ints."""
+    pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
+    base = max((a.total_degree() + b.total_degree() for a, b in pairs), default=0) + 1
+    packs = []
+    for a, b in pairs:
+        pa = _pack(a, base)
+        packs.append((pa, pa if b is a else _pack(b, base)))
+    denom = lcm(*(da * db for (_, da), (_, db) in packs))
+    out: dict[int, int] = defaultdict(int)
+    for (pa, da), (pb, db) in packs:
+        scale = denom // (da * db)
+        for k1, c1 in pa:
+            c1 *= scale
+            for k2, c2 in pb:
+                out[k1 + k2] += c1 * c2
+    return _unpack(n, out, base, [denom] * base)
+
+
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     """Exact product of two polynomials in the same ring."""
     a._require_same_ring(b)
-    if a.is_zero or b.is_zero:
-        return Polynomial.zero(a.dimension)
-    if len(a.terms) > len(b.terms):
-        a, b = b, a
-    out: dict[Monomial, object] = {}
-    b_items = list(b.terms.items())
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b_items:
-            mono = tuple(x + y for x, y in zip(m1, m2))
-            acc = out.get(mono)
-            if acc is None:
-                out[mono] = c1 * c2
-            else:
-                acc = acc + c1 * c2
-                if acc == 0:
-                    del out[mono]
-                else:
-                    out[mono] = acc
-    return _raw(a.dimension, out)
+    return _sum_of_products(a.dimension, [(a, b)])
 
 
 def poly_square(a: Polynomial) -> Polynomial:
-    """a*a, using symmetry to halve the multiplication count."""
-    items = list(a.terms.items())
-    out: dict[Monomial, object] = {}
-
-    def accumulate(mono, value):
-        acc = out.get(mono)
-        if acc is None:
-            out[mono] = value
-        else:
-            acc = acc + value
-            if acc == 0:
-                del out[mono]
-            else:
-                out[mono] = acc
-
-    for i, (m1, c1) in enumerate(items):
-        accumulate(tuple(2 * x for x in m1), c1 * c1)
-        for m2, c2 in items[i + 1:]:
-            accumulate(tuple(x + y for x, y in zip(m1, m2)), 2 * c1 * c2)
-    return _raw(a.dimension, out)
+    """a*a."""
+    return poly_mul(a, a)
 
 
 def partial_derivative(f: Polynomial, index: int) -> Polynomial:
@@ -312,25 +336,19 @@ def partial_derivative(f: Polynomial, index: int) -> Polynomial:
     return _raw(f.dimension, out)
 
 
-def gradient(f: Polynomial) -> tuple[Polynomial, ...]:
-    return tuple(partial_derivative(f, i) for i in range(f.dimension))
-
-
 def gradient_norm_sq(f: Polynomial) -> Polynomial:
     """|grad f|^2 as an exact polynomial."""
-    out = Polynomial.zero(f.dimension)
-    for i in range(f.dimension):
-        out = out + poly_square(partial_derivative(f, i))
-    return out
+    return gradient_inner(f, f)
 
 
 def gradient_inner(a: Polynomial, b: Polynomial, indices: Iterable[int] | None = None) -> Polynomial:
     """<grad a, grad b>, optionally restricted to a subset of variables."""
     a._require_same_ring(b)
-    out = Polynomial.zero(a.dimension)
-    for i in indices if indices is not None else range(a.dimension):
-        out = out + poly_mul(partial_derivative(a, i), partial_derivative(b, i))
-    return out
+    pairs = []
+    for i in range(a.dimension) if indices is None else indices:
+        da = partial_derivative(a, i)
+        pairs.append((da, da if b is a else partial_derivative(b, i)))
+    return _sum_of_products(a.dimension, pairs)
 
 
 def extend_dimension(f: Polynomial, new_dimension: int) -> Polynomial:
@@ -387,11 +405,11 @@ def substitute_linear(f: Polynomial, matrix) -> Polynomial:
     f = c + sum_i x_i f_i with f_i built from indices >= i, so
     f(Mx) = c + sum_i L_i f_i(Mx) and every trie node costs one product
     with a linear form of at most n terms.  The recursion runs in Python
-    integers: the matrix is multiplied by the lcm of its denominators
-    (``scale``), f by the lcm of its coefficient denominators (``denom``),
-    and each output monomial is one packed integer, so multiplying by x_j
-    is one integer addition.  The degree-d part is divided by
-    denom * scale^d once at the end, one rational per output term.
+    integers on ``_pack``'s packed monomials: the matrix is multiplied by
+    the lcm of its denominators (``scale``), f is taken over the lcm of its
+    coefficient denominators (``denom``), and multiplying by x_j is one
+    integer addition.  The degree-d part is divided by denom * scale^d
+    once at the end, one rational per output term.
 
     The terms of the result are in canonical graded-lex descending order
     (the order of ``sorted_terms``), so iterating over them does not depend
@@ -405,14 +423,9 @@ def substitute_linear(f: Polynomial, matrix) -> Polynomial:
         return _raw(n, {})
     entries = [[rational(value) for value in row] for row in rows]
     scale = lcm(*(c.denominator for row in entries for c in row))
-    denom = lcm(*(c.denominator for c in f.terms.values()))
-    degree = max(sum(mono) for mono in f.terms)
-
-    # A monomial x^a of degree d packs to d * base^n + sum_j a_j * base^(n-1-j).
-    # No digit exceeds the degree, so packing is injective, and comparing
-    # packed integers is comparing (degree, exponent tuple): grlex order.
-    base = degree + 1
-    steps = [base**n + base ** (n - 1 - j) for j in range(n)]
+    base = f.total_degree() + 1
+    packed, denom = _pack(f, base)
+    steps = [base**n + base ** (n - 1 - j) for j in range(n)]  # the keys of x_0 .. x_{n-1}
     forms = [
         [(steps[j], c.numerator * (scale // c.denominator)) for j, c in enumerate(row) if c]
         for row in entries
@@ -436,24 +449,10 @@ def substitute_linear(f: Polynomial, matrix) -> Polynomial:
         return out
 
     items = [
-        (
-            [i for i, e in enumerate(mono) for _ in range(e)],
-            coeff.numerator * (denom // coeff.denominator),
-        )
-        for mono, coeff in f.terms.items()
+        ([i for i, e in enumerate(mono) for _ in range(e)], numerator)
+        for mono, (_, numerator) in zip(f.terms, packed)
     ]
-    packed = horner(items, 0)
-    dividers = [denom * scale**d for d in range(degree + 1)]
-    terms: dict[Monomial, object] = {}
-    for key in sorted(packed, reverse=True):
-        coeff = packed[key]
-        if coeff:
-            exponents = []
-            for _ in range(n):
-                key, e = divmod(key, base)
-                exponents.append(e)
-            terms[tuple(reversed(exponents))] = _Q(coeff, dividers[key])
-    return _raw(n, terms)
+    return _unpack(n, horner(items, 0), base, [denom * scale**d for d in range(base)])
 
 
 def homogeneous_split(
@@ -496,10 +495,6 @@ def radial_power(dimension: int, exponent: int) -> Polynomial:
         },
     )
     return base**exponent
-
-
-def binomial(n: int, k: int) -> int:
-    return comb(n, k)
 
 
 # -- poly-text wire format ----------------------------------------------------

@@ -174,6 +174,17 @@ class TestClassifyNumeric:
         assert report.arithmetic == "float"
         assert 0 < report.residual < 1e-9
 
+    def test_residual_below_float_range_stays_inexact(self):
+        # the eikonal residual is nonzero but its float magnitude is 0.0,
+        # so only the exact test of the residual keeps f off the exact route
+        f = make_canonical_quartic(3, 1) + rational(1, 10 ** 400) * Polynomial.monomial(
+            3, (2, 2, 0)
+        )
+        report = classify(f)
+        assert report.verdict == VERDICT_PRIMITIVE
+        assert report.arithmetic == "float"
+        assert (report.p, report.q) == (1, 1)
+
 
 class TestCongruentPrimitive:
     @pytest.mark.parametrize(

@@ -218,6 +218,23 @@ class TestNormalform:
         assert payload["arithmetic"] == "exact"
         assert payload["extraction_residual"] == 0.0
 
+    def test_inexact_input_is_not_extracted_exactly(self, tmp_path):
+        # f lies in normal-form position but is not exactly eikonal, so the
+        # extraction takes the float route and agrees with classify
+        from eikq.constructors import make_canonical_quartic
+        from eikq.polyring import Polynomial, rational
+
+        f = make_canonical_quartic(3, 1) + rational(1, 10 ** 12) * Polynomial.monomial(
+            3, (4, 0, 0)
+        )
+        path = write(tmp_path, "near.txt", poly_to_text(f))
+        result = run_cli("normalform", path, "--json")
+        assert result.returncode == 0
+        payload = json.loads(result.stdout)
+        report = json.loads(run_cli("classify", path, "--json").stdout)
+        assert payload["arithmetic"] == report["arithmetic"] == "float"
+        assert (payload["p"], payload["q"]) == (report["p"], report["q"]) == (0, 2)
+
     def test_not_eikonal(self, tmp_path):
         path = write(tmp_path, "bad.txt", "n 2\n4 0 1\n0 4 1\n")
         result = run_cli("normalform", path)

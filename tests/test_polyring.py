@@ -14,7 +14,7 @@ from eikq.polyring import (
     Polynomial,
     PolyTextError,
     evaluate,
-    gradient,
+    gradient_inner,
     gradient_norm_sq,
     homogeneous_split,
     laplacian,
@@ -293,27 +293,38 @@ def expand_reference(f: Polynomial, rows) -> dict:
     return {m: c for m, c in out.items() if c}
 
 
-def assert_substitution_correct(f: Polynomial, matrix) -> Polynomial:
-    """substitute_linear against the reference, in canonical order and backend type."""
-    g = substitute_linear(f, matrix)
-    assert g.dimension == f.dimension
-    rows = matrix.entries if isinstance(matrix, RationalMatrix) else matrix
-    assert {m: as_fraction(c) for m, c in g.terms.items()} == expand_reference(f, rows)
+def assert_canonical(g: Polynomial, expected: dict) -> Polynomial:
+    """g equals the reference {exponents: Fraction}, in canonical order and backend type."""
+    assert {m: as_fraction(c) for m, c in g.terms.items()} == expected
     assert list(g.terms) == [m for m, _ in g.sorted_terms()]
     backend = type(rational(0))
     assert all(type(c) is backend and c != 0 for c in g.terms.values())
     return g
 
 
+def assert_substitution_correct(f: Polynomial, matrix) -> Polynomial:
+    """substitute_linear against the reference, in canonical order and backend type."""
+    g = substitute_linear(f, matrix)
+    assert g.dimension == f.dimension
+    rows = matrix.entries if isinstance(matrix, RationalMatrix) else matrix
+    return assert_canonical(g, expand_reference(f, rows))
+
+
 _SMALL_RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+def polys(n: int):
+    # degrees are mixed, so most drawn polynomials are not homogeneous
+    monos = st.tuples(*[st.integers(0, 3)] * n)
+    return st.dictionaries(monos, _SMALL_RATIONALS, max_size=6).map(
+        lambda terms: Polynomial(n, terms)
+    )
 
 
 @st.composite
 def polys_and_matrices(draw, min_n: int = 0, max_n: int = 4):
     n = draw(st.integers(min_n, max_n))
-    # degrees are mixed, so most drawn polynomials are not homogeneous
-    monos = st.tuples(*[st.integers(0, 3)] * n)
-    f = Polynomial(n, draw(st.dictionaries(monos, _SMALL_RATIONALS, max_size=6)))
+    f = draw(polys(n))
     entry = st.one_of(st.integers(-1, 1), _SMALL_RATIONALS)
     rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
     return f, rows
@@ -376,6 +387,63 @@ def test_substitution_by_rationalized_float_rotation():
     assert assert_substitution_correct(radial_power(4, 2), random_rational_orthogonal(4, 9)) == (
         radial_power(4, 2)
     )
+
+
+def derivative_reference(f: Polynomial, i: int) -> dict:
+    """The partial derivative of f by x_i as {exponents: Fraction}."""
+    return {
+        m[:i] + (m[i] - 1,) + m[i + 1:]: as_fraction(c) * m[i] for m, c in f.terms.items() if m[i]
+    }
+
+
+def product_reference(pairs) -> dict:
+    """The sum of a * b over pairs of {exponents: Fraction}, term by term in Fractions."""
+    out: dict = {}
+    for a, b in pairs:
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = tuple(x + y for x, y in zip(m1, m2))
+                out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def assert_products_correct(a: Polynomial, b: Polynomial) -> None:
+    """poly_mul, poly_square, gradient_inner and gradient_norm_sq against the reference."""
+    fa = {m: as_fraction(c) for m, c in a.terms.items()}
+    fb = {m: as_fraction(c) for m, c in b.terms.items()}
+    grad_a = [derivative_reference(a, i) for i in range(a.dimension)]
+    grad_b = [derivative_reference(b, i) for i in range(b.dimension)]
+    assert_canonical(poly_mul(a, b), product_reference([(fa, fb)]))
+    assert_canonical(poly_mul(a, a), product_reference([(fa, fa)]))
+    assert_canonical(poly_square(a), product_reference([(fa, fa)]))
+    assert_canonical(gradient_inner(a, b), product_reference(zip(grad_a, grad_b)))
+    assert_canonical(gradient_norm_sq(a), product_reference(zip(grad_a, grad_a)))
+
+
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(polys(n), polys(n))))
+@settings(max_examples=80, deadline=None)
+def test_products_match_term_by_term_expansion(pair):
+    assert_products_correct(*pair)
+
+
+def test_products_small_and_degenerate_cases():
+    x0, x1 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    # exact cancellation: (x0 - x1)(x0 + x1) = x0^2 - x1^2
+    assert_products_correct(x0 - x1, x0 + x1)
+    assert poly_mul(x0 - x1, x0 + x1) == Polynomial(2, {(2, 0): 1, (0, 2): -1})
+    assert gradient_inner(x0 * x1, x0 * x0 - x1 * x1).is_zero
+    # mixed degrees and denominators
+    f = Polynomial(3, {(2, 1, 0): Fraction(1, 6), (0, 0, 1): Fraction(-3, 4), (0, 0, 0): 5})
+    g = Polynomial(3, {(1, 0, 0): Fraction(2, 9), (0, 2, 2): Fraction(7, 10)})
+    assert_products_correct(f, g)
+    # the zero polynomial, n = 0 and n = 1
+    assert_products_correct(f, Polynomial.zero(3))
+    assert_products_correct(Polynomial.zero(3), Polynomial.zero(3))
+    assert_products_correct(Polynomial.constant(0, "-3/7"), Polynomial.constant(0, "2/5"))
+    assert poly_square(Polynomial.constant(0, "-3/7")) == Polynomial.constant(0, "9/49")
+    assert_products_correct(Polynomial(1, {(3,): Fraction(1, 2), (0,): 1}), Polynomial(1, {(1,): -2}))
+    with pytest.raises(ValueError):
+        poly_mul(f, x0)
 
 
 def test_evaluate_rejects_wrong_length():
