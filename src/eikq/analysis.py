@@ -331,9 +331,10 @@ def check_pencil(pencil: Pencil, p: int) -> PencilReport:
     q = len(pencil)
     if q == 0:
         raise ValueError("pencil must contain at least one matrix")
-    cube = all((a @ a @ a) == a for a in pencil)
+    squares = [a @ a for a in pencil]
+    cube = all(sq @ a == a for sq, a in zip(squares, pencil))
     trace_free = all(a.trace() == 0 for a in pencil)
-    t0 = (pencil[0] @ pencil[0]).trace()
+    t0 = squares[0].trace()
     nu: Optional[int] = None
     mu: Optional[int] = None
     if t0 == int(t0) and int(t0) % 2 == 0 and 0 <= int(t0) <= p:
@@ -343,11 +344,11 @@ def check_pencil(pencil: Pencil, p: int) -> PencilReport:
         nu is not None
         and trace_free
         and cube
-        and all((a @ a).trace() == t0 for a in pencil)
+        and all(sq.trace() == t0 for sq in squares)
     )
     coordinate_pairs = all(
-        a_s @ a_s @ a_t + a_s @ a_t @ a_s + a_t @ a_s @ a_s == a_t
-        for i, a_s in enumerate(pencil)
+        sq_s @ a_t + a_s @ a_t @ a_s + a_t @ sq_s == a_t
+        for i, (a_s, sq_s) in enumerate(zip(pencil, squares))
         for j, a_t in enumerate(pencil)
         if i != j
     )

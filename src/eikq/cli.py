@@ -21,6 +21,7 @@ ANSI color.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -306,7 +307,9 @@ def _add_common(sub, *, tol=True, seed=True, rotation=False, exact=False):
                          help="refuse the floating-point fallback")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="eikq",
         description="Construct, verify, and classify eikonal polynomials.",

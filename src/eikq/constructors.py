@@ -15,15 +15,18 @@ Three construction routes live here:
   rotated normal form x_n^4 + 2 phi x_n^2 + 8 psi x_n + theta, where the
   pencil fixes psi, theta_4, theta_2, theta_0 and only the mixed cubic
   theta_3 is free data.  `search_isoparametric_pencil` enumerates small
-  rational pencils and theta_3 coefficient grids, keeping exactly the
-  candidates whose assembled quartic is eikonal.
+  rational pencils and a grid of theta_3 coefficients, keeping exactly the
+  candidates whose assembled quartic is eikonal.  The eikonal residual is
+  quadratic in theta_3, so it is expanded once per pencil and every grid
+  point is decided in integer arithmetic, without assembling its quartic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from math import comb
+from itertools import combinations, combinations_with_replacement, product
+from math import comb, lcm
+from operator import mul
 
 from .matrices import RationalMatrix, cayley_orthogonal, random_rational_orthogonal
 from .pencils import (
@@ -40,6 +43,8 @@ from .polyring import (
     PolyTextError,
     Polynomial,
     extend_dimension,
+    gradient_inner,
+    grlex_key,
     poly_from_text,
     poly_mul,
     poly_to_text,
@@ -263,6 +268,12 @@ _THETA3_COEFFICIENTS = tuple(
     for num, den in ((0, 1), (1, 1), (-1, 1), (2, 1), (-2, 1),
                      (1, 2), (-1, 2), (1, 4), (-1, 4), (4, 1), (-4, 1))
 )
+# the grid in integers: c = k / _GRID_DENOMINATOR for k in _GRID_NUMERATORS
+_GRID_DENOMINATOR = lcm(*(c.denominator for c in _THETA3_COEFFICIENTS))
+_GRID_NUMERATORS = tuple(
+    int(c.numerator * (_GRID_DENOMINATOR // c.denominator)) for c in _THETA3_COEFFICIENTS
+)
+_GRID_COEFFICIENT = dict(zip(_GRID_NUMERATORS, _THETA3_COEFFICIENTS))
 
 
 def _conjugations(p: int) -> list[RationalMatrix]:
@@ -278,20 +289,65 @@ def _conjugations(p: int) -> list[RationalMatrix]:
     return out
 
 
+def _grid_decider(f0: Polynomial, r0: Polynomial, lifted: list[Polynomial]):
+    """Exact test of the grid points of f0 + sum_i c_i B_i, from one expansion.
+
+    r0 is f0's eikonal residual and B_i the lifted 8 b_i.  The residual of
+    the grid point c_i = k_i / D (D = _GRID_DENOMINATOR) is quadratic in c,
+    and D^2 times it is
+
+        D^2 R0 + D sum_i k_i L_i + sum_{i <= j} k_i k_j Q'_ij,
+
+    with L_i = 2 <grad f0, grad B_i>, Q'_ii = |grad B_i|^2 and
+    Q'_ij = 2 <grad B_i, grad B_j> for i < j.  Each residual monomial gives
+    one integer row, its coefficients in these polynomials over one common
+    denominator.  The returned function takes the integer numerators k and
+    is True exactly when every row's dot product with
+    (1, k_1, .., k_b, k_1 k_1, k_1 k_2, .., k_b k_b) is zero, checking the
+    rows in grlex-descending order of their monomials and stopping at the
+    first nonzero one.
+    """
+    d = _GRID_DENOMINATOR
+    parts = [d * d * r0]
+    parts.extend(2 * d * gradient_inner(f0, b) for b in lifted)
+    pairs = list(combinations_with_replacement(range(len(lifted)), 2))
+    for i, j in pairs:
+        inner = gradient_inner(lifted[i], lifted[j])
+        parts.append(inner if i == j else 2 * inner)
+    denom = lcm(*(c.denominator for part in parts for c in part.terms.values()))
+    columns = [
+        {m: int(c.numerator * (denom // c.denominator)) for m, c in part.terms.items()}
+        for part in parts
+    ]
+    monomials = sorted({m for part in parts for m in part.terms}, key=grlex_key, reverse=True)
+    rows = [tuple(column.get(m, 0) for column in columns) for m in monomials]
+
+    def is_eikonal(ks: tuple[int, ...]) -> bool:
+        point = (1, *ks, *[ks[i] * ks[j] for i, j in pairs])
+        return not any(sum(map(mul, row, point)) for row in rows)
+
+    return is_eikonal
+
+
 def search_isoparametric_pencil(
     p: int, q: int, nu: int, budget: int = 10 ** 6
 ) -> list[NormalFormData]:
     """Enumerate small rational pencils and return the eikonal candidates.
 
     Candidates are pencil seeds (pairwise +/-1 blocks, conjugated by a fixed
-    list of exact rotations) combined with theta_3 drawn from the trilinear
-    eigenspace basis with coefficients in {0, +/-1/4, +/-1/2, +/-1, +/-2,
-    +/-4}.  Each pencil is screened once by `check_pencil`, which decides
-    the trace, spectrum and cube identity A_eta^3 = |eta|^2 A_eta exactly;
-    each theta_3 of a surviving pencil by the exact eikonal check on the
-    assembled quartic.  Pencils and grid points both count as examined
-    candidates, and the search stops once `budget` of them have been
-    examined.  The result order is deterministic.
+    list of exact rotations) combined with theta_3 = sum_i c_i 8 b_i over the
+    trilinear eigenspace basis b_i, with every c_i in {0, +/-1/4, +/-1/2,
+    +/-1, +/-2, +/-4}.  Each pencil is screened once by `check_pencil`,
+    which decides the trace, spectrum and cube identity A_eta^3 = |eta|^2
+    A_eta exactly; the empty pencil (q = 0) is admissible.  The eikonal
+    residual of the assembled quartic f0 + sum_i c_i B_i (B_i the lifted
+    8 b_i) is quadratic in the c_i, so for each admissible pencil it is
+    expanded once, into integer rows (`_grid_decider`), and each theta_3
+    grid point is decided exactly by integer dot products with those rows;
+    theta_3 and the normal-form data are built only for hits.  Pencils and
+    grid points both count as examined candidates, and the search stops
+    once `budget` of them have been examined.  The result order is
+    deterministic.
     """
     from .analysis import check_eikonal, check_pencil
 
@@ -312,6 +368,7 @@ def search_isoparametric_pencil(
     hits: list[NormalFormData] = []
     seeds = _seed_matrices(p, nu)
     seen_pencils: set[tuple] = set()
+    zero3 = Polynomial.zero(p + q)
     for conj in _conjugations(p):
         for raw in product(seeds, repeat=q):
             if nu > 0 and q > 1 and len({m.entries for m in raw}) != q:
@@ -324,20 +381,22 @@ def search_isoparametric_pencil(
             examined += 1
             if examined > budget:
                 return hits
-            if not check_pencil(pencil, p).passed:
+            if pencil and not check_pencil(pencil, p).passed:
                 continue
             basis = theta3_basis(pencil, p)
-            zero3 = Polynomial.zero(p + q)
-            for coeffs in product(_THETA3_COEFFICIENTS, repeat=len(basis)):
-                theta3 = zero3
-                for c, b in zip(coeffs, basis):
-                    if c != 0:
-                        theta3 = theta3 + 8 * c * b
+            f0 = assemble_from_normal_form(NormalFormData(p, q, pencil, zero3))
+            lifted = [extend_dimension(8 * b, p + q + 1) for b in basis]
+            is_eikonal = _grid_decider(f0, check_eikonal(f0, 4).value, lifted)
+            for ks in product(_GRID_NUMERATORS, repeat=len(basis)):
                 if basis:
                     examined += 1
                     if examined > budget:
                         return hits
-                data = NormalFormData(p, q, pencil, theta3)
-                if check_eikonal(assemble_from_normal_form(data), 4).is_zero:
-                    hits.append(data)
+                if not is_eikonal(ks):
+                    continue
+                theta3 = zero3
+                for k, b in zip(ks, basis):
+                    if k:
+                        theta3 = theta3 + 8 * _GRID_COEFFICIENT[k] * b
+                hits.append(NormalFormData(p, q, pencil, theta3))
     return hits

@@ -5,15 +5,20 @@ pivoting, and orthogonality means Q^T Q equals the identity as rational
 numbers, not up to rounding.  Rational orthogonal matrices for tests and
 searches come from the Cayley transform of rational antisymmetric
 matrices, which stays inside the rationals.
+
+Products run in Python ints: each operand is put over the lcm of its own
+denominators, the integer numerators are multiplied and summed, and each
+output entry costs one rational division.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from operator import mul
 from typing import Sequence
 
-from .polyring import rational, rational_from_float
+from .polyring import _Q, rational, rational_from_float
 
 
 class RationalMatrix:
@@ -85,46 +90,49 @@ class RationalMatrix:
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._require_same_shape(other)
-        return RationalMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
+        return _raw_matrix(
+            tuple(
+                tuple(a + b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.entries, other.entries)
-            ]
+            )
         )
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._require_same_shape(other)
-        return RationalMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
+        return _raw_matrix(
+            tuple(
+                tuple(a - b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.entries, other.entries)
-            ]
+            )
         )
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix([[-a for a in row] for row in self.entries])
+        return _raw_matrix(tuple(tuple(-a for a in row) for row in self.entries))
 
     def scale(self, scalar) -> "RationalMatrix":
         c = rational(scalar)
-        return RationalMatrix([[a * c for a in row] for row in self.entries])
+        return _raw_matrix(tuple(tuple(a * c for a in row) for row in self.entries))
+
+    def _numerators(self) -> tuple[list[list[int]], int]:
+        """Integer entries over the lcm of the denominators, and that lcm."""
+        den = math.lcm(*(v.denominator for row in self.entries for v in row))
+        return [[v.numerator * (den // v.denominator) for v in row] for row in self.entries], den
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.n_cols != other.n_rows:
             raise ValueError(
                 f"shape mismatch: {self.n_rows}x{self.n_cols} @ {other.n_rows}x{other.n_cols}"
             )
-        cols = [other.column(j) for j in range(other.n_cols)]
-        return RationalMatrix(
-            [
-                [sum(a * b for a, b in zip(row, col)) for col in cols]
-                for row in self.entries
-            ]
+        rows, da = self._numerators()
+        other_rows, db = other._numerators()
+        cols = list(zip(*other_rows))
+        den = da * db
+        return _raw_matrix(
+            tuple(tuple(_Q(sum(map(mul, row, col)), den) for col in cols) for row in rows)
         )
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [self.column(j) for j in range(self.n_cols)]
-        )
+        return _raw_matrix(tuple(zip(*self.entries)))
 
     def trace(self):
         if not self.is_square:
@@ -210,6 +218,13 @@ class RationalMatrix:
 
     def __repr__(self):
         return f"RationalMatrix({self.n_rows}x{self.n_cols})"
+
+
+def _raw_matrix(entries: tuple[tuple, ...]) -> RationalMatrix:
+    """Internal constructor bypassing coercion; entries must be backend rationals."""
+    matrix = RationalMatrix.__new__(RationalMatrix)
+    object.__setattr__(matrix, "entries", entries)
+    return matrix
 
 
 def dot(u: Sequence, v: Sequence):

@@ -3,6 +3,8 @@ coefficient system, the bidegree structure identities, and pencil spectra."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -192,6 +194,45 @@ class TestStructureIdentities:
             assert both == direct
 
 
+def naive_pencil_report(pencil, p: int) -> dict:
+    """check_pencil's JSON report from the definitions, on lists of Fractions."""
+    mats = [[[Fraction(v) for v in row] for row in a.entries] for a in pencil]
+
+    def mm(x, y):
+        return [[sum((x[i][k] * y[k][j] for k in range(p)), Fraction(0)) for j in range(p)]
+                for i in range(p)]
+
+    def tr(x):
+        return sum((x[i][i] for i in range(p)), Fraction(0))
+
+    q = len(mats)
+    cube = all(mm(mm(a, a), a) == a for a in mats)
+    trace_free = all(tr(a) == 0 for a in mats)
+    t0 = tr(mm(mats[0], mats[0]))
+    nu = mu = None
+    if t0.denominator == 1 and t0 % 2 == 0 and 0 <= t0 <= p:
+        nu = int(t0) // 2
+        mu = p - 2 * nu
+    spectrum = nu is not None and trace_free and cube and all(
+        tr(mm(a, a)) == t0 for a in mats)
+    pairs = all(
+        [[x + y + z for x, y, z in zip(r1, r2, r3)]
+         for r1, r2, r3 in zip(mm(mm(s, s), t), mm(mm(s, t), s), mm(mm(t, s), s))] == t
+        for i, s in enumerate(mats)
+        for j, t in enumerate(mats)
+        if i != j
+    )
+    symmetrized = pairs and eta_identity_residual(pencil, p).is_zero
+    if q == 1:
+        passed = cube
+    else:
+        passed = trace_free and cube and symmetrized and spectrum and nu is not None
+    return {
+        "q": q, "nu": nu, "mu": mu, "trace_free": trace_free, "cube_identity": cube,
+        "symmetrized_identity": symmetrized, "spectrum_constant": spectrum, "passed": passed,
+    }
+
+
 class TestCheckPencil:
     def test_single_involution(self):
         report = check_pencil((RationalMatrix.diagonal([1, -1, 0]),), 3)
@@ -254,11 +295,11 @@ class TestCheckPencil:
         monkeypatch.setattr(analysis, "check_pencil", record)
         assert search_isoparametric_pencil(3, 2, 1) == []
         monkeypatch.undo()
-        assert len(screened) > 100
+        assert len(screened) == 156
         for pencil, p in pencils + screened:
-            assert check_pencil(pencil, p).symmetrized_identity == (
-                eta_identity_residual(pencil, p).is_zero
-            )
+            report = check_pencil(pencil, p)
+            assert report.symmetrized_identity == eta_identity_residual(pencil, p).is_zero
+            assert report.to_json_dict() == naive_pencil_report(pencil, p)
 
     def test_json_dict(self):
         payload = check_pencil((RationalMatrix.zeros(2, 2),), 2).to_json_dict()

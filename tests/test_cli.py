@@ -302,7 +302,51 @@ class TestSearchPencil:
         assert "# candidates: 0" in result.stdout
 
 
+    def test_empty_pencil(self):
+        result = run_cli("search-pencil", "--p", "3", "--q", "0", "--nu", "0", "--json")
+        assert result.returncode == 0, result.stderr
+        payload = json.loads(result.stdout)
+        assert payload["count"] == 1
+        assert payload["candidates"][0].startswith("3 0\n")
+
+
+def _in_process(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process main call."""
+    import eikq.cli
+
+    try:
+        code = eikq.cli.main(argv)
+    except SystemExit as exc:  # argparse usage errors and --help
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 class TestUsage:
+    def test_parser_reuse_matches_fresh_parser(self, tmp_path, capsys, monkeypatch):
+        import eikq.cli
+
+        poly = write(tmp_path, "f.txt", poly_to_text(data.corpus()[0]))
+        calls = [
+            ["congruent", "--n", "5", "2", "3"],
+            ["verify", poly, "--json"],
+            ["congruent", "--n", "5", "2"],  # usage error: SystemExit(2)
+            ["congruent", "--n", "5", "2", "3"],
+            ["verify", poly, "--g", "oops"],  # usage error in another subparser
+            ["verify", poly, "--json"],
+            ["construct", "--type", "canonical", "--n", "4", "--k", "1"],
+            ["frobnicate"],
+            ["congruent", "--n", "5", "2", "3", "--json"],
+        ]
+        assert eikq.cli._build_parser() is eikq.cli._build_parser()
+        reused = [_in_process(argv, capsys) for argv in calls]
+        monkeypatch.setattr(eikq.cli, "_build_parser", eikq.cli._build_parser.__wrapped__)
+        fresh = [_in_process(argv, capsys) for argv in calls]
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0, 2, 0, 2, 0, 0, 2, 0]
+        assert reused[0] == reused[3] and reused[1] == reused[5]
+        assert "usage: eikq congruent" in reused[2][2]
+
     def test_unknown_verb(self):
         result = run_cli("frobnicate")
         assert result.returncode == 2

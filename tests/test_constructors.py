@@ -4,6 +4,7 @@ normal-form data, assembly, serialization, and the pencil search."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import _data as data
 import _oracles as oracles
+from eikq import analysis, constructors
 from eikq.analysis import check_eikonal, check_structure_identities
 from eikq.constructors import (
     InfeasibleParameters,
@@ -23,9 +25,11 @@ from eikq.constructors import (
     search_isoparametric_pencil,
 )
 from eikq.matrices import RationalMatrix
+from eikq.pencils import theta3_basis
 from eikq.polyring import (
     PolyTextError,
     Polynomial,
+    extend_dimension,
     laplacian,
     radial_power,
     rational,
@@ -309,3 +313,88 @@ class TestSearch:
         first = search_isoparametric_pencil(2, 1, 1)
         second = search_isoparametric_pencil(2, 1, 1)
         assert first == second
+
+    def test_empty_pencil_is_admissible(self):
+        for p in (3, 0):
+            hits = search_isoparametric_pencil(p, 0, 0)
+            assert len(hits) == 1
+            assert hits[0].pencil == ()
+            assert assemble_from_normal_form(hits[0]) == make_canonical_quartic(p + 1, 0)
+
+    def test_budget_prefixes(self):
+        budgets = (1, 2, 40, 150, 180, 195, 400, 10 ** 6)
+        results = [search_isoparametric_pencil(3, 2, 1, budget=b) for b in budgets]
+        assert len(results[-1]) == 66
+        for shorter, longer in zip(results, results[1:]):
+            assert longer[: len(shorter)] == shorter
+        assert len({len(r) for r in results}) > 3
+
+
+def _admissible_pencils(p: int, q: int, nu: int, count: int, monkeypatch) -> list:
+    """The first `count` pencils that search(p, q, nu) finds admissible."""
+    passed = []
+    real = analysis.check_pencil
+
+    def record(pencil, p):
+        report = real(pencil, p)
+        if report.passed:
+            passed.append(pencil)
+        return report
+
+    monkeypatch.setattr(analysis, "check_pencil", record)
+    search_isoparametric_pencil(p, q, nu)
+    monkeypatch.undo()
+    return passed[:count]
+
+
+def _grid_verdicts(p: int, pencil) -> list[tuple[bool, bool]]:
+    """(quadratic decision, check_eikonal of the assembled quartic) per grid point."""
+    q = len(pencil)
+    basis = theta3_basis(pencil, p)
+    zero3 = Polynomial.zero(p + q)
+    f0 = assemble_from_normal_form(NormalFormData(p, q, pencil, zero3))
+    lifted = [extend_dimension(8 * b, p + q + 1) for b in basis]
+    decide = constructors._grid_decider(f0, check_eikonal(f0, 4).value, lifted)
+    verdicts = []
+    for coeffs in product(constructors._THETA3_COEFFICIENTS, repeat=len(basis)):
+        ks = tuple(int(c * constructors._GRID_DENOMINATOR) for c in coeffs)
+        theta3 = zero3
+        for c, b in zip(coeffs, basis):
+            theta3 = theta3 + 8 * c * b
+        data_ = NormalFormData(p, q, pencil, theta3)
+        verdicts.append((decide(ks), check_eikonal(assemble_from_normal_form(data_), 4).is_zero))
+    return verdicts
+
+
+class TestGridDecision:
+    def test_grid_denominator_clears_every_coefficient(self):
+        d = constructors._GRID_DENOMINATOR
+        assert all((c * d).denominator == 1 for c in constructors._THETA3_COEFFICIENTS)
+        assert any(c.denominator == d for c in constructors._THETA3_COEFFICIENTS)
+
+    def test_matches_assembled_residual_on_admissible_pencils(self, monkeypatch):
+        pencils = _admissible_pencils(3, 2, 1, 2, monkeypatch)
+        assert len(pencils) == 2
+        seen = set()
+        for pencil in pencils:
+            verdicts = _grid_verdicts(3, pencil)
+            assert len(verdicts) == 11 ** len(theta3_basis(pencil, 3)) > 1
+            for decided, exact in verdicts:
+                assert decided == exact
+                seen.add(exact)
+        assert seen == {True, False}
+
+    def test_matches_assembled_residual_with_empty_basis(self):
+        cases = [
+            (2, data.zero_pencil_data().pencil),  # hit
+            (2, data.involution_data().pencil),  # hit
+            (2, (RationalMatrix.diagonal([1, 0]),)),  # miss: passes the cube identity only
+            (3, ()),  # the empty pencil, a hit
+        ]
+        outcomes = []
+        for p, pencil in cases:
+            assert theta3_basis(pencil, p) == []
+            (verdict,) = _grid_verdicts(p, pencil)
+            assert verdict[0] == verdict[1]
+            outcomes.append(verdict[1])
+        assert outcomes == [True, True, False, True]

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eikq.matrices import (
     RationalMatrix,
@@ -16,6 +19,7 @@ from eikq.matrices import (
     random_rational_orthogonal,
     sqrt_rational,
 )
+from eikq.polyring import rational
 
 
 def test_matmul_and_transpose():
@@ -109,3 +113,94 @@ def test_orthonormalize_rational_perfect_square_case():
 def test_orthonormalize_rational_impossible_case():
     # span{(1,1)} has no rational unit vector
     assert orthonormalize_rational([(1, 1)]) is None
+
+
+def reference_product(a: RationalMatrix, b: RationalMatrix) -> list[list[Fraction]]:
+    """Term-by-term Fraction sum of a @ b."""
+    return [
+        [sum((Fraction(a[i, k]) * Fraction(b[k, j]) for k in range(a.n_cols)), Fraction(0))
+         for j in range(b.n_cols)]
+        for i in range(a.n_rows)
+    ]
+
+
+def assert_product_correct(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    """a @ b against the reference, entry by entry, in lowest terms and the backend type."""
+    c = a @ b
+    expected = reference_product(a, b)
+    assert [[Fraction(v) for v in row] for row in c.entries] == expected
+    assert (c.n_rows, c.n_cols) == (a.n_rows, b.n_cols if a.n_rows else 0)
+    backend = type(rational(0))
+    for row in c.entries:
+        assert type(row) is tuple
+        for v in row:
+            assert type(v) is backend
+            assert v.denominator > 0 and gcd(int(v.numerator), int(v.denominator)) == 1
+    return c
+
+
+# zero is drawn often, so sums cancel and entries vanish
+_ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-20, max_value=20, max_denominator=30),
+)
+
+
+def matrices(n_rows: int, n_cols: int):
+    return st.lists(
+        st.lists(_ENTRIES, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows
+    ).map(RationalMatrix)
+
+
+@st.composite
+def chains(draw):
+    dims = draw(st.lists(st.integers(1, 4), min_size=2, max_size=5))
+    return [draw(matrices(r, c)) for r, c in zip(dims, dims[1:])]
+
+
+@given(chains())
+@settings(max_examples=80, deadline=None)
+def test_matmul_matches_term_by_term_sum(chain):
+    product = chain[0]
+    for factor in chain[1:]:
+        product = assert_product_correct(product, factor)
+    # the chained product does not depend on the bracketing
+    right = chain[-1]
+    for factor in reversed(chain[:-1]):
+        right = factor @ right
+    assert right == product
+
+
+def test_matmul_small_and_degenerate_shapes():
+    one = RationalMatrix([[Fraction(-3, 4)]])
+    assert assert_product_correct(one, RationalMatrix([[Fraction(2, 3)]])) == (
+        RationalMatrix([[Fraction(-1, 2)]])
+    )
+    # n x 0 @ 0 x m: no inner terms, and an empty right factor has no columns
+    empty_cols = RationalMatrix([[], [], []])
+    assert assert_product_correct(empty_cols, RationalMatrix([])).entries == ((), (), ())
+    assert assert_product_correct(RationalMatrix([]), RationalMatrix([])).entries == ()
+    # mixed denominators that cancel to integers and to zero
+    a = RationalMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(-1, 6), 0]])
+    b = RationalMatrix([[Fraction(2, 1), Fraction(-2, 3)], [Fraction(-3, 1), 1]])
+    assert assert_product_correct(a, b) == RationalMatrix(
+        [[0, 0], [Fraction(-1, 3), Fraction(1, 9)]]
+    )
+    assert assert_product_correct(RationalMatrix.zeros(2, 3), RationalMatrix.identity(3)).is_zero()
+    with pytest.raises(ValueError, match="shape mismatch"):
+        RationalMatrix.identity(2) @ RationalMatrix.identity(3)
+
+
+def test_internal_operations_keep_backend_entries():
+    a = RationalMatrix([[Fraction(1, 2), 3], [-1, Fraction(5, 7)]])
+    b = RationalMatrix([[Fraction(-1, 4), 0], [2, Fraction(2, 7)]])
+    backend = type(rational(0))
+    for m in (a + b, a - b, -a, a.scale(Fraction(3, 5)), a.transpose(), a @ b):
+        assert type(m) is RationalMatrix
+        assert all(type(v) is backend for row in m.entries for v in row)
+        assert all(type(row) is tuple for row in m.entries)
+    assert (a + b) == RationalMatrix([[Fraction(1, 4), 3], [1, 1]])
+    assert (a - b) + b == a
+    assert -(-a) == a
+    assert a.scale(2) == a + a
+    assert a.transpose().transpose() == a
