@@ -19,9 +19,7 @@ from .analysis import (
 )
 from .classifier import (
     ClassificationReport,
-    Tau,
     classify,
-    compute_tau,
     congruent_primitive,
     laplacian_signature,
 )
@@ -78,7 +76,6 @@ __all__ = [
     "RationalMatrix",
     "Residual",
     "ResidualSet",
-    "Tau",
     "assemble_from_normal_form",
     "cayley_orthogonal",
     "check_eikonal",
@@ -87,7 +84,6 @@ __all__ = [
     "check_structure_identities",
     "check_system",
     "classify",
-    "compute_tau",
     "congruent_primitive",
     "evaluate",
     "extend_dimension",

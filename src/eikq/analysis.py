@@ -16,20 +16,23 @@ The checks stack in three layers:
 
 * `check_structure_identities` / `check_pencil` / `pencil_spectrum`: the
   fine structure of the x_n-free data, split by xi/eta bidegree, and the
-  spectral constraints on the matrix pencil behind psi.
+  spectral constraints on the matrix pencil behind psi.  The structure
+  identities are gradient inner products over the xi or eta block (tau_i
+  and A_eta xi are the partial derivatives of psi); `check_pencil` decides
+  the cube identity A_eta^3 = |eta|^2 A_eta on matrices alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, permutations
 from typing import TYPE_CHECKING, Iterator, Optional, Protocol
 
+from .matrices import RationalMatrix
 from .pencils import (
     Pencil,
-    block_radial,
     eta_identity_residual,
     psi_from_pencil,
-    tau_polynomials,
     theta0_poly,
     theta2_from_pencil,
     theta4_from_pencil,
@@ -37,10 +40,10 @@ from .pencils import (
 )
 from .polyring import (
     Polynomial,
+    block_radial,
     gradient_inner,
     gradient_norm_sq,
     laplacian,
-    partial_derivative,
     poly_mul,
     poly_square,
     radial_power,
@@ -62,14 +65,13 @@ class _NormalFormLike(Protocol):
 class Residual:
     """A named polynomial that should be zero.
 
-    `exact` records whether the inputs carried exact semantics; rationalized
-    float data still produces exact arithmetic, but its tiny residuals are
-    judged by thresholds rather than by emptiness.
+    Rationalized float data still produces exact arithmetic, but its tiny
+    residuals are judged by thresholds (`magnitude`) rather than by
+    emptiness (`is_zero`).
     """
 
     name: str
     value: Polynomial
-    exact: bool = True
 
     @property
     def is_zero(self) -> bool:
@@ -193,27 +195,6 @@ def check_system(phi: Polynomial, psi: Polynomial, theta: Polynomial) -> Residua
     )
 
 
-def _a_eta_xi_components(pencil: Pencil, p: int) -> list[Polynomial]:
-    """The p entries of A_eta xi as polynomials in (xi, eta)."""
-    q = len(pencil)
-    dim = p + q
-    out = []
-    for j in range(p):
-        terms: dict[tuple[int, ...], object] = {}
-        for i in range(q):
-            for k in range(p):
-                coeff = pencil[i][j, k]
-                if coeff == 0:
-                    continue
-                mono = [0] * dim
-                mono[k] += 1
-                mono[p + i] += 1
-                key = tuple(mono)
-                terms[key] = terms.get(key, rational(0)) + coeff
-        out.append(Polynomial(dim, terms))
-    return out
-
-
 def check_structure_identities(nf: "_NormalFormLike") -> ResidualSet:
     """The bidegree-resolved identities of the x_n-free quartic data.
 
@@ -231,14 +212,11 @@ def check_structure_identities(nf: "_NormalFormLike") -> ResidualSet:
     theta3 = nf.theta3
     theta2 = theta2_from_pencil(pencil, p)
     theta0 = theta0_poly(p, q)
-    taus = tau_polynomials(pencil, p, dim)
+    psi = psi_from_pencil(pencil, p)
 
-    er1 = Polynomial.zero(dim)
-    for i, tau in enumerate(taus):
-        er1 = er1 + poly_mul(tau, partial_derivative(theta3, p + i))
-    er2 = Polynomial.zero(dim)
-    for j, component in enumerate(_a_eta_xi_components(pencil, p)):
-        er2 = er2 + poly_mul(component, partial_derivative(theta3, j))
+    # d psi / d eta_i = tau_i and d psi / d xi_j = 2 (A_eta xi)_j
+    er1 = gradient_inner(psi, theta3, eta)
+    er2 = rational(1, 2) * gradient_inner(psi, theta3, xi)
     eta_res = eta_identity_residual(pencil, p)
 
     es1 = (
@@ -247,7 +225,6 @@ def check_structure_identities(nf: "_NormalFormLike") -> ResidualSet:
         - 16 * block_radial(dim, xi, 3)
     )
     es2 = gradient_inner(theta4, theta3, xi) + gradient_inner(theta3, theta2, eta)
-    psi = psi_from_pencil(pencil, p)
     es3 = (
         64 * poly_square(psi)
         + 2 * gradient_inner(theta4, theta2, xi)
@@ -320,12 +297,14 @@ class PencilReport:
 def check_pencil(pencil: Pencil, p: int) -> PencilReport:
     """Spectral and symmetrized-product checks for a pencil of length q >= 1.
 
-    The symmetrized identity A_s^2 A_t + A_s A_t A_s + A_t A_s^2 = |s|^2 A_t
-    for orthogonal s, t is the polarization of the cube identity
-    A_eta^3 = |eta|^2 A_eta, so it is decided exactly by
-    `eta_identity_residual`.  That residual is computed only when the
-    identity already holds on every ordered pair of coordinate vectors, a
-    cheap necessary condition that rejects most failing pencils first.
+    The cube identity A_eta^3 = |eta|^2 A_eta holds for every eta exactly
+    when its coefficient matrix vanishes at every eta-monomial: the cube
+    A_i^3 = A_i, the coordinate pairs A_i^2 A_j + A_i A_j A_i + A_j A_i^2
+    = A_j for i != j, and for each i < j < k the sum of A_a A_b A_c over
+    the six orders of (i, j, k) is zero.  Every coefficient matrix is
+    symmetric, so this decides `eta_identity_residual` = 0 on matrices
+    alone.  The three conditions are tested in that order and the test
+    stops at the first that fails.
     """
     pencil = validate_pencil(pencil, p)
     q = len(pencil)
@@ -346,13 +325,21 @@ def check_pencil(pencil: Pencil, p: int) -> PencilReport:
         and cube
         and all(sq.trace() == t0 for sq in squares)
     )
-    coordinate_pairs = all(
-        sq_s @ a_t + a_s @ a_t @ a_s + a_t @ sq_s == a_t
-        for i, (a_s, sq_s) in enumerate(zip(pencil, squares))
-        for j, a_t in enumerate(pencil)
-        if i != j
+    symmetrized = (
+        cube
+        and all(
+            sq_s @ a_t + a_s @ a_t @ a_s + a_t @ sq_s == a_t
+            for i, (a_s, sq_s) in enumerate(zip(pencil, squares))
+            for j, a_t in enumerate(pencil)
+            if i != j
+        )
+        and all(
+            sum(
+                (a @ b @ c for a, b, c in permutations(triple)), RationalMatrix.zeros(p, p)
+            ).is_zero()
+            for triple in combinations(pencil, 3)
+        )
     )
-    symmetrized = coordinate_pairs and eta_identity_residual(pencil, p).is_zero
     return PencilReport(
         q=q,
         nu=nu,

@@ -40,7 +40,7 @@ import numpy as np
 from .analysis import check_eikonal, pencil_spectrum
 from .matrices import RationalMatrix
 from .normalform import NormalForm, NotEikonalEvidence, extract_normal_form
-from .pencils import Pencil, quadratic_form_matrix, tau_polynomials
+from .pencils import quadratic_form_matrix
 from .polyring import Polynomial, laplacian, radial_power, rational, substitute_linear
 
 REJECT_TOL = 1e-6
@@ -51,31 +51,6 @@ VERDICT_NOT_EIKONAL = "not_eikonal"
 VERDICT_INCONCLUSIVE = "inconclusive_float"
 
 SCHEMA_VERSION = "eikq-report-1"
-
-
-@dataclass(frozen=True)
-class Tau:
-    """The quadratic forms tau_i = xi^T A_i xi of a pencil."""
-
-    components: tuple[Polynomial, ...]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.components)
-
-    @property
-    def max_abs(self) -> float:
-        mags = [
-            abs(float(c.max_abs_coefficient()))
-            for c in self.components
-            if not c.is_zero
-        ]
-        return max(mags, default=0.0)
-
-
-def compute_tau(pencil: Pencil, p: int) -> Tau:
-    """tau of a pencil, as polynomials in the p xi-variables."""
-    return Tau(tau_polynomials(pencil, p))
 
 
 @dataclass(frozen=True)

@@ -195,31 +195,54 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _normal_form(f, rotation, exact_input: bool, args):
+    """The normal form of f by the first route that applies, as in classify:
+    the given rotation; else the identity, when f is exactly eikonal and in
+    normal-form position; else the float route."""
+    if rotation is not None:
+        return extract_normal_form(f, rotation, tol=args.tol, seed=args.seed)
+    if exact_input:
+        try:
+            return extract_normal_form(f, RationalMatrix.identity(f.dimension))
+        except ValueError:
+            pass
+    return extract_normal_form(f, None, tol=args.tol, seed=args.seed)
+
+
 def _cmd_normalform(args) -> int:
     f = _read_poly(args.file)
     rotation = _read_rotation(args.rotation) if args.rotation else None
     if args.exact and rotation is None:
         raise ValueError("--exact extraction needs --rotation")
+    eikonal = None if rotation is not None else check_eikonal(f, 4)
+    exact_input = eikonal is not None and eikonal.is_zero
+    negated = False
     try:
+        nf = _normal_form(f, rotation, exact_input, args)
+    except NotEikonalEvidence as evidence:
         nf = None
-        if rotation is not None:
-            nf = extract_normal_form(f, rotation, tol=args.tol, seed=args.seed)
-        elif check_eikonal(f, 4).is_zero:
-            # like classify, stay exact when f is exactly eikonal and in normal-form position
+        if eikonal is not None and eikonal.magnitude <= args.tol:
+            # by Euler's identity |f| = 1 at every critical point on the
+            # sphere, so the one eikonal quartic whose maximum is not 1 is
+            # -|x|^4; as in classify, only an f that is eikonal within tol
+            # gets its normal form read off -f
             try:
-                nf = extract_normal_form(f, RationalMatrix.identity(f.dimension))
-            except ValueError:
+                nf = _normal_form(-f, None, exact_input, args)
+            except NotEikonalEvidence:
                 pass
         if nf is None:
-            nf = extract_normal_form(f, None, tol=args.tol, seed=args.seed)
-    except NotEikonalEvidence as evidence:
-        print(_styled(f"not eikonal: {evidence}", _RED, sys.stdout))
-        return 1
+            print(_styled(f"not eikonal: {evidence}", _RED, sys.stdout))
+            return 1
+        negated = True
     if args.json:
         payload = {"schema_version": SCHEMA_VERSION}
+        if negated:
+            payload["negated"] = True
         payload.update(nf.to_json_dict())
         _emit_json(payload)
         return 0
+    if negated:
+        print("normal form of -f")
     print(f"p = {nf.p}, q = {nf.q}, arithmetic = {nf.arithmetic}")
     print(f"phi eigenvalues: {list(nf.phi_eigenvalues)}")
     print(f"extraction residual: {nf.extraction_residual:.3e}")

@@ -31,7 +31,6 @@ from operator import mul
 from .matrices import RationalMatrix, cayley_orthogonal, random_rational_orthogonal
 from .pencils import (
     Pencil,
-    block_radial,
     psi_from_pencil,
     theta0_poly,
     theta2_from_pencil,
@@ -42,9 +41,11 @@ from .pencils import (
 from .polyring import (
     PolyTextError,
     Polynomial,
+    block_radial,
     extend_dimension,
     gradient_inner,
     grlex_key,
+    homogeneous_split,
     poly_from_text,
     poly_mul,
     poly_to_text,
@@ -98,13 +99,6 @@ def make_canonical_quartic(n: int, k: int) -> Polynomial:
     return radial_power(n, 2) - 8 * poly_mul(head, tail)
 
 
-def _theta3_block_degrees_ok(theta3: Polynomial, p: int) -> bool:
-    for mono in theta3.terms:
-        if sum(mono[:p]) != 3 or sum(mono[p:]) != 1:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class NormalFormData:
     """The free data of a quartic normal form: a pencil plus theta_3.
@@ -132,7 +126,8 @@ class NormalFormData:
             raise ValueError("theta3 must live in p + q variables")
         if not self.theta3.is_zero and not self.theta3.is_homogeneous(4):
             raise ValueError("theta3 must be homogeneous of degree 4")
-        if not _theta3_block_degrees_ok(self.theta3, self.p):
+        blocks = [range(self.p), range(self.p, self.p + self.q)]
+        if not set(homogeneous_split(self.theta3, blocks)) <= {(3, 1)}:
             raise ValueError("theta3 must have xi-degree 3 and eta-degree 1")
 
     @property

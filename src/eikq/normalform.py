@@ -10,7 +10,10 @@ with phi having eigenvalues +1 and -3 only.  A second block rotation
 diagonalizes phi, splitting x' into xi (the +1 block, size p) and eta (the
 -3 block, size q); psi then collapses to xi^T A_eta xi, which is where the
 matrix pencil comes from, and theta splits by eta-degree into theta_0,
-theta_2, theta_3, theta_4 with no eta-cubic part.
+theta_2, theta_3, theta_4 with no eta-cubic part.  Both are read by one
+reader, `polyring.homogeneous_split` over the blocks (xi, eta): A_i is the
+matrix of d psi_21 / d eta_i (psi_21 the part of bidegree (2, 1)), every
+other part of psi is stray, and theta_k is the part of xi-degree k.
 
 One pipeline, `_extract(f, rotation, tol)`, reads the normal form off
 f(rotation x), and tol = 0 means exact.  The routes differ only in where
@@ -37,6 +40,7 @@ from .pencils import Pencil, quadratic_form_matrix
 from .polyring import (
     Polynomial,
     _raw,
+    homogeneous_split,
     partial_derivative,
     rational,
     substitute_linear,
@@ -111,15 +115,11 @@ class NormalForm:
 
 def _theta_components(theta: Polynomial, p: int) -> dict[int, Polynomial]:
     """Split a quartic in (xi, eta) by eta-degree; keys are xi-degrees 0..4."""
-    dim = theta.dimension
-    buckets: dict[int, dict] = {k: {} for k in range(5)}
-    for mono, coeff in theta.terms.items():
-        d_xi = sum(mono[:p])
-        d_eta = sum(mono[p:])
-        if d_xi + d_eta != 4:
-            raise ValueError("theta must be homogeneous of degree 4")
-        buckets[d_xi][mono] = coeff
-    return {k: _raw(dim, terms) for k, terms in buckets.items()}
+    if not theta.is_homogeneous(4):
+        raise ValueError("theta must be homogeneous of degree 4")
+    parts = homogeneous_split(theta, [range(p), range(p, theta.dimension)])
+    zero = Polynomial.zero(theta.dimension)
+    return {k: parts.get((k, 4 - k), zero) for k in range(5)}
 
 
 def _refuse_stray(stray: Polynomial, tol: float, message: str) -> float:
@@ -167,27 +167,17 @@ def _magnitude(f: Polynomial) -> float:
 def _extract_psi_pencil(
     psi: Polynomial, p: int, q: int
 ) -> tuple[Pencil, Polynomial]:
-    """Read the pencil off psi = xi^T A_eta xi; return the stray terms too."""
-    stray: dict = {}
-    entries = [
-        [[rational(0) for _ in range(p)] for _ in range(p)] for _ in range(q)
-    ]
-    for mono, coeff in psi.terms.items():
-        d_xi = sum(mono[:p])
-        d_eta = sum(mono[p:])
-        if d_xi != 2 or d_eta != 1:
-            stray[mono] = coeff
-            continue
-        i = next(k for k in range(q) if mono[p + k])
-        support = [j for j in range(p) if mono[j]]
-        if len(support) == 1:
-            entries[i][support[0]][support[0]] = coeff
-        else:
-            j, k = support
-            half = coeff / 2
-            entries[i][j][k] = half
-            entries[i][k][j] = half
-    pencil = tuple(RationalMatrix(rows) for rows in entries)
+    """Read the pencil off psi = xi^T A_eta xi; return the stray terms too.
+
+    A_i is the matrix of d psi_21 / d eta_i, psi_21 the part of xi-degree 2
+    and eta-degree 1; every other part of psi is stray.
+    """
+    parts = homogeneous_split(psi, [range(p), range(p, p + q)])
+    main = parts.pop((2, 1), Polynomial.zero(psi.dimension))
+    pencil = tuple(
+        quadratic_form_matrix(partial_derivative(main, p + i), range(p)) for i in range(q)
+    )
+    stray = {mono: c for part in parts.values() for mono, c in part.terms.items()}
     return pencil, _raw(psi.dimension, stray)
 
 

@@ -17,14 +17,21 @@ The helpers below construct these components exactly, expose the quadratic
 forms tau_i = xi^T A_i xi, scalarize the cubic matrix identity
 A_eta^3 = |eta|^2 A_eta, and enumerate the trilinear monomial basis that any
 admissible theta_3 must come from (one factor from each eigenspace of A_i).
+
+One private writer, `_pencil_forms`, lays out every polynomial of the form
+sum_alpha eta^alpha xi^T M_alpha xi (tau_i, psi, the A_eta^2 part of
+theta_2, the identity residual) as one term dict; `eikq.normalform` reads
+them back with `polyring.homogeneous_split`.  The sums of squares |xi|^2,
+|eta|^2 and their powers are `polyring.block_radial`.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 from .matrices import RationalMatrix
-from .polyring import Polynomial, _raw, poly_mul, poly_square, rational
+from .polyring import Polynomial, _raw, block_radial, poly_mul, poly_square, rational
 
 Pencil = tuple[RationalMatrix, ...]
 
@@ -40,34 +47,40 @@ def validate_pencil(pencil: Sequence[RationalMatrix], p: int) -> Pencil:
     return out
 
 
-def block_radial(dimension: int, indices: Sequence[int], power: int = 1) -> Polynomial:
-    """(sum of squares over the given variables) ** power."""
-    base = Polynomial.zero(dimension)
-    for i in indices:
-        mono = [0] * dimension
-        mono[i] = 2
-        base = base + Polynomial.monomial(dimension, tuple(mono))
-    return base ** power
+def _pencil_forms(dimension: int, p: int, items) -> Polynomial:
+    """sum_alpha eta^alpha xi^T M_alpha xi, written as one term dict.
 
-
-def quadratic_form_poly(
-    matrix: RationalMatrix, dimension: int, offset: int = 0
-) -> Polynomial:
-    """x^T M x with x occupying variables offset..offset+p-1."""
-    p = matrix.n_rows
-    if offset + p > dimension:
-        raise ValueError("quadratic form does not fit in the ring")
+    `items` yields (alpha, M_alpha): alpha a tuple of eta indices (repeats
+    allowed, eta_i being variable p + i) and M_alpha a p x p matrix, not
+    necessarily symmetric.  This is the one place that lays out (xi, eta)
+    monomials of pencil data.
+    """
     terms: dict[tuple[int, ...], object] = {}
-    for j in range(p):
-        for k in range(j, p):
-            coeff = matrix[j, k] if j == k else matrix[j, k] + matrix[k, j]
-            if coeff == 0:
-                continue
-            mono = [0] * dimension
-            mono[offset + j] += 1
-            mono[offset + k] += 1
-            terms[tuple(mono)] = coeff
+    for alpha, matrix in items:
+        rows = matrix.entries
+        base = [0] * dimension
+        for i in alpha:
+            base[p + i] += 1
+        for j in range(p):
+            for k in range(j, p):
+                coeff = rows[j][k] if j == k else rows[j][k] + rows[k][j]
+                if coeff == 0:
+                    continue
+                mono = base.copy()
+                mono[j] += 1
+                mono[k] += 1
+                key = tuple(mono)
+                coeff = terms.pop(key, 0) + coeff
+                if coeff != 0:
+                    terms[key] = coeff
     return _raw(dimension, terms)
+
+
+def quadratic_form_poly(matrix: RationalMatrix, dimension: int) -> Polynomial:
+    """x^T M x with x occupying the first p variables of the ring."""
+    if matrix.n_rows > dimension:
+        raise ValueError("quadratic form does not fit in the ring")
+    return _pencil_forms(dimension, matrix.n_rows, [((), matrix)])
 
 
 def quadratic_form_matrix(f: Polynomial, indices: Sequence[int]) -> RationalMatrix:
@@ -104,13 +117,7 @@ def tau_polynomials(pencil: Pencil, p: int, dimension: int | None = None) -> tup
 
 def psi_from_pencil(pencil: Pencil, p: int) -> Polynomial:
     """psi = xi^T A_eta xi in the (p + q)-variable ring."""
-    q = len(pencil)
-    dim = p + q
-    out = Polynomial.zero(dim)
-    for i, a in enumerate(pencil):
-        eta = Polynomial.variable(dim, p + i)
-        out = out + poly_mul(quadratic_form_poly(a, dim), eta)
-    return out
+    return _pencil_forms(p + len(pencil), p, (((i,), a) for i, a in enumerate(pencil)))
 
 
 def theta4_from_pencil(pencil: Pencil, p: int) -> Polynomial:
@@ -124,18 +131,12 @@ def theta4_from_pencil(pencil: Pencil, p: int) -> Polynomial:
 
 def theta2_from_pencil(pencil: Pencil, p: int) -> Polynomial:
     """theta_2 = 8 xi^T A_eta^2 xi - 6 |xi|^2 |eta|^2."""
-    q = len(pencil)
-    dim = p + q
-    out = Polynomial.zero(dim)
-    for i in range(q):
-        for l in range(q):
-            form = quadratic_form_poly(pencil[i] @ pencil[l], dim)
-            mono = [0] * dim
-            mono[p + i] += 1
-            mono[p + l] += 1
-            out = out + poly_mul(form, Polynomial.monomial(dim, tuple(mono), 8))
+    dim = p + len(pencil)
+    squares = _pencil_forms(
+        dim, p, (((i, l), a @ b) for i, a in enumerate(pencil) for l, b in enumerate(pencil))
+    )
     cross = poly_mul(block_radial(dim, range(p)), block_radial(dim, range(p, dim)))
-    return out - 6 * cross
+    return 8 * squares - 6 * cross
 
 
 def theta0_poly(p: int, q: int) -> Polynomial:
@@ -146,27 +147,19 @@ def theta0_poly(p: int, q: int) -> Polynomial:
 def eta_identity_residual(pencil: Pencil, p: int) -> Polynomial:
     """xi^T (A_eta^3 - |eta|^2 A_eta) xi as a polynomial identity in eta.
 
-    Zero exactly when the cubic pencil identity holds for every eta.
+    Zero exactly when the cubic pencil identity holds for every eta.  With
+    |eta|^2 A_eta = sum_{i,j} eta_i eta_j^2 A_i, the terms are
+    eta_i eta_j eta_k A_i A_j A_k and -eta_i eta_j eta_j A_i.
     """
     q = len(pencil)
-    dim = p + q
-    out = Polynomial.zero(dim)
-    for i in range(q):
-        for j in range(q):
-            left = pencil[i] @ pencil[j]
-            for k in range(q):
-                form = quadratic_form_poly(left @ pencil[k], dim)
-                mono = [0] * dim
-                mono[p + i] += 1
-                mono[p + j] += 1
-                mono[p + k] += 1
-                out = out + poly_mul(form, Polynomial.monomial(dim, tuple(mono)))
-    eta_sq = block_radial(dim, range(p, dim))
-    for i in range(q):
-        form = quadratic_form_poly(pencil[i], dim)
-        eta = Polynomial.variable(dim, p + i)
-        out = out - poly_mul(poly_mul(eta_sq, eta), form)
-    return out
+    cubes = (
+        ((i, j, k), a @ b @ c)
+        for i, a in enumerate(pencil)
+        for j, b in enumerate(pencil)
+        for k, c in enumerate(pencil)
+    )
+    radial = (((i, j, j), -a) for i, a in enumerate(pencil) for j in range(q))
+    return _pencil_forms(p + q, p, chain(cubes, radial))
 
 
 def eigenspace_bases(
@@ -181,15 +174,15 @@ def eigenspace_bases(
     return plus, minus, zero
 
 
-def linear_form(vector: Sequence, dimension: int, offset: int = 0) -> Polynomial:
-    """<v, x> over variables offset..offset+len(v)-1."""
+def linear_form(vector: Sequence, dimension: int) -> Polynomial:
+    """<v, x> over the first len(v) variables."""
     terms: dict[tuple[int, ...], object] = {}
     for j, value in enumerate(vector):
         coeff = rational(value)
         if coeff == 0:
             continue
         mono = [0] * dimension
-        mono[offset + j] = 1
+        mono[j] = 1
         terms[tuple(mono)] = coeff
     return _raw(dimension, terms)
 

@@ -27,7 +27,8 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from fractions import Fraction
-from math import lcm
+from itertools import combinations_with_replacement
+from math import factorial, lcm, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 try:
@@ -483,18 +484,27 @@ def homogeneous_split(
     return {key: _raw(f.dimension, terms) for key, terms in pieces.items()}
 
 
+def block_radial(dimension: int, indices: Iterable[int], power: int = 1) -> Polynomial:
+    """(sum of x_i^2 over the given distinct variables) ** power.
+
+    Expanded multinomially: one term per multiset of ``power`` indices, with
+    coefficient power! / prod_i a_i! for the multiplicities a_i.
+    """
+    if power < 0:
+        raise ValueError("exponent must be nonnegative")
+    top = factorial(power)
+    terms: dict[Monomial, object] = {}
+    for chosen in combinations_with_replacement(sorted(indices), power):
+        mono = [0] * dimension
+        for i in chosen:
+            mono[i] += 2
+        terms[tuple(mono)] = _Q(top // prod(factorial(e // 2) for e in mono))
+    return _raw(dimension, terms)
+
+
 def radial_power(dimension: int, exponent: int) -> Polynomial:
     """(x_0^2 + ... + x_{n-1}^2)^exponent, expanded multinomially."""
-    if exponent < 0:
-        raise ValueError("exponent must be nonnegative")
-    base = _raw(
-        dimension,
-        {
-            tuple(2 if j == i else 0 for j in range(dimension)): _Q(1)
-            for i in range(dimension)
-        },
-    )
-    return base**exponent
+    return block_radial(dimension, range(dimension), exponent)
 
 
 # -- poly-text wire format ----------------------------------------------------

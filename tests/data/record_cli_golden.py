@@ -6,7 +6,10 @@ text in cli_golden.json.  The inputs reach each branch of the verdict on
 the exact route and on the float route: q = 0, p = 0, q = 1 with a zero
 pencil and with an involution, a zero pencil with q >= 2, isoparametric,
 not eikonal, the inconclusive band, an extraction residual above --tol,
-and the ValueError of --exact.
+and the ValueError of --exact.  After them come `verify --json` records
+(eikonal primitives of degree 4 and 6, a perturbed non-eikonal quartic)
+and `search-pencil --json` records, which take no input file ("poly" is
+null).
 
 Run from the repository root with the eikq under test on the path:
 
@@ -89,6 +92,24 @@ def inputs() -> list[tuple[str, Polynomial, str | None, list[str]]]:
     ]
 
 
+def verify_inputs() -> list[tuple[str, Polynomial, list[str]]]:
+    """(name, polynomial, extra options) for `verify --json`."""
+    return [
+        ("primitive_g4", make_primitive(4, 5, 2), []),
+        ("primitive_g6", make_primitive(6, 3, 1), ["--g", "6"]),
+        ("perturbed", _nudge(make_canonical_quartic(4, 1), 3), []),
+    ]
+
+
+# (name, search-pencil options)
+SEARCHES = [
+    ("search_2_1_1", ["--p", "2", "--q", "1", "--nu", "1"]),
+    ("search_3_2_1", ["--p", "3", "--q", "2", "--nu", "1", "--budget", "195"]),
+    ("search_3_0_0", ["--p", "3", "--q", "0", "--nu", "0"]),
+    ("search_4_1_2", ["--p", "4", "--q", "1", "--nu", "2", "--budget", "20"]),
+]
+
+
 def run(argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -117,6 +138,30 @@ def record() -> list[dict]:
                     "exit": code,
                     "stdout": stdout,
                 })
+        for name, f, options in verify_inputs():
+            poly = poly_to_text(f)
+            (Path(tmp) / "f.txt").write_text(poly)
+            code, stdout = run(["verify", str(Path(tmp) / "f.txt"), "--json", *options])
+            records.append({
+                "name": name,
+                "verb": "verify",
+                "poly": poly,
+                "rotation": None,
+                "options": options,
+                "exit": code,
+                "stdout": stdout,
+            })
+    for name, options in SEARCHES:
+        code, stdout = run(["search-pencil", "--json", *options])
+        records.append({
+            "name": name,
+            "verb": "search-pencil",
+            "poly": None,
+            "rotation": None,
+            "options": options,
+            "exit": code,
+            "stdout": stdout,
+        })
     return records
 
 

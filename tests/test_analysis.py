@@ -285,7 +285,10 @@ class TestCheckPencil:
             (data.isoparametric_data().pencil, 3),
             ((RationalMatrix.diagonal([1, -1, 0]), RationalMatrix.diagonal([1, 0, -1])), 3),
         ]
-        # every pencil search(3, 2, 1) screens; failing them all skips the grid
+        # every pencil search(3, 2, 1) screens, and the first ones of
+        # (4, 3, 1) and (5, 4, 1): q >= 3 has triples i < j < k, and the
+        # (4, 3, 1) prefix holds pencils that pass the coordinate pairs and
+        # fail only on a triple; failing them all skips the grid
         screened = []
 
         def record(pencil, p):
@@ -294,8 +297,10 @@ class TestCheckPencil:
 
         monkeypatch.setattr(analysis, "check_pencil", record)
         assert search_isoparametric_pencil(3, 2, 1) == []
+        assert search_isoparametric_pencil(4, 3, 1, budget=160) == []
+        assert search_isoparametric_pencil(5, 4, 1, budget=40) == []
         monkeypatch.undo()
-        assert len(screened) == 156
+        assert len(screened) == 356
         for pencil, p in pencils + screened:
             report = check_pencil(pencil, p)
             assert report.symmetrized_identity == eta_identity_residual(pencil, p).is_zero

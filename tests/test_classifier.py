@@ -19,7 +19,6 @@ from eikq.classifier import (
     VERDICT_PRIMITIVE,
     ClassificationReport,
     classify,
-    compute_tau,
     congruent_primitive,
     laplacian_signature,
 )
@@ -30,6 +29,7 @@ from eikq.constructors import (
     make_primitive,
 )
 from eikq.matrices import RationalMatrix, random_rational_orthogonal
+from eikq.pencils import tau_polynomials
 from eikq.polyring import Polynomial, rational, substitute_linear
 
 
@@ -273,15 +273,13 @@ class TestLaplacianSignature:
 
 class TestTau:
     def test_zero_pencil(self):
-        tau = compute_tau(data.zero_pencil_data().pencil, 2)
-        assert tau.is_zero
-        assert tau.max_abs == 0.0
+        taus = tau_polynomials(data.zero_pencil_data().pencil, 2)
+        assert all(tau.is_zero for tau in taus)
 
     def test_nonzero_pencil(self):
-        tau = compute_tau(data.isoparametric_data().pencil, 3)
-        assert not tau.is_zero
-        assert tau.max_abs == 2.0  # the off-diagonal form 2 xi1 xi2
-        assert tau.components[0] == Polynomial(3, {(2, 0, 0): 1, (0, 2, 0): -1})
+        taus = tau_polynomials(data.isoparametric_data().pencil, 3)
+        assert max(float(tau.max_abs_coefficient()) for tau in taus) == 2.0  # 2 xi1 xi2
+        assert taus[0] == Polynomial(3, {(2, 0, 0): 1, (0, 2, 0): -1})
 
 
 class TestReports:

@@ -235,6 +235,33 @@ class TestNormalform:
         assert payload["arithmetic"] == report["arithmetic"] == "float"
         assert (payload["p"], payload["q"]) == (report["p"], report["q"]) == (0, 2)
 
+    @pytest.mark.parametrize("text, n", [
+        ("n 1\n4 -1\n", 1),
+        ("n 3\n4 0 0 -1\n2 2 0 -2\n2 0 2 -2\n0 4 0 -1\n0 2 2 -2\n0 0 4 -1\n", 3),
+    ], ids=["n1", "n3"])
+    def test_negated_radial_quartic(self, tmp_path, text, n):
+        # -|x|^4 is eikonal but its sphere maximum is -1, not 1: the normal
+        # form is that of |x|^4, marked as belonging to -f
+        path = write(tmp_path, "f.txt", text)
+        result = run_cli("normalform", path)
+        assert result.returncode == 0
+        assert result.stdout.splitlines()[:2] == [
+            "normal form of -f", f"p = {n - 1}, q = 0, arithmetic = exact"]
+        result = run_cli("normalform", path, "--json")
+        assert result.returncode == 0
+        payload = json.loads(result.stdout)
+        assert list(payload)[:3] == ["schema_version", "negated", "p"]
+        assert payload["negated"] is True
+        assert (payload["p"], payload["q"]) == (n - 1, 0)
+
+    def test_negation_needs_an_eikonal_input(self, tmp_path):
+        # -f = x_1^4 - 6 x_0^2 x_1^2 + x_0^4 / 2 has a float normal form
+        # (p, q) = (0, 1), but f is far from eikonal, so f's evidence stands
+        path = write(tmp_path, "f.txt", "n 2\n0 4 -1\n2 2 6\n4 0 -1/2\n")
+        result = run_cli("normalform", path)
+        assert result.returncode == 1
+        assert result.stdout.startswith("not eikonal: no sphere maximum with value 1")
+
     def test_not_eikonal(self, tmp_path):
         path = write(tmp_path, "bad.txt", "n 2\n4 0 1\n0 4 1\n")
         result = run_cli("normalform", path)

@@ -1,5 +1,6 @@
-"""Golden bytes: `classify --json` and `normalform --json` must reproduce
-the stdout and exit codes recorded in data/cli_golden.json.
+"""Golden bytes: `classify`, `normalform`, `verify` and `search-pencil`
+with `--json` must reproduce the stdout and exit codes recorded in
+data/cli_golden.json.
 
 The recorded inputs reach every branch of the verdict on the exact and the
 float route (see data/record_cli_golden.py, which wrote the file).
@@ -21,9 +22,12 @@ RECORDS = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_t
     "record", RECORDS, ids=[f"{r['verb']}-{r['name']}" for r in RECORDS]
 )
 def test_cli_golden_bytes(record, tmp_path, capsys):
-    poly = tmp_path / "f.txt"
-    poly.write_text(record["poly"])
-    argv = [record["verb"], str(poly), "--json", *record["options"]]
+    argv = [record["verb"]]
+    if record["poly"] is not None:
+        poly = tmp_path / "f.txt"
+        poly.write_text(record["poly"])
+        argv.append(str(poly))
+    argv += ["--json", *record["options"]]
     if record["rotation"] is not None:
         rotation = tmp_path / "rot.txt"
         rotation.write_text(record["rotation"])
