@@ -2,8 +2,9 @@
 
 Frozen known-good objects: the q = 1 involution normal form, the smallest
 isoparametric normal form with (p, q, nu) = (3, 2, 1), the closed form that
-the involution data must assemble to, and a corpus of eikonal quartics in
-normal-form position covering every classifier branch.
+the involution data must assemble to, the Clifford quartic FKM(1, 4), and a
+corpus of eikonal quartics in normal-form position covering every classifier
+branch.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from eikq.constructors import (
     make_primitive,
 )
 from eikq.matrices import RationalMatrix
-from eikq.polyring import Polynomial
+from eikq.polyring import Polynomial, radial_power
 
 
 def involution_data() -> NormalFormData:
@@ -54,6 +55,20 @@ def closed_form_involution_quartic() -> Polynomial:
     return (x4 ** 2 + u ** 2 + v ** 2 + e ** 2) ** 2 - 2 * (
         u ** 2 - v ** 2 - 2 * x4 * e
     ) ** 2
+
+
+def fkm_1_4() -> Polynomial:
+    """The Clifford quartic FKM(1, 4): |x|^4 - 2 sum_i <P_i x, x>^2 on R^8.
+
+    P0 = diag(I4, -I4) and P1 = [[0, I4], [I4, 0]] (Ferus, Karcher and
+    Muenzner, Math. Z. 177, 1981).  F is exactly eikonal, isoparametric with
+    (m1, m2) = (1, 2), and laplacian(F) = 8 |x|^2.  F(e_8) = -1, so at the
+    identity the normal form is read off -F, with (p, q, nu) = (4, 3, 1).
+    """
+    x = [Polynomial.variable(8, i) for i in range(8)]
+    form0 = sum((x[i] ** 2 - x[i + 4] ** 2 for i in range(4)), Polynomial.zero(8))
+    form1 = sum((2 * x[i] * x[i + 4] for i in range(4)), Polynomial.zero(8))
+    return radial_power(8, 2) - 2 * (form0 ** 2 + form1 ** 2)
 
 
 def corpus() -> list[Polynomial]:

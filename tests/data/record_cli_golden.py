@@ -1,15 +1,16 @@
 """Record the golden CLI outputs checked by tests/test_golden.py.
 
 For every input below, runs `eikq classify --json` and `eikq normalform
---json` in-process and stores the exit code and stdout next to the input
-text in cli_golden.json.  The inputs reach each branch of the verdict on
-the exact route and on the float route: q = 0, p = 0, q = 1 with a zero
-pencil and with an involution, a zero pencil with q >= 2, isoparametric,
-not eikonal, the inconclusive band, an extraction residual above --tol,
-and the ValueError of --exact.  After them come `verify --json` records
-(eikonal primitives of degree 4 and 6, a perturbed non-eikonal quartic)
-and `search-pencil --json` records, which take no input file ("poly" is
-null).
+--json` in-process and stores the exit code, stdout and stderr next to the
+input text in cli_golden.json.  The inputs reach each branch of the verdict
+on the exact route and on the float route: q = 0, p = 0, q = 1 with a zero
+pencil and with an involution, a zero pencil with q >= 2, isoparametric
+(the (3, 2, 1) pencil and the Clifford quartic FKM(1, 4), whose normal form
+is read off -f), not eikonal, the inconclusive band, an extraction residual
+above --tol, --exact on an input in normal position, and the ValueError of
+--exact.  After them come `verify --json` records (eikonal primitives of
+degree 4 and 6, a perturbed non-eikonal quartic) and `search-pencil --json`
+records, which take no input file ("poly" is null).
 
 Run from the repository root with the eikq under test on the path:
 
@@ -69,6 +70,8 @@ def inputs() -> list[tuple[str, Polynomial, str | None, list[str]]]:
         ("zero_pencil_q2", make_canonical_quartic(6, 2), None, []),
         ("isoparametric", iso, None, []),
         ("negated", -make_canonical_quartic(4, 1), None, []),
+        ("fkm_1_4", data.fkm_1_4(), None, []),
+        ("exact_in_position", make_canonical_quartic(4, 1), None, ["--exact"]),
         # exact route through --rotation
         ("involution_rotation", rotated_involution, _rotation_text(r4.transpose()), []),
         ("wrong_rotation", rotated_involution, _rotation_text(r4), []),
@@ -110,11 +113,11 @@ SEARCHES = [
 ]
 
 
-def run(argv: list[str]) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def run(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue()
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 def record() -> list[dict]:
@@ -128,39 +131,36 @@ def record() -> list[dict]:
                 (Path(tmp) / "rot.txt").write_text(rotation)
                 argv_tail += ["--rotation", str(Path(tmp) / "rot.txt")]
             for verb in ("classify", "normalform"):
-                code, stdout = run([verb, *argv_tail])
+                result = run([verb, *argv_tail])
                 records.append({
                     "name": name,
                     "verb": verb,
                     "poly": poly,
                     "rotation": rotation,
                     "options": options,
-                    "exit": code,
-                    "stdout": stdout,
+                    **result,
                 })
         for name, f, options in verify_inputs():
             poly = poly_to_text(f)
             (Path(tmp) / "f.txt").write_text(poly)
-            code, stdout = run(["verify", str(Path(tmp) / "f.txt"), "--json", *options])
+            result = run(["verify", str(Path(tmp) / "f.txt"), "--json", *options])
             records.append({
                 "name": name,
                 "verb": "verify",
                 "poly": poly,
                 "rotation": None,
                 "options": options,
-                "exit": code,
-                "stdout": stdout,
+                **result,
             })
     for name, options in SEARCHES:
-        code, stdout = run(["search-pencil", "--json", *options])
+        result = run(["search-pencil", "--json", *options])
         records.append({
             "name": name,
             "verb": "search-pencil",
             "poly": None,
             "rotation": None,
             "options": options,
-            "exit": code,
-            "stdout": stdout,
+            **result,
         })
     return records
 

@@ -1,5 +1,5 @@
 """Golden bytes: `classify`, `normalform`, `verify` and `search-pencil`
-with `--json` must reproduce the stdout and exit codes recorded in
+with `--json` must reproduce the exit codes, stdout and stderr recorded in
 data/cli_golden.json.
 
 The recorded inputs reach every branch of the verdict on the exact and the
@@ -33,4 +33,7 @@ def test_cli_golden_bytes(record, tmp_path, capsys):
         rotation.write_text(record["rotation"])
         argv += ["--rotation", str(rotation)]
     code = main(argv)
-    assert (code, capsys.readouterr().out) == (record["exit"], record["stdout"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        record["exit"], record["stdout"], record["stderr"]
+    )
