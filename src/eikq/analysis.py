@@ -79,9 +79,7 @@ class Residual:
 
     @property
     def magnitude(self) -> float:
-        if self.value.is_zero:
-            return 0.0
-        return abs(float(self.value.max_abs_coefficient()))
+        return float(self.value.max_abs_coefficient())
 
     def to_json_dict(self) -> dict:
         return {
@@ -325,10 +323,11 @@ def check_pencil(pencil: Pencil, p: int) -> PencilReport:
         and cube
         and all(sq.trace() == t0 for sq in squares)
     )
+    # for symmetric matrices A_t A_s^2 = (A_s^2 A_t)^T: one product fewer
     symmetrized = (
         cube
         and all(
-            sq_s @ a_t + a_s @ a_t @ a_s + a_t @ sq_s == a_t
+            (x := sq_s @ a_t) + x.transpose() + a_s @ a_t @ a_s == a_t
             for i, (a_s, sq_s) in enumerate(zip(pencil, squares))
             for j, a_t in enumerate(pencil)
             if i != j

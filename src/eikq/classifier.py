@@ -10,12 +10,13 @@ determined by the dimension d of the distinguished subspace H, or to an
 isoparametric quartic whose normal-form pencil is nonzero.  The congruence
 class of a primitive form is the pair {d, n - d}, so reports carry the
 normalized invariant dim_h = min(d, n - d).  Isoparametric quartics are
-instead labeled by the multiplicity pair (m1, m2) = (q - 1, nu) and satisfy
-the radial Laplacian law  laplacian(f) = 8 (nu - q + 1) |x|^2.
+instead labeled by the multiplicity pair (m1, m2) and satisfy the radial
+Laplacian law  laplacian(f) = 8 (m2 - m1) |x|^2.
 
-`classify` verifies eikonality first, extracts a normal form (exactly when
-possible, numerically otherwise), and one judge reads the verdict off the
-pencil:
+`classify` verifies eikonality first, then reads a normal form of f or of
+-f through `normalform.obtain_normal_form` (exactly when possible,
+numerically otherwise; `eikq normalform` reads the same one), and one judge
+reads the verdict off the pencil:
 
     q = 0 or p = 0          -> primitive (trivial pencil shapes)
     zero pencil             -> primitive with dim H = p + 1 before folding
@@ -28,6 +29,12 @@ route the tolerance is 0, the facts are rational identities (A^2 = I,
 contradicts the structure theory.  On the float route a residual above
 `tol` but below the rejection threshold comes back as verdict
 "inconclusive_float", and a larger one as "not_eikonal".
+
+The normal form read gives (m1, m2) = (q - 1, nu).  -f has f's
+multiplicities swapped and its Laplacian negated, so when the normal form
+is that of -f the report swaps m1 and m2 and negates `laplacian_constant`:
+both describe the input itself.  p, q, nu and mu remain those of the normal
+form that was read.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ import numpy as np
 
 from .analysis import check_eikonal, pencil_spectrum
 from .matrices import RationalMatrix
-from .normalform import NormalForm, NotEikonalEvidence, extract_normal_form
+from .normalform import NormalForm, NotEikonalEvidence, obtain_normal_form
 from .pencils import quadratic_form_matrix
 from .polyring import Polynomial, laplacian, radial_power, rational, substitute_linear
 
@@ -140,55 +147,18 @@ def laplacian_signature(f: Polynomial, rotation: RationalMatrix | None = None):
     off_diagonal = any(
         matrix[i, j] != 0 for i in range(n) for j in range(n) if i != j
     )
-    if not off_diagonal:
-        values = sorted([matrix[i, i] for i in range(n)])
-        grouped: list[list] = []
-        for v in values:
-            if grouped and grouped[-1][0] == v:
-                grouped[-1][1] += 1
-            else:
-                grouped.append([v, 1])
-        return tuple((v, m) for v, m in grouped)
-    eigs = np.linalg.eigvalsh(np.array(matrix.to_float()))
-    grouped_f: list[list] = []
-    for v in sorted(float(e) for e in eigs):
-        if grouped_f and abs(grouped_f[-1][0] - v) <= 1e-6:
-            grouped_f[-1][1] += 1
+    if off_diagonal:
+        eigs = np.linalg.eigvalsh(np.array(matrix.to_float()))
+        values, slack = [float(e) for e in eigs], 1e-6
+    else:
+        values, slack = [matrix[i, i] for i in range(n)], 0
+    grouped: list[list] = []
+    for v in sorted(values):
+        if grouped and abs(grouped[-1][0] - v) <= slack:
+            grouped[-1][1] += 1
         else:
-            grouped_f.append([v, 1])
-    return tuple((v, m) for v, m in grouped_f)
-
-
-def _obtain_normal_form(
-    f: Polynomial,
-    rotation: RationalMatrix | None,
-    exact_input: bool,
-    allow_float: bool,
-    tol: float,
-    seed: int,
-) -> tuple[NormalForm, Polynomial]:
-    """Extract a normal form of f or -f; returns the oriented polynomial too."""
-    n = f.dimension
-    if rotation is not None:
-        return extract_normal_form(f, rotation), f
-    if exact_input:
-        try:
-            return extract_normal_form(f, RationalMatrix.identity(n)), f
-        except ValueError:
-            pass
-        try:
-            return extract_normal_form(-f, RationalMatrix.identity(n)), -f
-        except ValueError:
-            pass
-    if not allow_float:
-        raise ValueError(
-            "exact classification needs f in normal-form position or an "
-            "explicit rotation; rerun without --exact to allow the float path"
-        )
-    try:
-        return extract_normal_form(f, None, tol=tol, seed=seed), f
-    except NotEikonalEvidence:
-        return extract_normal_form(-f, None, tol=tol, seed=seed), -f
+            grouped.append([v, 1])
+    return tuple((v, m) for v, m in grouped)
 
 
 def _round_int(value, slack: float) -> Optional[int]:
@@ -211,7 +181,9 @@ def classify(
     (unless `allow_float` is off); between `tol` and the 1e-6 rejection
     threshold the verdict is "inconclusive_float"; above it "not_eikonal".
     A `rotation` (exact, orthogonal) short-circuits the numeric maximizer
-    and keeps even rotated inputs on the exact route.
+    and keeps even rotated inputs on the exact route.  (m1, m2) and
+    `laplacian_constant` are those of f itself; p, q, nu and mu are those of
+    the normal form read, which may be that of -f.
     """
     if f.dimension < 1:
         raise ValueError("f must have at least one variable")
@@ -230,19 +202,18 @@ def classify(
             VERDICT_INCONCLUSIVE, n, "float", mag,
             detail="the eikonal residual sits between tol and the rejection threshold",
         )
-    exact_input = eik.is_zero
     try:
-        nf, oriented = _obtain_normal_form(
-            f, rotation, exact_input, allow_float, tol, seed
+        nf, negated = obtain_normal_form(
+            f, rotation, eik, allow_float=allow_float, tol=tol, seed=seed
         )
     except NotEikonalEvidence as evidence:
         return ClassificationReport(
-            VERDICT_NOT_EIKONAL, n, "exact" if exact_input else "float",
+            VERDICT_NOT_EIKONAL, n, "exact" if eik.is_zero else "float",
             max(mag, REJECT_TOL), detail=str(evidence),
         )
-    exact = exact_input and nf.arithmetic == "exact"
+    exact = eik.is_zero and nf.arithmetic == "exact"
     residual = max(mag, nf.extraction_residual)
-    return _judge(oriented, nf, residual, 0.0 if exact else tol, exact)
+    return _judge(f, nf, negated, residual, 0.0 if exact else tol, exact)
 
 
 def _fold(n: int, dim_raw: int) -> int:
@@ -250,9 +221,10 @@ def _fold(n: int, dim_raw: int) -> int:
 
 
 def _judge(
-    f: Polynomial, nf: NormalForm, residual: float, tol: float, exact: bool
+    f: Polynomial, nf: NormalForm, negated: bool, residual: float, tol: float,
+    exact: bool,
 ) -> ClassificationReport:
-    """Read the verdict off the pencil of the normal form nf of f.
+    """Read the verdict off the pencil of nf, the normal form of f or of -f.
 
     Every structural fact is a deviation compared with `tol`; the exact
     route passes tol = 0, so there the facts are rational identities.  A
@@ -317,14 +289,18 @@ def _judge(
     if 2 * nu != p + 1 - q:
         return fail("pencil traces violate 2 nu = p + 1 - q",
                     "isoparametric pencil with 2 nu != p + 1 - q")
-    constant = rational(8 * (nu - q + 1))
+    # 2 nu = p + 1 - q and the Laplacian law fix (m1, m2) = (q - 1, nu) for
+    # the polynomial nf was read from; -f has them swapped and its Laplacian
+    # negated, so the report states those of the input f
+    m1, m2, constant = q - 1, nu, rational(8 * (nu - q + 1))
+    if negated:
+        m1, m2, constant = m2, m1, -constant
     lap_max = (laplacian(f) - constant * radial_power(n, 1)).max_abs_coefficient()
     if lap_max > tol:
-        return fail("Laplacian is not numerically 8 (nu - q + 1) |x|^2",
-                    "isoparametric quartic whose Laplacian is not 8 (nu - q + 1) |x|^2")
+        return fail("Laplacian is not numerically 8 (m2 - m1) |x|^2",
+                    "isoparametric quartic whose Laplacian is not 8 (m2 - m1) |x|^2")
     residual = max(residual, float(lap_max))
-    # 2 nu = p + 1 - q and the Laplacian law fix (m1, m2) = (q - 1, nu)
     return ClassificationReport(
         VERDICT_ISOPARAMETRIC, n, arithmetic, residual, p=p, q=q,
-        nu=nu, mu=mu, m1=q - 1, m2=nu, laplacian_constant=str(constant),
+        nu=nu, mu=mu, m1=m1, m2=m2, laplacian_constant=str(constant),
     )

@@ -16,6 +16,10 @@ inconclusive, 4 I/O failure, 5 internal error (an exception inside eikq,
 reported on stderr; never a verdict).  `--json` produces byte-stable reports
 carrying "schema_version": "eikq-report-1".  Set EIKQ_COLOR=0 to disable
 ANSI color.
+
+`classify` and `normalform` take the same --rotation, --exact, --tol and
+--seed and read the same normal form, through `normalform.obtain_normal_form`;
+when that is the normal form of -f, `normalform` says so ("negated").
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .constructors import (
     search_isoparametric_pencil,
 )
 from .matrices import RationalMatrix
-from .normalform import NotEikonalEvidence, extract_normal_form
+from .normalform import NotEikonalEvidence, obtain_normal_form
 from .polyring import PolyTextError, poly_from_text, poly_to_text, rational
 
 _GREEN, _RED, _YELLOW = "32", "31", "33"
@@ -195,45 +199,17 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _normal_form(f, rotation, exact_input: bool, args):
-    """The normal form of f by the first route that applies, as in classify:
-    the given rotation; else the identity, when f is exactly eikonal and in
-    normal-form position; else the float route."""
-    if rotation is not None:
-        return extract_normal_form(f, rotation, tol=args.tol, seed=args.seed)
-    if exact_input:
-        try:
-            return extract_normal_form(f, RationalMatrix.identity(f.dimension))
-        except ValueError:
-            pass
-    return extract_normal_form(f, None, tol=args.tol, seed=args.seed)
-
-
 def _cmd_normalform(args) -> int:
     f = _read_poly(args.file)
     rotation = _read_rotation(args.rotation) if args.rotation else None
-    if args.exact and rotation is None:
-        raise ValueError("--exact extraction needs --rotation")
     eikonal = None if rotation is not None else check_eikonal(f, 4)
-    exact_input = eikonal is not None and eikonal.is_zero
-    negated = False
     try:
-        nf = _normal_form(f, rotation, exact_input, args)
+        nf, negated = obtain_normal_form(
+            f, rotation, eikonal, allow_float=not args.exact, tol=args.tol, seed=args.seed
+        )
     except NotEikonalEvidence as evidence:
-        nf = None
-        if eikonal is not None and eikonal.magnitude <= args.tol:
-            # by Euler's identity |f| = 1 at every critical point on the
-            # sphere, so the one eikonal quartic whose maximum is not 1 is
-            # -|x|^4; as in classify, only an f that is eikonal within tol
-            # gets its normal form read off -f
-            try:
-                nf = _normal_form(-f, None, exact_input, args)
-            except NotEikonalEvidence:
-                pass
-        if nf is None:
-            print(_styled(f"not eikonal: {evidence}", _RED, sys.stdout))
-            return 1
-        negated = True
+        print(_styled(f"not eikonal: {evidence}", _RED, sys.stdout))
+        return 1
     if args.json:
         payload = {"schema_version": SCHEMA_VERSION}
         if negated:

@@ -25,12 +25,17 @@ eikonality itself.  Without a rotation, a numeric sphere ascent finds a
 maximizer, a float eigensolver diagonalizes phi, both rotations are
 rationalized entry by entry, and every deviation is accumulated into
 `extraction_residual` and judged against the snap tolerance SNAP_TOL.
+
+`obtain_normal_form`, shared by `classify` and `eikq normalform`, decides
+which rotation and which sign (f or -f; congruence includes the sign) the
+normal form is read from, exact routes first.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -45,6 +50,9 @@ from .polyring import (
     rational,
     substitute_linear,
 )
+
+if TYPE_CHECKING:
+    from .analysis import Residual
 
 SNAP_TOL = 1e-6
 
@@ -127,7 +135,7 @@ def _refuse_stray(stray: Polynomial, tol: float, message: str) -> float:
 
     With tol = 0 any nonzero coefficient is refused, however small.
     """
-    magnitude = _magnitude(stray)
+    magnitude = float(stray.max_abs_coefficient())
     if not stray.is_zero and (tol == 0 or magnitude > tol):
         raise NotEikonalEvidence(message)
     return magnitude
@@ -158,10 +166,6 @@ def _xn_layers(g: Polynomial) -> dict[int, Polynomial]:
     for mono, coeff in g.terms.items():
         buckets[mono[-1]][mono[:-1]] = coeff
     return {e: _raw(m, terms) for e, terms in buckets.items()}
-
-
-def _magnitude(f: Polynomial) -> float:
-    return 0.0 if f.is_zero else abs(float(f.max_abs_coefficient()))
 
 
 def _extract_psi_pencil(
@@ -254,7 +258,7 @@ def _extract(f: Polynomial, rotation: RationalMatrix, tol: float) -> NormalForm:
         raise ValueError(
             "rotation does not target a critical point of f on the sphere"
         )
-    residual = max(_magnitude(top), _magnitude(layers[3]))
+    residual = float(max(top.max_abs_coefficient(), layers[3].max_abs_coefficient()))
     if residual > tol:
         raise NotEikonalEvidence(
             "no sphere maximum with value 1 and critical structure was found"
@@ -484,3 +488,41 @@ def extract_normal_form(
     if not rotation.is_orthogonal():
         raise ValueError("rotation must be exactly orthogonal")
     return _extract(f, rotation, 0)
+
+
+def obtain_normal_form(
+    f: Polynomial, rotation: RationalMatrix | None, eikonal: Residual | None,
+    *, allow_float: bool, tol: float, seed: int,
+) -> tuple[NormalForm, bool]:
+    """The normal form of f, or of -f (flag True), by the first route that
+    applies: the given `rotation`, on f only; for an exactly eikonal f
+    (`eikonal` is its residual) the identity on f, then on -f, each
+    ValueError moving on; then, unless `allow_float` is off (ValueError),
+    the float route on f, then on -f.  -f is tried only for an f eikonal
+    within `tol`: by Euler's identity such an f is +1 or -1 at each critical
+    point on the sphere, and -f is 1 where f is -1 (at e_n, or the maximum
+    of -|x|^4).  When every route fails, f's NotEikonalEvidence is raised.
+    """
+    if rotation is not None:
+        return extract_normal_form(f, rotation), False
+    if eikonal.is_zero:
+        identity = RationalMatrix.identity(f.dimension)
+        for negated in (False, True):
+            try:
+                return extract_normal_form(-f if negated else f, identity), negated
+            except ValueError:
+                pass
+    if not allow_float:
+        raise ValueError(
+            "exact classification needs f in normal-form position or an "
+            "explicit rotation; rerun without --exact to allow the float path"
+        )
+    try:
+        return extract_normal_form(f, None, tol=tol, seed=seed), False
+    except NotEikonalEvidence as evidence:
+        if eikonal.magnitude > tol:
+            raise
+        try:
+            return extract_normal_form(-f, None, tol=tol, seed=seed), True
+        except NotEikonalEvidence:
+            raise evidence from None

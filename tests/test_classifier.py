@@ -30,7 +30,13 @@ from eikq.constructors import (
 )
 from eikq.matrices import RationalMatrix, random_rational_orthogonal
 from eikq.pencils import tau_polynomials
-from eikq.polyring import Polynomial, rational, substitute_linear
+from eikq.polyring import (
+    Polynomial,
+    laplacian,
+    radial_power,
+    rational,
+    substitute_linear,
+)
 
 
 class TestClassifyExact:
@@ -131,6 +137,37 @@ class TestClassifyExact:
         assert rotated.verdict == VERDICT_PRIMITIVE
         assert rotated.dim_h == 2
         assert rotated.arithmetic == "exact"
+
+
+class TestClassifySign:
+    """(m1, m2) and the Laplacian constant describe the input itself.
+
+    FKM(1, 4) has (m1, m2) = (1, 2) and laplacian(F) = 8 |x|^2; -F has the
+    multiplicities swapped and the constant negated.  At the identity both
+    F and -F are read through -F's normal form (p, q, nu) = (4, 3, 1).
+    """
+
+    @staticmethod
+    def check(f, report, m1_m2, constant, arithmetic):
+        assert report.verdict == VERDICT_ISOPARAMETRIC
+        assert report.arithmetic == arithmetic
+        assert (report.m1, report.m2) == m1_m2
+        assert report.laplacian_constant == constant
+        assert laplacian(f) == rational(constant) * radial_power(f.dimension, 1)
+
+    def test_fkm(self):
+        f = data.fkm_1_4()
+        report = classify(f)
+        self.check(f, report, (1, 2), "8", "exact")
+        assert (report.p, report.q, report.nu, report.mu) == (4, 3, 1, 2)
+
+    def test_negated_fkm(self):
+        f = -data.fkm_1_4()
+        self.check(f, classify(f), (2, 1), "-8", "exact")
+
+    def test_rotated_fkm_float(self):
+        f = substitute_linear(data.fkm_1_4(), random_rational_orthogonal(8, 1))
+        self.check(f, classify(f), (1, 2), "8", "float")
 
 
 class TestClassifyNumeric:

@@ -37,3 +37,23 @@ def test_cli_golden_bytes(record, tmp_path, capsys):
     assert (code, captured.out, captured.err) == (
         record["exit"], record["stdout"], record["stderr"]
     )
+
+
+CLASSIFY_WITH_P = [
+    r["name"] for r in RECORDS
+    if r["verb"] == "classify" and r["stdout"] and json.loads(r["stdout"])["p"] is not None
+]
+
+
+@pytest.mark.parametrize("name", CLASSIFY_WITH_P)
+def test_normalform_reads_the_normal_form_classify_reads(name):
+    """Both verbs read the same normal form: wherever classify reports p,
+    normalform succeeds with the same p, q and arithmetic."""
+    by_verb = {r["verb"]: r for r in RECORDS if r["name"] == name}
+    report = json.loads(by_verb["classify"]["stdout"])
+    normalform = by_verb["normalform"]
+    assert normalform["exit"] == 0
+    payload = json.loads(normalform["stdout"])
+    assert [payload[k] for k in ("p", "q", "arithmetic")] == [
+        report[k] for k in ("p", "q", "arithmetic")
+    ]
