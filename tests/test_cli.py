@@ -268,13 +268,13 @@ class TestNormalform:
         assert result.returncode == 1
         assert "not eikonal" in result.stdout
 
-    def test_exact_in_position(self, tmp_path):
+    def test_exact_flag_in_position(self, tmp_path):
         path = write(tmp_path, "f.txt", poly_to_text(data.corpus()[7]))
         result = run_cli("normalform", path, "--exact", "--json")
         assert result.returncode == 0
         assert json.loads(result.stdout)["arithmetic"] == "exact"
 
-    def test_exact_refuses_rotated_input(self, tmp_path):
+    def test_exact_needs_rotation(self, tmp_path):
         from eikq.matrices import random_rational_orthogonal
         from eikq.polyring import substitute_linear
 
