@@ -3,6 +3,10 @@ sphere ascent, and the structural evidence raised against non-solutions."""
 
 from __future__ import annotations
 
+import json
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,7 +24,17 @@ from eikq.normalform import (
     sphere_maximize,
     split_theta,
 )
-from eikq.polyring import Polynomial, evaluate, rational, substitute_linear
+from eikq.polyring import (
+    Polynomial,
+    evaluate,
+    poly_from_text,
+    rational,
+    substitute_linear,
+)
+
+SPHERE_POINTS = json.loads(
+    (Path(__file__).parent / "data" / "sphere_points.json").read_text()
+)
 
 
 def identity_extract(f: Polynomial) -> NormalForm:
@@ -170,6 +184,27 @@ class TestSphereMaximize:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             sphere_maximize(Polynomial.zero(3))
+
+    @pytest.mark.parametrize(
+        "record", SPHERE_POINTS, ids=[r["name"] for r in SPHERE_POINTS]
+    )
+    def test_recorded_points(self, record):
+        """Bit for bit the points in data/sphere_points.json (written by
+        data/record_sphere_points.py)."""
+        f = poly_from_text(record["poly"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            x = sphere_maximize(f, record["seeds"], record["tol"], record["seed"])
+        assert [float.hex(c) for c in x] == record["point"]
+
+    def test_no_convergence_warns_and_returns_unit_vector(self):
+        # the ascent stops at 1e-7 and the Newton polish cannot reach 1e-300;
+        # rotated, so that no start lands where the tangent is exactly zero
+        f = substitute_linear(make_canonical_quartic(3, 1), random_rational_orthogonal(3, 1))
+        with pytest.warns(RuntimeWarning, match="did not converge"):
+            x = sphere_maximize(f, seeds=2, tol=1e-300)
+        assert len(x) == 3
+        assert abs(sum(c * c for c in x) - 1.0) < 1e-12
 
 
 def rational_from(value: float):
