@@ -33,6 +33,7 @@ normal form is read from, exact routes first.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -310,13 +311,26 @@ def _extract(f: Polynomial, rotation: RationalMatrix, tol: float) -> NormalForm:
     )
 
 
-def _float_arrays(f: Polynomial):
-    # canonical order, so the float sums (and ties between equal maxima)
-    # do not depend on the order in which f's terms were given
-    terms = f.sorted_terms()
-    exps = np.array([mono for mono, _ in terms], dtype=float)
-    coeffs = np.array([float(c) for _, c in terms])
-    return exps, coeffs
+def _stacked_table(
+    polys: list[Polynomial], n: int
+) -> tuple[np.ndarray, list[tuple[np.ndarray, slice]]]:
+    """Stack the exponent rows of `polys` into one table.
+
+    Returns a flat `take` index into a (D + 1) x n power table, whose entry
+    (k, j) is x_j^k, that reads the table's rows x ** exps; and for each
+    polynomial its float coefficients with the slice of its rows.  Terms are
+    in canonical order, so the float sums (and ties between equal maxima) do
+    not depend on the order in which the terms were given.
+    """
+    exps: list = []
+    blocks = []
+    for g in polys:
+        terms = g.sorted_terms()
+        blocks.append((np.array([float(c) for _, c in terms]),
+                       slice(len(exps), len(exps) + len(terms))))
+        exps.extend(mono for mono, _ in terms)
+    rows = np.array(exps, dtype=np.intp).reshape(-1, n)
+    return (rows * n + np.arange(n)).ravel(), blocks
 
 
 def _halton(index: int, base: int) -> float:
@@ -339,45 +353,58 @@ def sphere_maximize(
     each, and returns the best point whose tangential gradient dropped below
     `tol`.  If no start converges a warning is emitted and the best iterate
     found is returned anyway.
+
+    Two exponent tables are built once: the rows of f followed by those of
+    each d_i f, and the rows of the second partials d_i d_j f with j >= i.
+    At each point the powers x_j^k, k = 0..D with D the largest exponent of
+    f, are computed once; the monomials of a table are read from them by one
+    `take` and one row product, and each polynomial is one dot product over
+    its rows.  Every power, row product and dot is the one term-by-term
+    evaluation of each polynomial would compute, so the points are the same
+    bit for bit.
     """
     n = f.dimension
     if n < 1:
         raise ValueError("cannot maximize over a zero-dimensional sphere")
     if f.is_zero:
         raise ValueError("cannot maximize the zero polynomial")
-    exps, coeffs = _float_arrays(f)
     partials = [partial_derivative(f, i) for i in range(n)]
-    grads = [_float_arrays(g) for g in partials]
-    hessians = [
-        [_float_arrays(partial_derivative(partials[i], j)) for j in range(n)]
-        for i in range(n)
-    ]
+    first_index, first_blocks = _stacked_table([f, *partials], n)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    second_index, second_blocks = _stacked_table(
+        [partial_derivative(partials[i], j) for i, j in pairs], n
+    )
+    # float exponents, so that numpy calls the same pow as x ** exps would
+    degrees = np.arange(float(max(max(mono) for mono in f.terms) + 1))[:, None]
 
-    def value(x: np.ndarray) -> float:
-        return float(coeffs @ np.prod(x ** exps, axis=1))
+    def products(x: np.ndarray, index: np.ndarray) -> np.ndarray:
+        return np.multiply.reduce((x ** degrees).take(index).reshape(-1, n), axis=1)
 
-    def grad(x: np.ndarray) -> np.ndarray:
-        out = np.empty(n)
-        for i, (e, c) in enumerate(grads):
-            out[i] = c @ np.prod(x ** e, axis=1) if len(c) else 0.0
-        return out
+    def evaluate(x: np.ndarray) -> tuple[float, np.ndarray]:
+        """f(x) and grad f(x)."""
+        rows = products(x, first_index)
+        sums = [c @ rows[s] for c, s in first_blocks]
+        return float(sums[0]), np.array(sums[1:])
 
     def hessian(x: np.ndarray) -> np.ndarray:
+        rows = products(x, second_index)
         out = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                e, c = hessians[i][j]
-                out[i, j] = out[j, i] = c @ np.prod(x ** e, axis=1) if len(c) else 0.0
+        for (i, j), (c, s) in zip(pairs, second_blocks):
+            out[i, j] = out[j, i] = c @ rows[s]
         return out
 
-    def polish(x: np.ndarray) -> np.ndarray:
+    def norm(v: np.ndarray) -> float:
+        return math.sqrt(v @ v)
+
+    def polish(
+        x: np.ndarray, val: float, gvec: np.ndarray
+    ) -> tuple[np.ndarray, float, np.ndarray]:
         # Newton on the first-order sphere condition grad f = lambda x;
         # quadratic convergence takes the ascent's 1e-7 down to roundoff.
         for _ in range(25):
-            gvec = grad(x)
             lam = float(gvec @ x)
             tangent = gvec - lam * x
-            if np.linalg.norm(tangent) <= 1e-15:
+            if norm(tangent) <= 1e-15:
                 break
             projector = np.eye(n) - np.outer(x, x)
             system = projector @ hessian(x) @ projector - lam * projector + np.outer(x, x)
@@ -385,11 +412,12 @@ def sphere_maximize(
                 delta = np.linalg.solve(system, -tangent)
             except np.linalg.LinAlgError:
                 delta, *_ = np.linalg.lstsq(system, -tangent, rcond=None)
-            if not np.all(np.isfinite(delta)) or np.linalg.norm(delta) > 0.5:
+            if not np.all(np.isfinite(delta)) or norm(delta) > 0.5:
                 break
             x = x + delta
-            x /= np.linalg.norm(x)
-        return x
+            x /= norm(x)
+            val, gvec = evaluate(x)
+        return x, val, gvec
 
     bases = [_HALTON_PRIMES[i % len(_HALTON_PRIMES)] for i in range(n)]
     best_any: tuple[float, np.ndarray] | None = None
@@ -398,34 +426,31 @@ def sphere_maximize(
         raw = np.array(
             [2.0 * _halton(seed * seeds + k + 1, b) - 1.0 for b in bases]
         )
-        norm = np.linalg.norm(raw)
-        if norm < 1e-12:
+        length = norm(raw)
+        if length < 1e-12:
             raw = np.zeros(n)
             raw[k % n] = 1.0
-            norm = 1.0
-        x = raw / norm
-        val = value(x)
+            length = 1.0
+        x = raw / length
+        val, gvec = evaluate(x)
         step = 0.25
         coarse = max(tol, 1e-7)
         for _ in range(10_000):
-            gvec = grad(x)
             tangent = gvec - (gvec @ x) * x
-            if np.linalg.norm(tangent) <= coarse:
+            if norm(tangent) <= coarse:
                 break
             y = x + step * tangent
-            y /= np.linalg.norm(y)
-            fy = value(y)
+            y /= norm(y)
+            fy, gy = evaluate(y)
             if fy > val:
-                x, val = y, fy
+                x, val, gvec = y, fy, gy
                 step = min(step * 1.5, 1.0)
             else:
                 step *= 0.5
                 if step < 1e-17:
                     break
-        x = polish(x)
-        val = value(x)
-        gvec = grad(x)
-        converged = bool(np.linalg.norm(gvec - (gvec @ x) * x) <= tol)
+        x, val, gvec = polish(x, val, gvec)
+        converged = bool(norm(gvec - (gvec @ x) * x) <= tol)
         if best_any is None or val > best_any[0]:
             best_any = (val, x)
         if converged and (best_conv is None or val > best_conv[0]):
@@ -514,8 +539,8 @@ def obtain_normal_form(
                 pass
     if not allow_float:
         raise ValueError(
-            "exact classification needs f in normal-form position or an "
-            "explicit rotation; rerun without --exact to allow the float path"
+            "--exact needs f in normal-form position or an explicit "
+            "rotation; rerun without --exact to allow the float path"
         )
     try:
         return extract_normal_form(f, None, tol=tol, seed=seed), False
