@@ -316,13 +316,13 @@ def _stacked_table(
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, slice]]]:
     """Stack the exponent rows of `polys` into one table.
 
-    Returns a flat `take` index into a (D + 1) x n power table, whose entry
-    (k, j) is x_j^k, that reads the table's rows x ** exps; and for each
-    polynomial its float coefficients with the slice of its rows.  Terms are
-    in canonical order, so the float sums (and ties between equal maxima) do
-    not depend on the order in which the terms were given.
+    Returns the flat `take` index that reads the rows x ** exps of every
+    polynomial out of the (D + 1) x n power table with entry (k, j) = x_j^k,
+    and for each polynomial its float coefficients and the slice of its
+    rows.  Terms are in canonical order, so the float sums (and ties between
+    equal maxima) do not depend on the order in which the terms were given.
     """
-    exps: list = []
+    exps: list[tuple[int, ...]] = []
     blocks = []
     for g in polys:
         terms = g.sorted_terms()
