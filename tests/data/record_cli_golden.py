@@ -110,6 +110,9 @@ SEARCHES = [
     ("search_3_2_1", ["--p", "3", "--q", "2", "--nu", "1", "--budget", "195"]),
     ("search_3_0_0", ["--p", "3", "--q", "0", "--nu", "0"]),
     ("search_4_1_2", ["--p", "4", "--q", "1", "--nu", "2", "--budget", "20"]),
+    # full searches: every conjugation, so screening across rotations is pinned
+    ("search_3_2_1_full", ["--p", "3", "--q", "2", "--nu", "1"]),
+    ("search_4_1_2_full", ["--p", "4", "--q", "1", "--nu", "2"]),
 ]
 
 
