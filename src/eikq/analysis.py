@@ -25,10 +25,10 @@ The checks stack in three layers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import TYPE_CHECKING, Iterator, Optional, Protocol
 
-from .matrices import RationalMatrix
+from .matrices import _int_matmul, _integer_entries
 from .pencils import (
     Pencil,
     eta_identity_residual,
@@ -303,40 +303,48 @@ def check_pencil(pencil: Pencil, p: int) -> PencilReport:
     symmetric, so this decides `eta_identity_residual` = 0 on matrices
     alone.  The three conditions are tested in that order and the test
     stops at the first that fails.
+
+    Everything runs in integers: with D the lcm of every denominator of
+    the pencil, B_i = D A_i has integer entries, and each identity is
+    decided on the B_i with both sides scaled by D^3 (B_i^3 = D^2 B_i, the
+    pairs equal to D^2 B_j, the triples zero).  The traces need no scaling
+    to be tested for zero or for equality, and tr(A_0^2) = tr(B_0^2) / D^2.
     """
     pencil = validate_pencil(pencil, p)
     q = len(pencil)
     if q == 0:
         raise ValueError("pencil must contain at least one matrix")
-    squares = [a @ a for a in pencil]
-    cube = all(sq @ a == a for sq, a in zip(squares, pencil))
-    trace_free = all(a.trace() == 0 for a in pencil)
-    t0 = squares[0].trace()
+    mats, den = _integer_entries(pencil)
+    d2 = den * den
+    squares = [_int_matmul(b, b) for b in mats]
+    # D^2 B_i: the right-hand side of the cube and of the coordinate pairs
+    targets = [[[d2 * v for v in row] for row in b] for b in mats]
+    cube = all(_int_matmul(sq, b) == t for sq, b, t in zip(squares, mats, targets))
+    trace_free = all(_trace(b) == 0 for b in mats)
+    square_traces = [_trace(sq) for sq in squares]
+    t0, remainder = divmod(square_traces[0], d2)
     nu: Optional[int] = None
     mu: Optional[int] = None
-    if t0 == int(t0) and int(t0) % 2 == 0 and 0 <= int(t0) <= p:
-        nu = int(t0) // 2
+    if remainder == 0 and t0 % 2 == 0 and 0 <= t0 <= p:
+        nu = t0 // 2
         mu = p - 2 * nu
     spectrum_constant = (
         nu is not None
         and trace_free
         and cube
-        and all(sq.trace() == t0 for sq in squares)
+        and all(t == square_traces[0] for t in square_traces)
     )
-    # for symmetric matrices A_t A_s^2 = (A_s^2 A_t)^T: one product fewer
     symmetrized = (
         cube
         and all(
-            (x := sq_s @ a_t) + x.transpose() + a_s @ a_t @ a_s == a_t
-            for i, (a_s, sq_s) in enumerate(zip(pencil, squares))
-            for j, a_t in enumerate(pencil)
+            _pair_sum(squares[i], mats[i], mats[j]) == targets[j]
+            for i in range(q)
+            for j in range(q)
             if i != j
         )
         and all(
-            sum(
-                (a @ b @ c for a, b, c in permutations(triple)), RationalMatrix.zeros(p, p)
-            ).is_zero()
-            for triple in combinations(pencil, 3)
+            _is_antisymmetric(_triple_half(*(mats[k] for k in triple)))
+            for triple in combinations(range(q), 3)
         )
     )
     return PencilReport(
@@ -348,6 +356,40 @@ def check_pencil(pencil: Pencil, p: int) -> PencilReport:
         symmetrized_identity=symmetrized,
         spectrum_constant=spectrum_constant,
     )
+
+
+def _trace(b) -> int:
+    return sum(row[i] for i, row in enumerate(b))
+
+
+def _pair_sum(sq_s, b_s, b_t) -> list[list[int]]:
+    """B_s^2 B_t + B_t B_s^2 + B_s B_t B_s for symmetric B_s, B_t.
+
+    B_t B_s^2 is the transpose of B_s^2 B_t, so three products suffice.
+    """
+    x = _int_matmul(sq_s, b_t)
+    y = _int_matmul(_int_matmul(b_s, b_t), b_s)
+    return [
+        [u + v + w for u, v, w in zip(x_row, x_col, y_row)]
+        for x_row, x_col, y_row in zip(x, zip(*x), y)
+    ]
+
+
+def _triple_half(a, b, c) -> list[list[int]]:
+    """M = abc + acb + bac, so that the sum over the six orders is M + M^T.
+
+    The transposes of abc, acb and bac are cba, bca and cab for symmetric
+    a, b, c; M is a (bc + cb) + (ba) c, four products instead of twelve.
+    """
+    bc = _int_matmul(b, c)
+    sym = [[u + v for u, v in zip(row, col)] for row, col in zip(bc, zip(*bc))]
+    first = _int_matmul(a, sym)
+    second = _int_matmul(_int_matmul(b, a), c)
+    return [[u + v for u, v in zip(r1, r2)] for r1, r2 in zip(first, second)]
+
+
+def _is_antisymmetric(m) -> bool:
+    return all(u + v == 0 for row, col in zip(m, zip(*m)) for u, v in zip(row, col))
 
 
 def pencil_spectrum(pencil: Pencil, p: int) -> tuple[int, int]:

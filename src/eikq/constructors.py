@@ -16,9 +16,12 @@ Three construction routes live here:
   pencil fixes psi, theta_4, theta_2, theta_0 and only the mixed cubic
   theta_3 is free data.  `search_isoparametric_pencil` enumerates small
   rational pencils and a grid of theta_3 coefficients, keeping exactly the
-  candidates whose assembled quartic is eikonal.  The eikonal residual is
-  quadratic in theta_3, so it is expanded once per pencil and every grid
-  point is decided in integer arithmetic, without assembling its quartic.
+  candidates whose assembled quartic is eikonal.  Pencils are screened
+  once per set of seeds, not once per rotated copy: rotating or reordering
+  a pencil does not change whether it passes `check_pencil`.  The eikonal
+  residual is quadratic in theta_3, so it is expanded once per pencil and
+  every grid point is decided in integer arithmetic, without assembling
+  its quartic.
 """
 
 from __future__ import annotations
@@ -236,11 +239,16 @@ def normal_form_data_from_text(text: str) -> NormalFormData:
 
 
 def _seed_matrices(p: int, nu: int) -> list[RationalMatrix]:
-    """Rank-2*nu seeds built from +/-1 blocks on disjoint coordinate pairs."""
+    """Rank-2*nu seeds built from +/-1 blocks on disjoint coordinate pairs.
+
+    Different block choices can build the same matrix: diagonal blocks on
+    the pairs (0, 2), (1, 3) and on (0, 3), (1, 2) both give
+    diag(1, 1, -1, -1).  Each matrix is kept once, where it is first built.
+    """
     if nu == 0:
         return [RationalMatrix.zeros(p, p)]
     pairs = list(combinations(range(p), 2))
-    seeds: list[RationalMatrix] = []
+    seeds: dict[tuple, RationalMatrix] = {}
     for chosen in combinations(pairs, nu):
         flat = [i for pair in chosen for i in pair]
         if len(set(flat)) != 2 * nu:
@@ -254,8 +262,9 @@ def _seed_matrices(p: int, nu: int) -> list[RationalMatrix]:
                 else:
                     entries[j][k] = rational(1)
                     entries[k][j] = rational(1)
-            seeds.append(RationalMatrix(entries))
-    return seeds
+            matrix = RationalMatrix(entries)
+            seeds.setdefault(matrix.entries, matrix)
+    return list(seeds.values())
 
 
 _THETA3_COEFFICIENTS = tuple(
@@ -332,9 +341,15 @@ def search_isoparametric_pencil(
     Candidates are pencil seeds (pairwise +/-1 blocks, conjugated by a fixed
     list of exact rotations) combined with theta_3 = sum_i c_i 8 b_i over the
     trilinear eigenspace basis b_i, with every c_i in {0, +/-1/4, +/-1/2,
-    +/-1, +/-2, +/-4}.  Each pencil is screened once by `check_pencil`,
-    which decides the trace, spectrum and cube identity A_eta^3 = |eta|^2
-    A_eta exactly; the empty pencil (q = 0) is admissible.  The eikonal
+    +/-1, +/-2, +/-4}.  A pencil is a tuple of q distinct seed indices
+    under one rotation C; each seed is conjugated once per rotation, and a
+    pencil met before (under an earlier rotation) is skipped by the ids of
+    its conjugated seeds.  `check_pencil` decides the trace, spectrum and
+    cube identity A_eta^3 = |eta|^2 A_eta exactly, and is called once per
+    seed set, on the raw seeds in index order: `.passed` is the same for
+    C^T A_i C, since C^T C = I keeps every product identity and trace, and
+    for any order of the matrices, since every condition is symmetric in
+    them.  The empty pencil (q = 0) is admissible.  The eikonal
     residual of the assembled quartic f0 + sum_i c_i B_i (B_i the lifted
     8 b_i) is quadratic in the c_i, so for each admissible pencil it is
     expanded once, into integer rows (`_grid_decider`), and each theta_3
@@ -362,22 +377,33 @@ def search_isoparametric_pencil(
     examined = 0
     hits: list[NormalFormData] = []
     seeds = _seed_matrices(p, nu)
-    seen_pencils: set[tuple] = set()
+    # ids of the distinct conjugated seeds, so that pencils are keyed by ints
+    interned: dict[tuple, int] = {}
+    seen_pencils: set[tuple[int, ...]] = set()
+    # check_pencil(...).passed by sorted seed indices, exact as said above
+    passed: dict[tuple[int, ...], bool] = {}
     zero3 = Polynomial.zero(p + q)
     for conj in _conjugations(p):
-        for raw in product(seeds, repeat=q):
-            if nu > 0 and q > 1 and len({m.entries for m in raw}) != q:
+        conj_t = conj.transpose()
+        conjugated = [conj_t @ a @ conj for a in seeds]
+        ids = [interned.setdefault(m.entries, len(interned)) for m in conjugated]
+        for idx in product(range(len(seeds)), repeat=q):
+            if nu > 0 and q > 1 and len(set(idx)) != q:
                 continue
-            pencil = tuple(conj.transpose() @ a @ conj for a in raw)
-            key = tuple(m.entries for m in pencil)
+            key = tuple(ids[i] for i in idx)
             if key in seen_pencils:
                 continue
             seen_pencils.add(key)
             examined += 1
             if examined > budget:
                 return hits
-            if pencil and not check_pencil(pencil, p).passed:
-                continue
+            if idx:
+                seed_set = tuple(sorted(idx))
+                if seed_set not in passed:
+                    passed[seed_set] = check_pencil(tuple(seeds[i] for i in seed_set), p).passed
+                if not passed[seed_set]:
+                    continue
+            pencil = tuple(conjugated[i] for i in idx)
             basis = theta3_basis(pencil, p)
             f0 = assemble_from_normal_form(NormalFormData(p, q, pencil, zero3))
             lifted = [extend_dimension(8 * b, p + q + 1) for b in basis]

@@ -8,7 +8,9 @@ matrices, which stays inside the rationals.
 
 Products run in Python ints: each operand is put over the lcm of its own
 denominators, the integer numerators are multiplied and summed, and each
-output entry costs one rational division.
+output entry costs one rational division.  `_integer_entries` and
+`_int_matmul` are that kernel; `analysis.check_pencil` runs it on a whole
+pencil over one denominator and makes no rational at all.
 """
 
 from __future__ import annotations
@@ -113,22 +115,16 @@ class RationalMatrix:
         c = rational(scalar)
         return _raw_matrix(tuple(tuple(a * c for a in row) for row in self.entries))
 
-    def _numerators(self) -> tuple[list[list[int]], int]:
-        """Integer entries over the lcm of the denominators, and that lcm."""
-        den = math.lcm(*(v.denominator for row in self.entries for v in row))
-        return [[v.numerator * (den // v.denominator) for v in row] for row in self.entries], den
-
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.n_cols != other.n_rows:
             raise ValueError(
                 f"shape mismatch: {self.n_rows}x{self.n_cols} @ {other.n_rows}x{other.n_cols}"
             )
-        rows, da = self._numerators()
-        other_rows, db = other._numerators()
-        cols = list(zip(*other_rows))
+        (rows,), da = _integer_entries((self,))
+        (other_rows,), db = _integer_entries((other,))
         den = da * db
         return _raw_matrix(
-            tuple(tuple(_Q(sum(map(mul, row, col)), den) for col in cols) for row in rows)
+            tuple(tuple(_Q(v, den) for v in row) for row in _int_matmul(rows, other_rows))
         )
 
     def transpose(self) -> "RationalMatrix":
@@ -218,6 +214,25 @@ class RationalMatrix:
 
     def __repr__(self):
         return f"RationalMatrix({self.n_rows}x{self.n_cols})"
+
+
+def _integer_entries(matrices: Sequence[RationalMatrix]) -> tuple[list[list[list[int]]], int]:
+    """Each matrix's entries times D, as lists of integer rows, and D.
+
+    D is the lcm of every denominator of every matrix, so one D serves the
+    whole sequence and products of the integer matrices carry a power of D.
+    """
+    den = math.lcm(*(v.denominator for m in matrices for row in m.entries for v in row))
+    return [
+        [[v.numerator * (den // v.denominator) for v in row] for row in m.entries]
+        for m in matrices
+    ], den
+
+
+def _int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Product of two integer matrices given as rows."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def _raw_matrix(entries: tuple[tuple, ...]) -> RationalMatrix:

@@ -4,6 +4,7 @@ coefficient system, the bidegree structure identities, and pencil spectra."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +12,7 @@ from hypothesis import strategies as st
 
 import _data as data
 import _oracles as oracles
-from eikq import analysis
 from eikq.analysis import (
-    PencilReport,
     Residual,
     check_eikonal,
     check_munzner_second,
@@ -24,10 +23,11 @@ from eikq.analysis import (
 )
 from eikq.constructors import (
     NormalFormData,
+    _conjugations,
+    _seed_matrices,
     assemble_from_normal_form,
     make_canonical_quartic,
     make_primitive,
-    search_isoparametric_pencil,
 )
 from eikq.matrices import RationalMatrix, random_rational_orthogonal
 from eikq.pencils import (
@@ -233,6 +233,60 @@ def naive_pencil_report(pencil, p: int) -> dict:
     }
 
 
+def _examined_pencils(p: int, q: int, nu: int, count: int) -> list[tuple[tuple, tuple]]:
+    """(raw seed tuple, conjugated pencil) for the first `count` pencils
+    search(p, q, nu) examines, in search order: each conjugation in turn,
+    each tuple of distinct seeds, each pencil at its first appearance."""
+    seeds = _seed_matrices(p, nu)
+    seen = set()
+    out = []
+    for conj in _conjugations(p):
+        for raw in product(seeds, repeat=q):
+            if nu > 0 and q > 1 and len({m.entries for m in raw}) != q:
+                continue
+            pencil = tuple(conj.transpose() @ a @ conj for a in raw)
+            key = tuple(m.entries for m in pencil)
+            if key not in seen:
+                seen.add(key)
+                out.append((raw, pencil))
+                if len(out) == count:
+                    return out
+    return out
+
+
+_ENTRIES = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 4, 6]))
+
+
+@st.composite
+def _rational_pencils(draw):
+    """Symmetric rational pencils with mixed denominators, p <= 4 and q <= 4.
+
+    Each matrix is either random or a rational rotation of a {+1, -1, 0}
+    diagonal, which passes the cube identity and reaches the later checks;
+    sometimes the whole pencil is a rotated copy of the (3, 2, 1) pencil,
+    which passes everything.
+    """
+    if draw(st.integers(0, 5)) == 0:
+        u = random_rational_orthogonal(3, draw(st.integers(0, 10 ** 4)))
+        pencil = data.isoparametric_data().pencil
+        return tuple(u.transpose() @ a @ u for a in pencil), 3
+    p = draw(st.integers(1, 4))
+    q = draw(st.integers(1, 4))
+    u = random_rational_orthogonal(p, draw(st.integers(0, 10 ** 4)))
+    pencil = []
+    for _ in range(q):
+        if draw(st.booleans()):
+            diag = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=p, max_size=p))
+            pencil.append(u.transpose() @ RationalMatrix.diagonal(diag) @ u)
+        else:
+            rows = [[Fraction(0)] * p for _ in range(p)]
+            for i in range(p):
+                for j in range(i, p):
+                    rows[i][j] = rows[j][i] = draw(_ENTRIES)
+            pencil.append(RationalMatrix(rows))
+    return tuple(pencil), p
+
+
 class TestCheckPencil:
     def test_single_involution(self):
         report = check_pencil((RationalMatrix.diagonal([1, -1, 0]),), 3)
@@ -276,7 +330,7 @@ class TestCheckPencil:
         with pytest.raises(ValueError, match="at least one"):
             check_pencil((), 3)
 
-    def test_symmetrized_identity_is_eta_identity(self, monkeypatch):
+    def test_symmetrized_identity_is_eta_identity(self):
         pencils = [
             ((RationalMatrix.diagonal([1, -1, 0]),), 3),
             ((RationalMatrix.diagonal([2, 0]),), 2),
@@ -285,26 +339,33 @@ class TestCheckPencil:
             (data.isoparametric_data().pencil, 3),
             ((RationalMatrix.diagonal([1, -1, 0]), RationalMatrix.diagonal([1, 0, -1])), 3),
         ]
-        # every pencil search(3, 2, 1) screens, and the first ones of
-        # (4, 3, 1) and (5, 4, 1): q >= 3 has triples i < j < k, and the
-        # (4, 3, 1) prefix holds pencils that pass the coordinate pairs and
-        # fail only on a triple; failing them all skips the grid
-        screened = []
-
-        def record(pencil, p):
-            screened.append((pencil, p))
-            return PencilReport(1, None, None, False, False, False, False)
-
-        monkeypatch.setattr(analysis, "check_pencil", record)
-        assert search_isoparametric_pencil(3, 2, 1) == []
-        assert search_isoparametric_pencil(4, 3, 1, budget=160) == []
-        assert search_isoparametric_pencil(5, 4, 1, budget=40) == []
-        monkeypatch.undo()
-        assert len(screened) == 356
-        for pencil, p in pencils + screened:
+        # every conjugated pencil search(3, 2, 1) examines, and the first
+        # ones of (4, 3, 1) and (5, 4, 1): q >= 3 has triples i < j < k, and
+        # the (4, 3, 1) prefix holds pencils that pass the coordinate pairs
+        # and fail only on a triple
+        corpus = [
+            (raw, pencil, p)
+            for p, q, nu, count in ((3, 2, 1, 10 ** 6), (4, 3, 1, 160), (5, 4, 1, 40))
+            for raw, pencil in _examined_pencils(p, q, nu, count)
+        ]
+        assert len(corpus) == 356
+        for pencil, p in pencils + [(pencil, p) for _, pencil, p in corpus]:
             report = check_pencil(pencil, p)
             assert report.symmetrized_identity == eta_identity_residual(pencil, p).is_zero
             assert report.to_json_dict() == naive_pencil_report(pencil, p)
+        # the search screens each seed set once, unconjugated and in index
+        # order; that is exact only if these agree
+        for raw, pencil, p in corpus:
+            report = check_pencil(pencil, p)
+            assert check_pencil(raw, p).to_json_dict() == report.to_json_dict()
+            for reordered in (raw[::-1], raw[1:] + raw[:1]):
+                assert check_pencil(reordered, p).passed == report.passed
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.data())
+    def test_integer_kernel_matches_definitions(self, case):
+        pencil, p = case.draw(_rational_pencils())
+        assert check_pencil(pencil, p).to_json_dict() == naive_pencil_report(pencil, p)
 
     def test_json_dict(self):
         payload = check_pencil((RationalMatrix.zeros(2, 2),), 2).to_json_dict()

@@ -3,8 +3,10 @@ normal-form data, assembly, serialization, and the pencil search."""
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,8 @@ from eikq.polyring import (
     rational,
     substitute_linear,
 )
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
 class TestMakePrimitive:
@@ -321,6 +325,33 @@ class TestSearch:
             assert hits[0].pencil == ()
             assert assemble_from_normal_form(hits[0]) == make_canonical_quartic(p + 1, 0)
 
+    def test_seed_matrices_are_distinct(self):
+        for (p, nu), count in {(4, 2): 11, (6, 3): 95, (3, 1): 6}.items():
+            seeds = constructors._seed_matrices(p, nu)
+            assert len(seeds) == len({m.entries for m in seeds}) == count
+
+    def test_screens_each_seed_set_once(self, monkeypatch):
+        screened = []
+        real = analysis.check_pencil
+
+        def record(pencil, p):
+            screened.append(tuple(m.entries for m in pencil))
+            return real(pencil, p)
+
+        monkeypatch.setattr(analysis, "check_pencil", record)
+        hits = search_isoparametric_pencil(3, 2, 1)
+        monkeypatch.undo()
+        seeds = [m.entries for m in constructors._seed_matrices(3, 1)]
+        # each unordered pair of distinct seeds, once, as raw seeds in index order
+        assert sorted(screened) == sorted(
+            (seeds[i], seeds[j]) for i in range(len(seeds)) for j in range(i + 1, len(seeds))
+        )
+        assert len(screened) == 15
+        (record_3_2_1,) = [r for r in GOLDEN if r["name"] == "search_3_2_1_full"]
+        expected = json.loads(record_3_2_1["stdout"])["candidates"]
+        assert len(expected) == 66
+        assert [normal_form_data_to_text(h) for h in hits] == expected
+
     def test_budget_prefixes(self):
         budgets = (1, 2, 40, 150, 180, 195, 400, 10 ** 6)
         results = [search_isoparametric_pencil(3, 2, 1, budget=b) for b in budgets]
@@ -331,7 +362,7 @@ class TestSearch:
 
 
 def _admissible_pencils(p: int, q: int, nu: int, count: int, monkeypatch) -> list:
-    """The first `count` pencils that search(p, q, nu) finds admissible."""
+    """The first `count` seed sets that search(p, q, nu) screens as admissible."""
     passed = []
     real = analysis.check_pencil
 
