@@ -257,27 +257,13 @@ class PencilReport:
     spectrum_constant: bool
 
     @property
-    def passed(self) -> bool:
-        if self.q == 1:
-            return self.cube_identity
-        return (
-            self.trace_free
-            and self.cube_identity
-            and self.symmetrized_identity
-            and self.spectrum_constant
-            and self.nu is not None
-        )
-
-    @property
     def spectral(self) -> bool:
         """True when every matrix has spectrum {+1 (nu), -1 (nu), 0 (mu)}."""
-        return (
-            self.nu is not None
-            and self.trace_free
-            and self.cube_identity
-            and self.symmetrized_identity
-            and self.spectrum_constant
-        )
+        return self.spectrum_constant and self.symmetrized_identity
+
+    @property
+    def passed(self) -> bool:
+        return self.cube_identity if self.q == 1 else self.spectral
 
     def to_json_dict(self) -> dict:
         return {

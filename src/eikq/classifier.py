@@ -25,10 +25,11 @@ reads the verdict off the pencil:
 
 The judge compares every structural fact with a tolerance.  On the exact
 route the tolerance is 0, the facts are rational identities (A^2 = I,
-`pencil_spectrum`, the Laplacian law), and a failed one raises, because it
-contradicts the structure theory.  On the float route a residual above
-`tol` but below the rejection threshold comes back as verdict
-"inconclusive_float", and a larger one as "not_eikonal".
+`pencil_spectrum`, the Laplacian law), and a failed one raises
+RuntimeError (exit 5 in the CLI), because it contradicts the structure
+theory.  On the float route a residual above `tol` but below the
+rejection threshold comes back as verdict "inconclusive_float", and a
+larger one as "not_eikonal".
 
 The normal form read gives (m1, m2) = (q - 1, nu).  -f has f's
 multiplicities swapped and its Laplacian negated, so when the normal form
@@ -229,8 +230,8 @@ def _judge(
     Every structural fact is a deviation compared with `tol`; the exact
     route passes tol = 0, so there the facts are rational identities.  A
     fact that fails on the exact route contradicts the structure theory of
-    an exactly eikonal f and raises RuntimeError (ValueError from
-    `pencil_spectrum`); on the float route it makes the verdict
+    an exactly eikonal f and raises RuntimeError, `pencil_spectrum`'s
+    ValueError included; on the float route it makes the verdict
     "inconclusive_float".
     """
     n, p, q = nf.n, nf.p, nf.q
@@ -277,7 +278,10 @@ def _judge(
         residual = max(residual, float(square_dev))
         return primitive((p + trace_int) // 2 + 1)
     if exact:
-        nu, mu = pencil_spectrum(pencil, p)
+        try:
+            nu, mu = pencil_spectrum(pencil, p)
+        except ValueError as err:
+            return fail(str(err))
     else:
         trace_sq = float((pencil[0] @ pencil[0]).trace())
         doubled_nu = _round_int(trace_sq, tol * max(p, 1))

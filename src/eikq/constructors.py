@@ -27,11 +27,12 @@ Three construction routes live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, lcm
 from operator import mul
 
-from .matrices import RationalMatrix, cayley_orthogonal, random_rational_orthogonal
+from .matrices import RationalMatrix, random_rational_orthogonal
 from .pencils import (
     Pencil,
     psi_from_pencil,
@@ -280,17 +281,18 @@ _GRID_NUMERATORS = tuple(
 _GRID_COEFFICIENT = dict(zip(_GRID_NUMERATORS, _THETA3_COEFFICIENTS))
 
 
-def _conjugations(p: int) -> list[RationalMatrix]:
+@cache
+def _conjugations(p: int) -> tuple[RationalMatrix, ...]:
     """Identity, single-coordinate sign flips, and a few Cayley rotations."""
     if p == 0:
-        return [RationalMatrix.zeros(0, 0)]
+        return (RationalMatrix.zeros(0, 0),)
     out = [RationalMatrix.identity(p)]
     for i in range(p):
         diag = [rational(-1) if j == i else rational(1) for j in range(p)]
         out.append(RationalMatrix.diagonal(diag))
     if p >= 2:
         out.extend(random_rational_orthogonal(p, seed) for seed in (1, 2, 3))
-    return out
+    return tuple(out)
 
 
 def _grid_decider(f0: Polynomial, r0: Polynomial, lifted: list[Polynomial]):

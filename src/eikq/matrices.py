@@ -1,16 +1,19 @@
 """Exact rational matrices and the small linear algebra the library needs.
 
-Everything here is exact: entries are rationals, elimination uses exact
-pivoting, and orthogonality means Q^T Q equals the identity as rational
-numbers, not up to rounding.  Rational orthogonal matrices for tests and
-searches come from the Cayley transform of rational antisymmetric
-matrices, which stays inside the rationals.
+Everything here is exact: entries are rationals, and orthogonality means
+Q^T Q equals the identity as rational numbers, not up to rounding.
+Rational orthogonal matrices for tests and searches come from the Cayley
+transform of rational antisymmetric matrices, which stays inside the
+rationals.
 
 Products run in Python ints: each operand is put over the lcm of its own
 denominators, the integer numerators are multiplied and summed, and each
 output entry costs one rational division.  `_integer_entries` and
 `_int_matmul` are that kernel; `analysis.check_pencil` runs it on a whole
-pencil over one denominator and makes no rational at all.
+pencil over one denominator and makes no rational at all.  Elimination runs
+on the same integer rows: `_row_reduce` is one fraction-free Gauss-Jordan
+loop behind both `kernel_basis` and `inverse`, and rationals are made only
+when the answer is read off the reduced rows.
 """
 
 from __future__ import annotations
@@ -73,9 +76,6 @@ class RationalMatrix:
 
     def row(self, i: int) -> tuple:
         return self.entries[i]
-
-    def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.entries)
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):
@@ -159,53 +159,30 @@ class RationalMatrix:
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
 
     def inverse(self) -> "RationalMatrix":
-        """Exact inverse by Gauss-Jordan elimination."""
+        """Exact inverse: [D A | I] reduced to [diag(a) | R], so A^-1 = D diag(a)^-1 R."""
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
         n = self.n_rows
-        aug = [list(self.entries[i]) + [rational(1 if j == i else 0) for j in range(n)]
-               for i in range(n)]
-        for col in range(n):
-            pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if pivot_row is None:
-                raise ValueError("matrix is singular")
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-            pivot = aug[col][col]
-            aug[col] = [v / pivot for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    factor = aug[r][col]
-                    aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-        return RationalMatrix([row[n:] for row in aug])
+        (rows,), den = _integer_entries((self,))
+        reduced, pivots = _row_reduce(
+            [row + [int(j == i) for j in range(n)] for i, row in enumerate(rows)]
+        )
+        if pivots != list(range(n)):
+            raise ValueError("matrix is singular")
+        return _raw_matrix(
+            tuple(tuple(_Q(den * v, row[i]) for v in row[n:]) for i, row in enumerate(reduced))
+        )
 
     def kernel_basis(self) -> list[tuple]:
-        """Rational basis of the nullspace via exact row reduction."""
-        n_rows, n_cols = self.n_rows, self.n_cols
-        rows = [list(r) for r in self.entries]
-        pivots: list[int] = []
-        r = 0
-        for c in range(n_cols):
-            pivot_row = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            pivot = rows[r][c]
-            rows[r] = [v / pivot for v in rows[r]]
-            for i in range(n_rows):
-                if i != r and rows[i][c] != 0:
-                    factor = rows[i][c]
-                    rows[i] = [v - factor * w for v, w in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == n_rows:
-                break
-        free = [c for c in range(n_cols) if c not in pivots]
+        """Rational basis of the nullspace, one vector per free column set to 1."""
+        (rows,), _ = _integer_entries((self,))
+        reduced, pivots = _row_reduce(rows)
         basis = []
-        for fc in free:
-            vec = [rational(0)] * n_cols
+        for fc in (c for c in range(self.n_cols) if c not in pivots):
+            vec = [rational(0)] * self.n_cols
             vec[fc] = rational(1)
-            for pr, pc in enumerate(pivots):
-                vec[pc] = -rows[pr][fc]
+            for row, pc in zip(reduced, pivots):
+                vec[pc] = _Q(-row[fc], row[pc])
             basis.append(tuple(vec))
         return basis
 
@@ -227,6 +204,34 @@ def _integer_entries(matrices: Sequence[RationalMatrix]) -> tuple[list[list[list
         [[v.numerator * (den // v.denominator) for v in row] for row in m.entries]
         for m in matrices
     ], den
+
+
+def _row_reduce(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    The first nonzero entry a of a column, in a row not yet used, is the
+    pivot; every other row r becomes (a r - b pivot_row) / gcd, b being r's
+    entry in that column.  Returns the nonzero rows and their pivot columns;
+    row[c] / row[pivots[k]] is the reduced row echelon entry of row k.
+    """
+    n_cols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    for c in range(n_cols):
+        r = len(pivots)
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        pivot_row = rows[r]
+        a = pivot_row[c]
+        for i, row in enumerate(rows):
+            b = row[c]
+            if b and i != r:
+                row = [a * v - b * w for v, w in zip(row, pivot_row)]
+                g = math.gcd(*row)
+                rows[i] = [v // g for v in row] if g > 1 else row
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
 
 
 def _int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:

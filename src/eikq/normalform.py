@@ -191,14 +191,14 @@ def _rational_eigenbasis(big_phi: RationalMatrix) -> tuple[RationalMatrix, int]:
     of phi, and the dimension p of the +1 eigenspace."""
     m = big_phi.n_rows
     ident = RationalMatrix.identity(m)
-    if not ((big_phi - ident) @ (big_phi + ident.scale(3))).is_zero():
+    plus = (big_phi - ident).kernel_basis()
+    minus = (big_phi + ident.scale(3)).kernel_basis()
+    # phi is symmetric, so the two eigenspaces fill R^m exactly when
+    # (phi - I)(phi + 3I) = 0
+    if len(plus) + len(minus) != m:
         raise NotEikonalEvidence(
             "the x_n^2 coefficient has eigenvalues outside {1, -3}"
         )
-    plus = (big_phi - ident).kernel_basis()
-    minus = (big_phi + ident.scale(3)).kernel_basis()
-    if len(plus) + len(minus) != m:
-        raise NotEikonalEvidence("the x_n^2 coefficient is not diagonalizable")
     plus_on = orthonormalize_rational(plus)
     minus_on = orthonormalize_rational(minus)
     if plus_on is None or minus_on is None:

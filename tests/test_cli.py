@@ -3,6 +3,7 @@ JSON determinism, and the text formats for polynomials and rotations."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -194,6 +195,24 @@ class TestClassify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "internal error: RuntimeError: this contradicts" in captured.err
+
+    def test_pencil_contradiction_exit(self, tmp_path, monkeypatch, capsys):
+        # an exactly eikonal input whose pencil reads as non-spectral contradicts
+        # the structure theory: an internal error, not bad input
+        import eikq.cli
+        from eikq import analysis
+
+        real = analysis.check_pencil
+
+        def non_spectral(pencil, p):
+            return dataclasses.replace(real(pencil, p), spectrum_constant=False)
+
+        monkeypatch.setattr(analysis, "check_pencil", non_spectral)
+        path = write(tmp_path, "iso.txt", poly_to_text(data.corpus()[9]))
+        assert eikq.cli.main(["classify", path]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "internal error: RuntimeError: pencil does not carry" in captured.err
 
     def test_no_ansi_when_disabled(self, tmp_path):
         path = write(tmp_path, "f.txt", poly_to_text(data.corpus()[0]))

@@ -352,6 +352,22 @@ class TestSearch:
         assert len(expected) == 66
         assert [normal_form_data_to_text(h) for h in hits] == expected
 
+    def test_conjugations_built_once_per_p(self, monkeypatch):
+        built = []
+        real = constructors.random_rational_orthogonal
+
+        def record(n, seed):
+            built.append((n, seed))
+            return real(n, seed)
+
+        monkeypatch.setattr(constructors, "random_rational_orthogonal", record)
+        constructors._conjugations.cache_clear()
+        first = search_isoparametric_pencil(3, 2, 1)
+        second = search_isoparametric_pencil(3, 2, 1)
+        assert built == [(3, 1), (3, 2), (3, 3)]
+        assert len(first) == 66
+        assert second == first
+
     def test_budget_prefixes(self):
         budgets = (1, 2, 40, 150, 180, 195, 400, 10 ** 6)
         results = [search_isoparametric_pencil(3, 2, 1, budget=b) for b in budgets]

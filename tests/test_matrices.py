@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -130,13 +131,18 @@ def assert_product_correct(a: RationalMatrix, b: RationalMatrix) -> RationalMatr
     expected = reference_product(a, b)
     assert [[Fraction(v) for v in row] for row in c.entries] == expected
     assert (c.n_rows, c.n_cols) == (a.n_rows, b.n_cols if a.n_rows else 0)
+    assert_backend_rows(c.entries)
+    return c
+
+
+def assert_backend_rows(rows) -> None:
+    """Every row a tuple of backend rationals in lowest terms."""
     backend = type(rational(0))
-    for row in c.entries:
+    for row in rows:
         assert type(row) is tuple
         for v in row:
             assert type(v) is backend
             assert v.denominator > 0 and gcd(int(v.numerator), int(v.denominator)) == 1
-    return c
 
 
 # zero is drawn often, so sums cancel and entries vanish
@@ -204,3 +210,81 @@ def test_internal_operations_keep_backend_entries():
     assert -(-a) == a
     assert a.scale(2) == a + a
     assert a.transpose().transpose() == a
+
+
+def to_sympy(m: RationalMatrix) -> sympy.Matrix:
+    return sympy.Matrix(
+        m.n_rows, m.n_cols,
+        [sympy.Rational(int(v.numerator), int(v.denominator)) for row in m.entries for v in row],
+    )
+
+
+def from_sympy(m: sympy.Matrix) -> list[list[Fraction]]:
+    return [[Fraction(int(v.p), int(v.q)) for v in m.row(i)] for i in range(m.rows)]
+
+
+@st.composite
+def eliminable_matrices(draw):
+    """Up to 6 x 7 (square half the time, 0 x 0 included), with zero rows and
+    rows that are sums of earlier rows, so that ranks drop."""
+    n_rows = draw(st.integers(0, 6))
+    n_cols = n_rows if draw(st.booleans()) else draw(st.integers(1, 7))
+    rows: list[list[Fraction]] = []
+    for _ in range(n_rows):
+        kind = draw(st.sampled_from(("entries", "entries", "zero", "sum")))
+        if kind == "zero":
+            rows.append([Fraction(0)] * n_cols)
+        elif kind == "sum" and len(rows) >= 2:
+            picked = draw(st.lists(st.sampled_from(rows), min_size=2, max_size=3))
+            rows.append([sum(column, Fraction(0)) for column in zip(*picked)])
+        else:
+            rows.append(draw(st.lists(_ENTRIES, min_size=n_cols, max_size=n_cols)))
+    return RationalMatrix(rows)
+
+
+@given(eliminable_matrices())
+@settings(max_examples=150, deadline=None)
+def test_elimination_matches_sympy(m):
+    reference = to_sympy(m)
+    basis = m.kernel_basis()
+    # sympy also sets one free variable to 1 and the others to 0
+    assert [[Fraction(v) for v in vec] for vec in basis] == [
+        [row[0] for row in from_sympy(v)] for v in reference.nullspace()
+    ]
+    assert_backend_rows(basis)
+    if not m.is_square:
+        with pytest.raises(ValueError, match="non-square"):
+            m.inverse()
+    elif reference.det() == 0:
+        with pytest.raises(ValueError, match="singular"):
+            m.inverse()
+    else:
+        inverse = m.inverse()
+        assert [[Fraction(v) for v in row] for row in inverse.entries] == from_sympy(
+            reference.inv()
+        )
+        assert_backend_rows(inverse.entries)
+
+
+@st.composite
+def antisymmetric_matrices(draw):
+    n = draw(st.integers(1, 6))
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = draw(_ENTRIES)
+            rows[j][i] = -rows[i][j]
+    return RationalMatrix(rows)
+
+
+@given(antisymmetric_matrices())
+@settings(max_examples=60, deadline=None)
+def test_cayley_orthogonal_matches_sympy(skew):
+    eye = sympy.eye(skew.n_rows)
+    s = to_sympy(skew)
+    q = cayley_orthogonal(skew)
+    assert [[Fraction(v) for v in row] for row in q.entries] == from_sympy(
+        (eye - s).inv() * (eye + s)
+    )
+    assert_backend_rows(q.entries)
+    assert q.is_orthogonal()
