@@ -49,7 +49,7 @@ from .constructors import (
 )
 from .matrices import RationalMatrix
 from .normalform import NotEikonalEvidence, obtain_normal_form
-from .polyring import PolyTextError, poly_from_text, poly_to_text, rational
+from .polyring import PolyTextError, _meaningful_lines, poly_from_text, poly_to_text, rational
 
 _GREEN, _RED, _YELLOW = "32", "31", "33"
 
@@ -88,9 +88,7 @@ def _read_poly(path: str):
 
 
 def _read_rotation(path: str) -> RationalMatrix:
-    tokens = []
-    for raw in _read_text(path).splitlines():
-        tokens.extend(raw.split("#", 1)[0].split())
+    tokens = [tok for _, line in _meaningful_lines(_read_text(path)) for tok in line.split()]
     if not tokens:
         raise ValueError("rotation file is empty")
     try:

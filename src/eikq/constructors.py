@@ -45,12 +45,13 @@ from .pencils import (
 from .polyring import (
     PolyTextError,
     Polynomial,
+    _meaningful_lines,
+    _poly_from_lines,
     block_radial,
     extend_dimension,
     gradient_inner,
     grlex_key,
     homogeneous_split,
-    poly_from_text,
     poly_mul,
     poly_to_text,
     radial_power,
@@ -181,12 +182,7 @@ def normal_form_data_from_text(text: str) -> NormalFormData:
     Comments (#) and blank lines are ignored between sections.  Errors carry
     1-based line numbers of the offending input line.
     """
-    numbered = [
-        (idx, stripped)
-        for idx, raw in enumerate(text.splitlines(), start=1)
-        for stripped in [raw.split("#", 1)[0].strip()]
-        if stripped
-    ]
+    numbered = list(_meaningful_lines(text))
     if not numbered:
         raise PolyTextError("empty normal-form input", 1)
     cursor = 0
@@ -222,12 +218,10 @@ def normal_form_data_from_text(text: str) -> NormalFormData:
                 rows.append([rational(tok) for tok in tokens])
             except (ValueError, ZeroDivisionError):
                 raise PolyTextError("matrix entries must be rationals", line_no) from None
-        pencil.append(RationalMatrix(rows) if p else RationalMatrix.zeros(0, 0))
-    remaining = "\n".join(f"{line}" for _, line in numbered[cursor:])
-    if not remaining:
-        last = numbered[-1][0]
-        raise PolyTextError("missing theta_3 polynomial section", last)
-    theta3 = poly_from_text(remaining)
+        pencil.append(RationalMatrix(rows))
+    if cursor == len(numbered):
+        raise PolyTextError("missing theta_3 polynomial section", numbered[-1][0])
+    theta3 = _poly_from_lines(iter(numbered[cursor:]))
     if theta3.dimension != p + q:
         raise PolyTextError(
             f"theta_3 must use {p + q} variables, found {theta3.dimension}",
@@ -284,8 +278,6 @@ _GRID_COEFFICIENT = dict(zip(_GRID_NUMERATORS, _THETA3_COEFFICIENTS))
 @cache
 def _conjugations(p: int) -> tuple[RationalMatrix, ...]:
     """Identity, single-coordinate sign flips, and a few Cayley rotations."""
-    if p == 0:
-        return (RationalMatrix.zeros(0, 0),)
     out = [RationalMatrix.identity(p)]
     for i in range(p):
         diag = [rational(-1) if j == i else rational(1) for j in range(p)]

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .polyring import _Q, rational, rational_from_float
+from .polyring import rational, rational_from_float
 
 
 class RationalMatrix:
@@ -124,7 +125,7 @@ class RationalMatrix:
         (other_rows,), db = _integer_entries((other,))
         den = da * db
         return _raw_matrix(
-            tuple(tuple(_Q(v, den) for v in row) for row in _int_matmul(rows, other_rows))
+            tuple(tuple(Fraction(v, den) for v in row) for row in _int_matmul(rows, other_rows))
         )
 
     def transpose(self) -> "RationalMatrix":
@@ -170,7 +171,9 @@ class RationalMatrix:
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
         return _raw_matrix(
-            tuple(tuple(_Q(den * v, row[i]) for v in row[n:]) for i, row in enumerate(reduced))
+            tuple(
+                tuple(Fraction(den * v, row[i]) for v in row[n:]) for i, row in enumerate(reduced)
+            )
         )
 
     def kernel_basis(self) -> list[tuple]:
@@ -182,7 +185,7 @@ class RationalMatrix:
             vec = [rational(0)] * self.n_cols
             vec[fc] = rational(1)
             for row, pc in zip(reduced, pivots):
-                vec[pc] = _Q(-row[fc], row[pc])
+                vec[pc] = Fraction(-row[fc], row[pc])
             basis.append(tuple(vec))
         return basis
 
@@ -241,7 +244,7 @@ def _int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[
 
 
 def _raw_matrix(entries: tuple[tuple, ...]) -> RationalMatrix:
-    """Internal constructor bypassing coercion; entries must be backend rationals."""
+    """Internal constructor bypassing coercion; entries must be Fractions."""
     matrix = RationalMatrix.__new__(RationalMatrix)
     object.__setattr__(matrix, "entries", entries)
     return matrix

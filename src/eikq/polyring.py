@@ -13,13 +13,10 @@ tuple.  ``poly_to_text`` and ``poly_from_text`` implement the line-based
 wire format used by the command line tools (one term per line: n exponent
 integers followed by the coefficient as ``p`` or ``p/q``).
 
-Products and ``substitute_linear`` run in Python ints (gmpy2's ``mpz``
-under ``mpq``) on packed monomials over one common denominator
-(``_pack``), with one rational division per output term (``_unpack``);
-their terms come out grlex-descending.
-
-When gmpy2 is installed its ``mpq`` type is used as the scalar backend;
-it has the same exact semantics and string form as ``fractions.Fraction``.
+The one rational scalar type is ``fractions.Fraction``.  Products and
+``substitute_linear`` run in Python ints on packed monomials over one
+common denominator (``_pack``), with one rational division per output
+term (``_unpack``); their terms come out grlex-descending.
 """
 
 from __future__ import annotations
@@ -31,36 +28,29 @@ from itertools import combinations_with_replacement
 from math import factorial, lcm, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
-try:
-    from gmpy2 import mpq as _Q  # exact rational, drop-in fast path
-except ImportError:  # pragma: no cover
-    _Q = Fraction
-
 Monomial = tuple[int, ...]
 
-_RATIONAL_TYPES = (int, Fraction, type(_Q(0)))
+_RATIONAL_TYPES = (int, Fraction)
 
 
-def rational(value: int | str | Fraction = 0, denominator: int | None = None):
-    """Coerce ``value`` to the exact rational scalar type.
+def rational(value: int | str | Fraction = 0, denominator: int | None = None) -> Fraction:
+    """Coerce ``value`` (over ``denominator``, if given) to a ``Fraction``.
 
-    Accepts integers, strings like ``"3"`` or ``"-3/4"``, Fractions, and
-    values already of the backend type.  Floats are rejected: silent
-    binary-float contamination is the main way exactness dies, so the
-    conversion must be asked for by name (``rational_from_float``).
+    Accepts integers, strings like ``"3"`` or ``"-3/4"``, and Fractions.
+    Floats are rejected in either position: silent binary-float
+    contamination is the main way exactness dies, so the conversion must be
+    asked for by name (``rational_from_float``).
     """
-    if isinstance(value, float):
+    if isinstance(value, float) or isinstance(denominator, float):
         raise TypeError("float coefficient; use rational_from_float for exact conversion")
-    if denominator is not None:
-        return _Q(value) / _Q(denominator)
-    if isinstance(value, str):
-        return _Q(Fraction(value))
-    return _Q(value)
+    if denominator is None:
+        return Fraction(value)
+    return Fraction(value) / Fraction(denominator)
 
 
-def rational_from_float(value: float):
+def rational_from_float(value: float) -> Fraction:
     """Exact rational value of a binary float (no rounding)."""
-    return _Q(Fraction(value).numerator, Fraction(value).denominator)
+    return Fraction(value)
 
 
 def grlex_key(monomial: Monomial) -> tuple[int, Monomial]:
@@ -89,9 +79,8 @@ class Polynomial:
                     raise ValueError(f"exponent tuple {mono} does not have length {dimension}")
                 if any((not isinstance(e, int)) or e < 0 for e in mono):
                     raise ValueError(f"exponents must be nonnegative integers: {mono}")
-                c = coeff if isinstance(coeff, _RATIONAL_TYPES) else rational(coeff)
+                c = rational(coeff)
                 if c != 0:
-                    c = _Q(c)
                     if mono in clean:
                         c = clean[mono] + c
                         if c == 0:
@@ -150,7 +139,7 @@ class Polynomial:
         return degree is None or degrees == {degree}
 
     def coefficient(self, monomial: Sequence[int]):
-        return self.terms.get(tuple(monomial), _Q(0))
+        return self.terms.get(tuple(monomial), Fraction(0))
 
     def sorted_terms(self) -> list[tuple[Monomial, object]]:
         """Terms in canonical graded-lex descending order."""
@@ -159,7 +148,7 @@ class Polynomial:
     def max_abs_coefficient(self):
         """Largest coefficient magnitude as an exact rational (0 for zero)."""
         if not self.terms:
-            return _Q(0)
+            return Fraction(0)
         return max(abs(c) for c in self.terms.values())
 
     # -- arithmetic -----------------------------------------------------------
@@ -290,7 +279,7 @@ def _unpack(n: int, packed: Mapping[int, int], base: int, dividers: Sequence[int
             for _ in range(n):
                 key, e = divmod(key, base)
                 exponents.append(e)
-            terms[tuple(reversed(exponents))] = _Q(coeff, dividers[key])
+            terms[tuple(reversed(exponents))] = Fraction(coeff, dividers[key])
     return _raw(n, terms)
 
 
@@ -385,7 +374,7 @@ def evaluate(f: Polynomial, point: Sequence):
     if len(point) != f.dimension:
         raise ValueError(f"point has length {len(point)}, expected {f.dimension}")
     values = [rational(v) for v in point]
-    total = _Q(0)
+    total = Fraction(0)
     for mono, coeff in f.terms.items():
         term = coeff
         for v, e in zip(values, mono):
@@ -498,7 +487,7 @@ def block_radial(dimension: int, indices: Iterable[int], power: int = 1) -> Poly
         mono = [0] * dimension
         for i in chosen:
             mono[i] += 2
-        terms[tuple(mono)] = _Q(top // prod(factorial(e // 2) for e in mono))
+        terms[tuple(mono)] = Fraction(top // prod(factorial(e // 2) for e in mono))
     return _raw(dimension, terms)
 
 
@@ -524,6 +513,11 @@ class PolyTextError(ValueError):
 
 
 def _meaningful_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(1-based input line number, content) of each line with text left.
+
+    The one scanner of the three text formats (poly-text, normal-form data,
+    rotation files): ``#`` starts a comment, and blank lines are skipped.
+    """
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
@@ -537,7 +531,11 @@ def poly_from_text(text: str) -> Polynomial:
     following line is n exponent integers and one rational coefficient.
     Term order is free and duplicate monomials are merged.
     """
-    lines = _meaningful_lines(text)
+    return _poly_from_lines(_meaningful_lines(text))
+
+
+def _poly_from_lines(lines: Iterator[tuple[int, str]]) -> Polynomial:
+    """``poly_from_text`` on ``_meaningful_lines`` output; errors keep its line numbers."""
     try:
         number, header = next(lines)
     except StopIteration:

@@ -413,6 +413,7 @@ class TestUsage:
         assert result.returncode == 2
 
     def test_console_script_entry(self):
-        # the module entry point and the console script share main()
+        # runs `python -m eikq`; the installed `eikq` console script calls the
+        # same main() and is run by the CI install step
         result = run_cli("congruent", "--n", "5", "2", "3")
         assert result.returncode == 0

@@ -259,6 +259,12 @@ class TestSerialization:
             normal_form_data_from_text("# title\n2\n")
         assert err.value.line_number == 2
 
+    def test_theta3_error_keeps_input_line_number(self):
+        text = "# normal form\n1 1\n\n# matrix\n1\n\n# theta3\nn 2\n1 x 1\n"
+        with pytest.raises(PolyTextError, match="line 9: bad exponent") as err:
+            normal_form_data_from_text(text)
+        assert err.value.line_number == 9
+
     def test_bad_matrix_row_line_number(self):
         with pytest.raises(PolyTextError, match="line 3"):
             normal_form_data_from_text("2 1\n1 0\n0 -1 5\nn 3\n")
