@@ -19,18 +19,21 @@ The checks stack in three layers:
   spectral constraints on the matrix pencil behind psi.  The structure
   identities are gradient inner products over the xi or eta block (tau_i
   and A_eta xi are the partial derivatives of psi); `check_pencil` decides
-  the cube identity A_eta^3 = |eta|^2 A_eta on matrices alone.
+  the cube identity A_eta^3 = |eta|^2 A_eta on matrices alone, on the
+  integer expansion `pencils._identity_coefficients` shares with
+  `eta_identity_residual`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import asdict, dataclass
+from itertools import islice
 from typing import TYPE_CHECKING, Iterator, Optional, Protocol
 
 from .matrices import _int_matmul, _integer_entries
 from .pencils import (
     Pencil,
+    _identity_coefficients,
     eta_identity_residual,
     psi_from_pencil,
     theta0_poly,
@@ -266,16 +269,8 @@ class PencilReport:
         return self.cube_identity if self.q == 1 else self.spectral
 
     def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "nu": self.nu,
-            "mu": self.mu,
-            "trace_free": self.trace_free,
-            "cube_identity": self.cube_identity,
-            "symmetrized_identity": self.symmetrized_identity,
-            "spectrum_constant": self.spectrum_constant,
-            "passed": self.passed,
-        }
+        """The fields in declaration order, then `passed`."""
+        return {**asdict(self), "passed": self.passed}
 
 
 def check_pencil(pencil: Pencil, p: int) -> PencilReport:
@@ -287,28 +282,25 @@ def check_pencil(pencil: Pencil, p: int) -> PencilReport:
     = A_j for i != j, and for each i < j < k the sum of A_a A_b A_c over
     the six orders of (i, j, k) is zero.  Every coefficient matrix is
     symmetric, so this decides `eta_identity_residual` = 0 on matrices
-    alone.  The three conditions are tested in that order and the test
-    stops at the first that fails.
+    alone.  `pencils._identity_coefficients` yields them in that order,
+    scaled by D^3, and the test stops at the first nonzero one.
 
-    Everything runs in integers: with D the lcm of every denominator of
-    the pencil, B_i = D A_i has integer entries, and each identity is
-    decided on the B_i with both sides scaled by D^3 (B_i^3 = D^2 B_i, the
-    pairs equal to D^2 B_j, the triples zero).  The traces need no scaling
-    to be tested for zero or for equality, and tr(A_0^2) = tr(B_0^2) / D^2.
+    Everything runs in integers on B_i = D A_i, D the lcm of every
+    denominator of the pencil; the squares B_i^2 serve the identity and
+    the traces.  The traces need no scaling to be tested for zero or for
+    equality, and tr(A_0^2) = tr(B_0^2) / D^2.
     """
     pencil = validate_pencil(pencil, p)
     q = len(pencil)
     if q == 0:
         raise ValueError("pencil must contain at least one matrix")
     mats, den = _integer_entries(pencil)
-    d2 = den * den
     squares = [_int_matmul(b, b) for b in mats]
-    # D^2 B_i: the right-hand side of the cube and of the coordinate pairs
-    targets = [[[d2 * v for v in row] for row in b] for b in mats]
-    cube = all(_int_matmul(sq, b) == t for sq, b, t in zip(squares, mats, targets))
+    coefficients = _identity_coefficients(mats, squares, den)
+    cube = all(_is_zero(c) for _, c in islice(coefficients, q))
     trace_free = all(_trace(b) == 0 for b in mats)
     square_traces = [_trace(sq) for sq in squares]
-    t0, remainder = divmod(square_traces[0], d2)
+    t0, remainder = divmod(square_traces[0], den * den)
     nu: Optional[int] = None
     mu: Optional[int] = None
     if remainder == 0 and t0 % 2 == 0 and 0 <= t0 <= p:
@@ -320,27 +312,10 @@ def check_pencil(pencil: Pencil, p: int) -> PencilReport:
         and cube
         and all(t == square_traces[0] for t in square_traces)
     )
-    symmetrized = (
-        cube
-        and all(
-            _pair_sum(squares[i], mats[i], mats[j]) == targets[j]
-            for i in range(q)
-            for j in range(q)
-            if i != j
-        )
-        and all(
-            _is_antisymmetric(_triple_half(*(mats[k] for k in triple)))
-            for triple in combinations(range(q), 3)
-        )
-    )
+    symmetrized = cube and all(_is_zero(c) for _, c in coefficients)
     return PencilReport(
-        q=q,
-        nu=nu,
-        mu=mu,
-        trace_free=trace_free,
-        cube_identity=cube,
-        symmetrized_identity=symmetrized,
-        spectrum_constant=spectrum_constant,
+        q=q, nu=nu, mu=mu, trace_free=trace_free, cube_identity=cube,
+        symmetrized_identity=symmetrized, spectrum_constant=spectrum_constant,
     )
 
 
@@ -348,34 +323,8 @@ def _trace(b) -> int:
     return sum(row[i] for i, row in enumerate(b))
 
 
-def _pair_sum(sq_s, b_s, b_t) -> list[list[int]]:
-    """B_s^2 B_t + B_t B_s^2 + B_s B_t B_s for symmetric B_s, B_t.
-
-    B_t B_s^2 is the transpose of B_s^2 B_t, so three products suffice.
-    """
-    x = _int_matmul(sq_s, b_t)
-    y = _int_matmul(_int_matmul(b_s, b_t), b_s)
-    return [
-        [u + v + w for u, v, w in zip(x_row, x_col, y_row)]
-        for x_row, x_col, y_row in zip(x, zip(*x), y)
-    ]
-
-
-def _triple_half(a, b, c) -> list[list[int]]:
-    """M = abc + acb + bac, so that the sum over the six orders is M + M^T.
-
-    The transposes of abc, acb and bac are cba, bca and cab for symmetric
-    a, b, c; M is a (bc + cb) + (ba) c, four products instead of twelve.
-    """
-    bc = _int_matmul(b, c)
-    sym = [[u + v for u, v in zip(row, col)] for row, col in zip(bc, zip(*bc))]
-    first = _int_matmul(a, sym)
-    second = _int_matmul(_int_matmul(b, a), c)
-    return [[u + v for u, v in zip(r1, r2)] for r1, r2 in zip(first, second)]
-
-
-def _is_antisymmetric(m) -> bool:
-    return all(u + v == 0 for row, col in zip(m, zip(*m)) for u, v in zip(row, col))
+def _is_zero(m) -> bool:
+    return not any(map(any, m))
 
 
 def pencil_spectrum(pencil: Pencil, p: int) -> tuple[int, int]:

@@ -40,18 +40,16 @@ form that was read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from .analysis import check_eikonal, pencil_spectrum
 from .matrices import RationalMatrix
-from .normalform import NormalForm, NotEikonalEvidence, obtain_normal_form
+from .normalform import REJECT_TOL, NormalForm, NotEikonalEvidence, obtain_normal_form
 from .pencils import quadratic_form_matrix
 from .polyring import Polynomial, laplacian, radial_power, rational, substitute_linear
-
-REJECT_TOL = 1e-6
 
 VERDICT_PRIMITIVE = "primitive"
 VERDICT_ISOPARAMETRIC = "isoparametric"
@@ -80,22 +78,8 @@ class ClassificationReport:
     detail: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "verdict": self.verdict,
-            "n": self.n,
-            "arithmetic": self.arithmetic,
-            "residual": self.residual,
-            "p": self.p,
-            "q": self.q,
-            "dim_h": self.dim_h,
-            "nu": self.nu,
-            "mu": self.mu,
-            "m1": self.m1,
-            "m2": self.m2,
-            "laplacian_constant": self.laplacian_constant,
-            "detail": self.detail,
-        }
+        """The fields in declaration order, after the schema version."""
+        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
     def summary_lines(self) -> list[str]:
         lines = [f"verdict: {self.verdict}"]
@@ -179,8 +163,8 @@ def classify(
 
     The eikonal residual of f gates everything: exactly zero runs the whole
     pipeline in rational arithmetic; below `tol` the float route is taken
-    (unless `allow_float` is off); between `tol` and the 1e-6 rejection
-    threshold the verdict is "inconclusive_float"; above it "not_eikonal".
+    (unless `allow_float` is off); between `tol` and `REJECT_TOL` the
+    verdict is "inconclusive_float"; above it "not_eikonal".
     A `rotation` (exact, orthogonal) short-circuits the numeric maximizer
     and keeps even rotated inputs on the exact route.  (m1, m2) and
     `laplacian_constant` are those of f itself; p, q, nu and mu are those of

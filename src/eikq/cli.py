@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import traceback
@@ -49,7 +50,7 @@ from .constructors import (
 )
 from .matrices import RationalMatrix
 from .normalform import NotEikonalEvidence, obtain_normal_form
-from .polyring import PolyTextError, _meaningful_lines, poly_from_text, poly_to_text, rational
+from .polyring import _meaningful_lines, poly_from_text, poly_to_text, rational
 
 _GREEN, _RED, _YELLOW = "32", "31", "33"
 
@@ -288,10 +289,21 @@ def _cmd_search_pencil(args) -> int:
     return 0 if hits else 1
 
 
+def _tolerance(text: str) -> float:
+    """A --tol value: a finite number >= 0; argparse exits 2 on anything else."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def _add_common(sub, *, tol=True, seed=True, rotation=False, exact=False):
     sub.add_argument("--json", action="store_true", help="emit a JSON report")
     if tol:
-        sub.add_argument("--tol", type=float, default=1e-9,
+        sub.add_argument("--tol", type=_tolerance, default=1e-9,
                          help="numeric acceptance threshold (default 1e-9)")
     if seed:
         sub.add_argument("--seed", type=int, default=0,
@@ -376,10 +388,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except PolyTextError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # PolyTextError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

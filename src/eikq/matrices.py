@@ -13,7 +13,10 @@ output entry costs one rational division.  `_integer_entries` and
 pencil over one denominator and makes no rational at all.  Elimination runs
 on the same integer rows: `_row_reduce` is one fraction-free Gauss-Jordan
 loop behind both `kernel_basis` and `inverse`, and rationals are made only
-when the answer is read off the reduced rows.
+when the answer is read off the reduced rows.  `orthonormalize_rational` is
+fraction-free Gram-Schmidt on integer multiples of its vectors, with one
+`math.isqrt` per kept vector deciding whether it normalizes rationally.
+The integer expansion of the pencil identity lives in `eikq.pencils`.
 """
 
 from __future__ import annotations
@@ -250,57 +253,34 @@ def _raw_matrix(entries: tuple[tuple, ...]) -> RationalMatrix:
     return matrix
 
 
-def dot(u: Sequence, v: Sequence):
-    return sum(rational(a) * rational(b) for a, b in zip(u, v))
-
-
-def is_square_rational(value) -> bool:
-    """True when a rational is the square of a rational."""
-    value = rational(value)
-    if value < 0:
-        return False
-    num, den = value.numerator, value.denominator
-    return math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den
-
-
-def sqrt_rational(value):
-    """Exact square root of a perfect-square rational."""
-    value = rational(value)
-    if not is_square_rational(value):
-        raise ValueError(f"{value} is not a perfect rational square")
-    return rational(math.isqrt(value.numerator), math.isqrt(value.denominator))
-
-
-def gram_schmidt(vectors: Sequence[Sequence]) -> list[tuple]:
-    """Orthogonalize (not normalize) a list of vectors, staying rational."""
-    ortho: list[tuple] = []
-    for v in vectors:
-        w = [rational(x) for x in v]
-        for u in ortho:
-            uu = dot(u, u)
-            if uu == 0:
-                continue
-            factor = dot(u, w) / uu
-            w = [a - factor * b for a, b in zip(w, u)]
-        if any(x != 0 for x in w):
-            ortho.append(tuple(w))
-    return ortho
-
-
 def orthonormalize_rational(vectors: Sequence[Sequence]) -> list[tuple] | None:
     """Rational orthonormal basis of span(vectors), or None when none exists.
 
-    Orthogonalization is always rational; normalization is possible only
-    when each resulting norm squared is a perfect rational square.
+    Fraction-free Gram-Schmidt: each vector w, scaled to integers, becomes
+    |u|^2 w - <u, w> u over its gcd against every kept u, and is dropped if
+    zero.  A kept w is a positive multiple of the rational Gram-Schmidt
+    vector, so w / |w| is rational exactly when |w|^2 is a perfect square.
     """
-    ortho = gram_schmidt(vectors)
+    ortho: list[tuple[list[int], int]] = []
     result = []
-    for w in ortho:
-        norm_sq = dot(w, w)
-        if not is_square_rational(norm_sq):
-            return None
-        norm = sqrt_rational(norm_sq)
-        result.append(tuple(x / norm for x in w))
+    # every entry is coerced first, so a float anywhere raises even after a None
+    for v in [[rational(x) for x in v] for v in vectors]:
+        den = math.lcm(*(x.denominator for x in v))
+        w = [x.numerator * (den // x.denominator) for x in v]
+        for u, uu in ortho:
+            uw = sum(map(mul, u, w))
+            if uw:
+                w = [uu * a - uw * b for a, b in zip(w, u)]
+                g = math.gcd(*w)
+                if g > 1:
+                    w = [a // g for a in w]
+        ww = sum(a * a for a in w)
+        if ww:
+            norm = math.isqrt(ww)
+            if norm * norm != ww:
+                return None
+            ortho.append((w, ww))
+            result.append(tuple(Fraction(a, norm) for a in w))
     return result
 
 

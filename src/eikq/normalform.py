@@ -24,7 +24,7 @@ not expose the normal form, or `NotEikonalEvidence` when it contradicts
 eikonality itself.  Without a rotation, a numeric sphere ascent finds a
 maximizer, a float eigensolver diagonalizes phi, both rotations are
 rationalized entry by entry, and every deviation is accumulated into
-`extraction_residual` and judged against the snap tolerance SNAP_TOL.
+`extraction_residual` and judged against REJECT_TOL.
 
 `obtain_normal_form`, shared by `classify` and `eikq normalform`, decides
 which rotation and which sign (f or -f; congruence includes the sign) the
@@ -55,7 +55,9 @@ from .polyring import (
 if TYPE_CHECKING:
     from .analysis import Residual
 
-SNAP_TOL = 1e-6
+# The one rejection threshold: a deviation beyond it (classify's eikonal
+# residual, a float extraction residual here) means f is not eikonal.
+REJECT_TOL = 1e-6
 
 _HALTON_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                   59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113)
@@ -495,7 +497,7 @@ def extract_normal_form(
     numeric maximizer (`sphere_maximize`, with `tol` and `seed`) and
     a float eigensolver supply rotations that are rationalized entry by
     entry, so the result carries arithmetic="float" and an extraction
-    residual, and deviations above SNAP_TOL are NotEikonalEvidence.  On
+    residual, and deviations above REJECT_TOL are NotEikonalEvidence.  On
     either route NotEikonalEvidence means f cannot be eikonal at all.
     """
     if f.dimension < 1:
@@ -505,7 +507,7 @@ def extract_normal_form(
     if rotation is None:
         point = np.array(sphere_maximize(f, tol=tol, seed=seed))
         return _extract(
-            f, RationalMatrix.from_float(_householder_to_last(point)), SNAP_TOL
+            f, RationalMatrix.from_float(_householder_to_last(point)), REJECT_TOL
         )
     n = f.dimension
     if not rotation.is_square or rotation.n_rows != n:

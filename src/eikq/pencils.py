@@ -23,14 +23,18 @@ sum_alpha eta^alpha xi^T M_alpha xi (tau_i, psi, the A_eta^2 part of
 theta_2, the identity residual) as one term dict; `eikq.normalform` reads
 them back with `polyring.homogeneous_split`.  The sums of squares |xi|^2,
 |eta|^2 and their powers are `polyring.block_radial`.
+The identity is expanded once, in integers, by `_identity_coefficients`:
+`analysis.check_pencil` tests its coefficient matrices for zero and
+`eta_identity_residual` writes them out as a polynomial.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Sequence
+from fractions import Fraction
+from itertools import combinations, permutations
+from typing import Iterator, Sequence
 
-from .matrices import RationalMatrix
+from .matrices import RationalMatrix, _int_matmul, _integer_entries
 from .polyring import Polynomial, _raw, block_radial, poly_mul, poly_square, rational
 
 Pencil = tuple[RationalMatrix, ...]
@@ -51,13 +55,12 @@ def _pencil_forms(dimension: int, p: int, items) -> Polynomial:
     """sum_alpha eta^alpha xi^T M_alpha xi, written as one term dict.
 
     `items` yields (alpha, M_alpha): alpha a tuple of eta indices (repeats
-    allowed, eta_i being variable p + i) and M_alpha a p x p matrix, not
-    necessarily symmetric.  This is the one place that lays out (xi, eta)
-    monomials of pencil data.
+    allowed, eta_i being variable p + i) and M_alpha the rows of a p x p
+    matrix, not necessarily symmetric.  This is the one place that lays out
+    (xi, eta) monomials of pencil data.
     """
     terms: dict[tuple[int, ...], object] = {}
-    for alpha, matrix in items:
-        rows = matrix.entries
+    for alpha, rows in items:
         base = [0] * dimension
         for i in alpha:
             base[p + i] += 1
@@ -80,7 +83,7 @@ def quadratic_form_poly(matrix: RationalMatrix, dimension: int) -> Polynomial:
     """x^T M x with x occupying the first p variables of the ring."""
     if matrix.n_rows > dimension:
         raise ValueError("quadratic form does not fit in the ring")
-    return _pencil_forms(dimension, matrix.n_rows, [((), matrix)])
+    return _pencil_forms(dimension, matrix.n_rows, [((), matrix.entries)])
 
 
 def quadratic_form_matrix(f: Polynomial, indices: Sequence[int]) -> RationalMatrix:
@@ -117,7 +120,7 @@ def tau_polynomials(pencil: Pencil, p: int, dimension: int | None = None) -> tup
 
 def psi_from_pencil(pencil: Pencil, p: int) -> Polynomial:
     """psi = xi^T A_eta xi in the (p + q)-variable ring."""
-    return _pencil_forms(p + len(pencil), p, (((i,), a) for i, a in enumerate(pencil)))
+    return _pencil_forms(p + len(pencil), p, (((i,), a.entries) for i, a in enumerate(pencil)))
 
 
 def theta4_from_pencil(pencil: Pencil, p: int) -> Polynomial:
@@ -132,9 +135,8 @@ def theta4_from_pencil(pencil: Pencil, p: int) -> Polynomial:
 def theta2_from_pencil(pencil: Pencil, p: int) -> Polynomial:
     """theta_2 = 8 xi^T A_eta^2 xi - 6 |xi|^2 |eta|^2."""
     dim = p + len(pencil)
-    squares = _pencil_forms(
-        dim, p, (((i, l), a @ b) for i, a in enumerate(pencil) for l, b in enumerate(pencil))
-    )
+    pairs = (((i, l), (a @ b).entries) for i, a in enumerate(pencil) for l, b in enumerate(pencil))
+    squares = _pencil_forms(dim, p, pairs)
     cross = poly_mul(block_radial(dim, range(p)), block_radial(dim, range(p, dim)))
     return 8 * squares - 6 * cross
 
@@ -147,19 +149,62 @@ def theta0_poly(p: int, q: int) -> Polynomial:
 def eta_identity_residual(pencil: Pencil, p: int) -> Polynomial:
     """xi^T (A_eta^3 - |eta|^2 A_eta) xi as a polynomial identity in eta.
 
-    Zero exactly when the cubic pencil identity holds for every eta.  With
-    |eta|^2 A_eta = sum_{i,j} eta_i eta_j^2 A_i, the terms are
-    eta_i eta_j eta_k A_i A_j A_k and -eta_i eta_j eta_j A_i.
+    Zero exactly when the cubic pencil identity holds for every eta: the
+    matrices of `_identity_coefficients`, laid out in integers over D^3.
     """
-    q = len(pencil)
-    cubes = (
-        ((i, j, k), a @ b @ c)
-        for i, a in enumerate(pencil)
-        for j, b in enumerate(pencil)
-        for k, c in enumerate(pencil)
-    )
-    radial = (((i, j, j), -a) for i, a in enumerate(pencil) for j in range(q))
-    return _pencil_forms(p + q, p, chain(cubes, radial))
+    mats, den = _integer_entries(pencil)
+    squares = [_int_matmul(b, b) for b in mats]
+    forms = _pencil_forms(p + len(pencil), p, _identity_coefficients(mats, squares, den))
+    return forms * Fraction(1, den ** 3)
+
+
+def _identity_coefficients(mats, squares, den: int) -> Iterator[tuple]:
+    """(alpha, C_alpha) with D^3 (A_eta^3 - |eta|^2 A_eta) = sum eta^alpha C_alpha.
+
+    `mats` are the B_i = D A_i of `_integer_entries(pencil)`, `squares` the
+    B_i^2.  The symmetric integer C_alpha come lazily, so a zero test can
+    stop at the first nonzero one: the cubes eta_i^3, (B_i^2 - D^2 I) B_i;
+    the coordinate pairs eta_i^2 eta_j for i != j, `_pair_sum` less D^2 B_j;
+    the triples eta_i eta_j eta_k for i < j < k, M + M^T for M `_triple_half`.
+    """
+    d2 = den * den
+    for i, (b, sq) in enumerate(zip(mats, squares)):
+        shifted = [row.copy() for row in sq]
+        for k, row in enumerate(shifted):
+            row[k] -= d2
+        yield (i, i, i), _int_matmul(shifted, b)
+    targets = [[[d2 * v for v in row] for row in b] for b in mats]
+    for i, j in permutations(range(len(mats)), 2):
+        yield (i, i, j), _pair_sum(squares[i], mats[i], mats[j], targets[j])
+    for triple in combinations(range(len(mats)), 3):
+        m = _triple_half(*(mats[k] for k in triple))
+        yield triple, [[u + v for u, v in zip(row, col)] for row, col in zip(m, zip(*m))]
+
+
+def _pair_sum(sq_s, b_s, b_t, target) -> list[list[int]]:
+    """B_s^2 B_t + B_t B_s^2 + B_s B_t B_s - target for symmetric B_s, B_t.
+
+    B_t B_s^2 is the transpose of B_s^2 B_t, so three products suffice.
+    """
+    x = _int_matmul(sq_s, b_t)
+    y = _int_matmul(_int_matmul(b_s, b_t), b_s)
+    return [
+        [u + v + w - t for u, v, w, t in zip(x_row, x_col, y_row, t_row)]
+        for x_row, x_col, y_row, t_row in zip(x, zip(*x), y, target)
+    ]
+
+
+def _triple_half(a, b, c) -> list[list[int]]:
+    """M = abc + acb + bac, so that the sum over the six orders is M + M^T.
+
+    The transposes of abc, acb and bac are cba, bca and cab for symmetric
+    a, b, c; M is a (bc + cb) + (ba) c, four products instead of twelve.
+    """
+    bc = _int_matmul(b, c)
+    sym = [[u + v for u, v in zip(row, col)] for row, col in zip(bc, zip(*bc))]
+    first = _int_matmul(a, sym)
+    second = _int_matmul(_int_matmul(b, a), c)
+    return [[u + v for u, v in zip(r1, r2)] for r1, r2 in zip(first, second)]
 
 
 def eigenspace_bases(

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import _data as data
+from eikq.constructors import make_canonical_quartic
 from eikq.polyring import poly_to_text
 
 IDENTITY_4 = "4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"
@@ -403,6 +404,21 @@ class TestUsage:
         assert [code for code, _, _ in reused] == [0, 0, 2, 0, 2, 0, 0, 2, 0]
         assert reused[0] == reused[3] and reused[1] == reused[5]
         assert "usage: eikq congruent" in reused[2][2]
+
+    @pytest.mark.parametrize("verb, tol", [
+        ("verify", "inf"), ("verify", "-1"), ("classify", "-1"), ("classify", "nan"),
+        ("normalform", "nan"), ("normalform", "-1"),
+    ])
+    def test_tol_must_be_finite_and_nonnegative(self, tmp_path, capsys, verb, tol):
+        # x0^4 is not eikonal and make_canonical_quartic(3, 1) is exactly eikonal:
+        # a negative, NaN or infinite --tol would pass the first or reject the second
+        f = poly_to_text(make_canonical_quartic(3, 1)) if verb != "verify" else "n 2\n4 0 1\n"
+        code, out, err = _in_process([verb, write(tmp_path, "f.txt", f), "--tol", tol], capsys)
+        assert (code, out) == (2, "")
+        assert f"argument --tol: expected a finite number >= 0, got '{tol}'" in err
+        assert _in_process([verb, write(tmp_path, "f.txt", f), "--tol", "0"], capsys)[0] == (
+            1 if verb == "verify" else 0
+        )
 
     def test_unknown_verb(self):
         result = run_cli("frobnicate")

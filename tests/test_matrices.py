@@ -7,18 +7,14 @@ from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eikq.matrices import (
     RationalMatrix,
     cayley_orthogonal,
-    dot,
-    gram_schmidt,
-    is_square_rational,
     orthonormalize_rational,
     random_rational_orthogonal,
-    sqrt_rational,
 )
 
 
@@ -84,24 +80,6 @@ def test_random_rational_orthogonal_seeds():
     assert random_rational_orthogonal(4, 3) == random_rational_orthogonal(4, 3)
 
 
-def test_square_rational_detection():
-    assert is_square_rational(Fraction(9, 4))
-    assert not is_square_rational(2)
-    assert not is_square_rational(Fraction(-1))
-    assert sqrt_rational(Fraction(9, 4)) == Fraction(3, 2)
-    with pytest.raises(ValueError):
-        sqrt_rational(3)
-
-
-def test_gram_schmidt_orthogonalizes():
-    vectors = [(1, 1, 0), (1, 0, 0), (0, 0, 2)]
-    ortho = gram_schmidt(vectors)
-    assert len(ortho) == 3
-    for i in range(3):
-        for j in range(i + 1, 3):
-            assert dot(ortho[i], ortho[j]) == 0
-
-
 def test_orthonormalize_rational_perfect_square_case():
     basis = orthonormalize_rational([(3, 4), (4, -3)])
     assert basis == [
@@ -113,6 +91,11 @@ def test_orthonormalize_rational_perfect_square_case():
 def test_orthonormalize_rational_impossible_case():
     # span{(1,1)} has no rational unit vector
     assert orthonormalize_rational([(1, 1)]) is None
+
+
+def test_orthonormalize_rational_rejects_floats():
+    with pytest.raises(TypeError, match="float"):
+        orthonormalize_rational([(1, 0.5)])
 
 
 def reference_product(a: RationalMatrix, b: RationalMatrix) -> list[list[Fraction]]:
@@ -284,3 +267,50 @@ def test_cayley_orthogonal_matches_sympy(skew):
     )
     assert_fraction_rows(q.entries)
     assert q.is_orthogonal()
+
+
+@st.composite
+def independent_sets(draw):
+    """1 to n independent vectors in dimension n <= 4.  Half the time they are
+    scaled triangular combinations of the columns of a Cayley rotation, so
+    the orthonormal basis is rational; otherwise small rationals, whose
+    basis mostly is not."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, n))
+    if draw(st.booleans()):
+        columns = random_rational_orthogonal(n, draw(st.integers(0, 10 ** 6))).transpose()
+        vectors = []
+        for m in range(k):
+            weights = draw(st.lists(_ENTRIES, min_size=m, max_size=m))
+            weights.append(draw(_ENTRIES.filter(bool)))
+            scale = draw(_ENTRIES.filter(bool))
+            vectors.append([
+                scale * sum((w * c for w, c in zip(weights, column)), Fraction(0))
+                for column in zip(*columns.entries[: m + 1])
+            ])
+    else:
+        vectors = draw(st.lists(st.lists(_ENTRIES, min_size=n, max_size=n),
+                                min_size=k, max_size=k))
+    assume(sympy.Matrix(vectors).rank() == k)
+    return vectors
+
+
+@given(independent_sets())
+@settings(max_examples=150, deadline=None)
+def test_orthonormalize_rational_matches_sympy(vectors):
+    reference = sympy.GramSchmidt(
+        [sympy.Matrix([sympy.Rational(v.numerator, v.denominator) for v in vec])
+         for vec in vectors],
+        orthonormal=True,
+    )
+    basis = orthonormalize_rational(vectors)
+    if all(e.is_Rational for vec in reference for e in vec):
+        assert basis == [tuple(Fraction(int(e.p), int(e.q)) for e in vec) for vec in reference]
+        assert_fraction_rows(basis)
+    else:
+        assert basis is None
+    # sympy refuses dependent sets; a dependent or zero vector adds nothing
+    total = [sum(column, Fraction(0)) for column in zip(*vectors)]
+    zero = [Fraction(0)] * len(vectors[0])
+    assert orthonormalize_rational(vectors + [total]) == basis
+    assert orthonormalize_rational(vectors + [zero]) == basis
