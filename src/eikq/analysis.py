@@ -139,18 +139,14 @@ def check_munzner_second(f: Polynomial, g: int, m_sum: int | None = None):
         raise ValueError("degree g must be a positive integer")
     lap = laplacian(f)
     constant = None
-    if g % 2 == 1:
-        if lap.is_zero:
-            constant = rational(0)
-    else:
+    if lap.is_zero:
+        constant = rational(0)
+    elif g % 2 == 0:
         target = radial_power(f.dimension, (g - 2) // 2)
-        if lap.is_zero:
-            constant = rational(0)
-        else:
-            probe = next(iter(target.terms))
-            c = lap.coefficient(probe)
-            if c != 0 and lap == c * target:
-                constant = c
+        probe = next(iter(target.terms))
+        c = lap.coefficient(probe)
+        if c != 0 and lap == c * target:
+            constant = c
     if constant is None:
         return None
     if m_sum is None:

@@ -170,8 +170,6 @@ def classify(
     `laplacian_constant` are those of f itself; p, q, nu and mu are those of
     the normal form read, which may be that of -f.
     """
-    if f.dimension < 1:
-        raise ValueError("f must have at least one variable")
     if f.is_zero or not f.is_homogeneous(4):
         raise ValueError("f must be a nonzero homogeneous quartic")
     n = f.dimension

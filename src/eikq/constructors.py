@@ -9,7 +9,9 @@ Three construction routes live here:
   coordinate line.
 
 * `make_canonical_quartic` builds |x|^4 - 8 |x_K|^2 |x_{K^perp}|^2 for the
-  first k coordinates, the standard quartic with a prescribed split.
+  first k coordinates, the standard quartic with a prescribed split.  It is
+  the primitive quartic h_k, so it is `make_primitive(4, n, k)` with
+  k <= n // 2.
 
 * `NormalFormData` + `assemble_from_normal_form` realize a quartic from its
   rotated normal form x_n^4 + 2 phi x_n^2 + 8 psi x_n + theta, where the
@@ -54,7 +56,6 @@ from .polyring import (
     homogeneous_split,
     poly_mul,
     poly_to_text,
-    radial_power,
     rational,
 )
 
@@ -76,32 +77,25 @@ def make_primitive(g: int, n: int, dimh: int) -> Polynomial:
         raise ValueError("dimh must lie between 0 and n")
     if g % 2 == 1 and dimh != 1:
         raise ValueError("odd degree requires dimh == 1")
-    eta_sq = block_radial(n, range(dimh, n))
     out = Polynomial.zero(n)
-    if g % 2 == 0:
-        xi_sq = block_radial(n, range(dimh))
-        for k in range(g // 2 + 1):
-            sign = -1 if k % 2 else 1
-            term = poly_mul(xi_sq ** ((g - 2 * k) // 2), eta_sq ** k)
-            out = out + sign * comb(g, 2 * k) * term
-    else:
-        x0 = Polynomial.variable(n, 0)
-        for k in range((g - 1) // 2 + 1):
-            sign = -1 if k % 2 else 1
-            term = poly_mul(x0 ** (g - 2 * k), eta_sq ** k)
-            out = out + sign * comb(g, 2 * k) * term
+    for k in range(g // 2 + 1):
+        if g % 2:
+            head = Polynomial.monomial(n, (g - 2 * k,) + (0,) * (n - 1))
+        else:
+            head = block_radial(n, range(dimh), g // 2 - k)
+        sign = -1 if k % 2 else 1
+        term = poly_mul(head, block_radial(n, range(dimh, n), k))
+        out = out + sign * comb(g, 2 * k) * term
     return out
 
 
 def make_canonical_quartic(n: int, k: int) -> Polynomial:
-    """|x|^4 - 8 |x_K|^2 |x_{K^perp}|^2 with K the first k coordinates."""
+    """|x|^4 - 8 |x_K|^2 |x_{K^perp}|^2 = h_k with K the first k coordinates."""
     if not isinstance(n, int) or n < 1:
         raise ValueError("ambient dimension n must be a positive integer")
     if not isinstance(k, int) or not 0 <= k <= n // 2:
         raise ValueError("k must lie between 0 and n // 2")
-    head = block_radial(n, range(k))
-    tail = block_radial(n, range(k, n))
-    return radial_power(n, 2) - 8 * poly_mul(head, tail)
+    return make_primitive(4, n, k)
 
 
 @dataclass(frozen=True)
@@ -185,18 +179,7 @@ def normal_form_data_from_text(text: str) -> NormalFormData:
     numbered = list(_meaningful_lines(text))
     if not numbered:
         raise PolyTextError("empty normal-form input", 1)
-    cursor = 0
-
-    def take() -> tuple[int, str]:
-        nonlocal cursor
-        if cursor >= len(numbered):
-            last = numbered[-1][0]
-            raise PolyTextError("unexpected end of normal-form input", last)
-        item = numbered[cursor]
-        cursor += 1
-        return item
-
-    line_no, header = take()
+    line_no, header = numbered[0]
     parts = header.split()
     if len(parts) != 2:
         raise PolyTextError("header must be 'p q'", line_no)
@@ -206,26 +189,26 @@ def normal_form_data_from_text(text: str) -> NormalFormData:
         raise PolyTextError("header must hold two integers", line_no) from None
     if p < 0 or q < 0:
         raise PolyTextError("p and q must be nonnegative", line_no)
-    pencil = []
-    for _ in range(q):
-        rows = []
-        for _ in range(p):
-            line_no, row = take()
-            tokens = row.split()
-            if len(tokens) != p:
-                raise PolyTextError(f"matrix row must hold {p} entries", line_no)
-            try:
-                rows.append([rational(tok) for tok in tokens])
-            except (ValueError, ZeroDivisionError):
-                raise PolyTextError("matrix entries must be rationals", line_no) from None
-        pencil.append(RationalMatrix(rows))
-    if cursor == len(numbered):
+    end = 1 + p * q  # the header, then q blocks of p matrix rows
+    rows = []
+    for line_no, row in numbered[1:end]:
+        tokens = row.split()
+        if len(tokens) != p:
+            raise PolyTextError(f"matrix row must hold {p} entries", line_no)
+        try:
+            rows.append([rational(tok) for tok in tokens])
+        except (ValueError, ZeroDivisionError):
+            raise PolyTextError("matrix entries must be rationals", line_no) from None
+    if len(numbered) < end:
+        raise PolyTextError("unexpected end of normal-form input", numbered[-1][0])
+    if len(numbered) == end:
         raise PolyTextError("missing theta_3 polynomial section", numbered[-1][0])
-    theta3 = _poly_from_lines(iter(numbered[cursor:]))
+    pencil = [RationalMatrix(rows[i * p:(i + 1) * p]) for i in range(q)]
+    theta3 = _poly_from_lines(iter(numbered[end:]))
     if theta3.dimension != p + q:
         raise PolyTextError(
             f"theta_3 must use {p + q} variables, found {theta3.dimension}",
-            numbered[cursor][0],
+            numbered[end][0],
         )
     try:
         return NormalFormData(p, q, tuple(pencil), theta3)

@@ -104,13 +104,7 @@ class RationalMatrix:
         )
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._require_same_shape(other)
-        return _raw_matrix(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
+        return self + (-other)
 
     def __neg__(self) -> "RationalMatrix":
         return _raw_matrix(tuple(tuple(-a for a in row) for row in self.entries))

@@ -46,6 +46,7 @@ from .pencils import Pencil, quadratic_form_matrix
 from .polyring import (
     Polynomial,
     _raw,
+    block_radial,
     homogeneous_split,
     partial_derivative,
     rational,
@@ -281,13 +282,7 @@ def _extract(f: Polynomial, rotation: RationalMatrix, tol: float) -> NormalForm:
         g = substitute_linear(g, w)
         layers = _xn_layers(g)
     eigenvalues = (1,) * p + (-3,) * q
-    ideal = _raw(
-        m,
-        {
-            tuple(2 if j == i else 0 for j in range(m)): rational(s)
-            for i, s in enumerate(eigenvalues)
-        },
-    )
+    ideal = block_radial(m, range(p)) - 3 * block_radial(m, range(p, m))
     residual = max(residual, _refuse_stray(
         rational(1, 2) * layers[2] - ideal, tol,
         "the x_n^2 coefficient did not diagonalize",
@@ -500,8 +495,6 @@ def extract_normal_form(
     residual, and deviations above REJECT_TOL are NotEikonalEvidence.  On
     either route NotEikonalEvidence means f cannot be eikonal at all.
     """
-    if f.dimension < 1:
-        raise ValueError("f must have at least one variable")
     if f.is_zero or not f.is_homogeneous(4):
         raise ValueError("f must be a nonzero homogeneous quartic")
     if rotation is None:

@@ -35,7 +35,7 @@ from itertools import combinations, permutations
 from typing import Iterator, Sequence
 
 from .matrices import RationalMatrix, _int_matmul, _integer_entries
-from .polyring import Polynomial, _raw, block_radial, poly_mul, poly_square, rational
+from .polyring import Polynomial, _add_terms, _raw, block_radial, poly_mul, poly_square, rational
 
 Pencil = tuple[RationalMatrix, ...]
 
@@ -67,15 +67,11 @@ def _pencil_forms(dimension: int, p: int, items) -> Polynomial:
         for j in range(p):
             for k in range(j, p):
                 coeff = rows[j][k] if j == k else rows[j][k] + rows[k][j]
-                if coeff == 0:
-                    continue
-                mono = base.copy()
-                mono[j] += 1
-                mono[k] += 1
-                key = tuple(mono)
-                coeff = terms.pop(key, 0) + coeff
-                if coeff != 0:
-                    terms[key] = coeff
+                if coeff:  # most pencil entries are 0
+                    mono = base.copy()
+                    mono[j] += 1
+                    mono[k] += 1
+                    _add_terms(terms, [(tuple(mono), coeff)])
     return _raw(dimension, terms)
 
 
@@ -221,15 +217,10 @@ def eigenspace_bases(
 
 def linear_form(vector: Sequence, dimension: int) -> Polynomial:
     """<v, x> over the first len(v) variables."""
-    terms: dict[tuple[int, ...], object] = {}
-    for j, value in enumerate(vector):
-        coeff = rational(value)
-        if coeff == 0:
-            continue
-        mono = [0] * dimension
-        mono[j] = 1
-        terms[tuple(mono)] = coeff
-    return _raw(dimension, terms)
+    return Polynomial(
+        dimension,
+        {(0,) * j + (1,) + (0,) * (dimension - 1 - j): value for j, value in enumerate(vector)},
+    )
 
 
 def theta3_basis(pencil: Pencil, p: int) -> list[Polynomial]:

@@ -5,7 +5,8 @@ rational coefficients.  The exponent tuple (a_0, ..., a_{n-1}) stands for
 the monomial x_0^a_0 * ... * x_{n-1}^a_{n-1}; a zero polynomial has an
 empty mapping.  All arithmetic is exact: coefficients are rationals in
 lowest terms with positive denominator, and no operation in this module
-ever touches floating point.
+ever touches floating point.  Every sum whose terms may cancel goes through
+the one term accumulator ``_add_terms``.
 
 The canonical term order is graded lexicographic, descending: higher
 total degree first, ties broken by the lexicographically larger exponent
@@ -72,21 +73,15 @@ class Polynomial:
             raise ValueError("dimension must be nonnegative")
         object.__setattr__(self, "dimension", dimension)
         clean: dict[Monomial, object] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                mono = tuple(mono)
-                if len(mono) != dimension:
-                    raise ValueError(f"exponent tuple {mono} does not have length {dimension}")
-                if any((not isinstance(e, int)) or e < 0 for e in mono):
-                    raise ValueError(f"exponents must be nonnegative integers: {mono}")
-                c = rational(coeff)
-                if c != 0:
-                    if mono in clean:
-                        c = clean[mono] + c
-                        if c == 0:
-                            del clean[mono]
-                            continue
-                    clean[mono] = c
+        for mono, coeff in (terms or {}).items():
+            mono = tuple(mono)
+            if len(mono) != dimension:
+                raise ValueError(f"exponent tuple {mono} does not have length {dimension}")
+            if any((not isinstance(e, int)) or e < 0 for e in mono):
+                raise ValueError(f"exponents must be nonnegative integers: {mono}")
+            c = rational(coeff)
+            if c != 0:
+                _add_terms(clean, [(mono, c)])
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
@@ -162,18 +157,7 @@ class Polynomial:
     def __add__(self, other):
         if isinstance(other, Polynomial):
             self._require_same_ring(other)
-            out = dict(self.terms)
-            for mono, coeff in other.terms.items():
-                acc = out.get(mono)
-                if acc is None:
-                    out[mono] = coeff
-                else:
-                    acc = acc + coeff
-                    if acc == 0:
-                        del out[mono]
-                    else:
-                        out[mono] = acc
-            return _raw(self.dimension, out)
+            return _raw(self.dimension, _add_terms(dict(self.terms), other.terms.items()))
         return self + Polynomial.constant(self.dimension, other)
 
     def __radd__(self, other):
@@ -242,6 +226,24 @@ def _raw(dimension: int, terms: dict) -> Polynomial:
     object.__setattr__(poly, "dimension", dimension)
     object.__setattr__(poly, "terms", terms)
     return poly
+
+
+def _add_terms(terms: dict, items: Iterable[tuple[Monomial, object]]) -> dict:
+    """Add each (monomial, nonzero coefficient) of ``items`` into ``terms``.
+
+    A new monomial takes its coefficient as it is; a sum of 0 is dropped.
+    """
+    for mono, coeff in items:
+        acc = terms.get(mono)
+        if acc is None:
+            terms[mono] = coeff
+        else:
+            acc = acc + coeff
+            if acc:
+                terms[mono] = acc
+            else:
+                del terms[mono]
+    return terms
 
 
 # -- ring operations ----------------------------------------------------------
@@ -351,22 +353,13 @@ def extend_dimension(f: Polynomial, new_dimension: int) -> Polynomial:
 
 def laplacian(f: Polynomial) -> Polynomial:
     """Sum of second partials, exactly."""
-    out: dict[Monomial, object] = {}
-    for mono, coeff in f.terms.items():
-        for i, e in enumerate(mono):
-            if e >= 2:
-                lowered = mono[:i] + (e - 2,) + mono[i + 1:]
-                value = coeff * (e * (e - 1))
-                acc = out.get(lowered)
-                if acc is None:
-                    out[lowered] = value
-                else:
-                    acc = acc + value
-                    if acc == 0:
-                        del out[lowered]
-                    else:
-                        out[lowered] = acc
-    return _raw(f.dimension, out)
+    items = (
+        (mono[:i] + (e - 2,) + mono[i + 1:], coeff * (e * (e - 1)))
+        for mono, coeff in f.terms.items()
+        for i, e in enumerate(mono)
+        if e >= 2
+    )
+    return _raw(f.dimension, _add_terms({}, items))
 
 
 def evaluate(f: Polynomial, point: Sequence):
@@ -571,12 +564,8 @@ def _poly_from_lines(lines: Iterator[tuple[int, str]]) -> Polynomial:
             coeff = rational(token)
         except ZeroDivisionError:
             raise PolyTextError(f"bad coefficient {token!r}, zero denominator", number) from None
-        acc = terms.get(mono)
-        acc = coeff if acc is None else acc + coeff
-        if acc == 0:
-            terms.pop(mono, None)
-        else:
-            terms[mono] = acc
+        if coeff:
+            _add_terms(terms, [(mono, coeff)])
     return _raw(dimension, terms)
 
 

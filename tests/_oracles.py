@@ -32,12 +32,16 @@ def to_sympy(poly) -> sympy.Expr:
 
 
 def from_sympy(expr, n: int):
-    """Convert a sympy polynomial expression to {exponents: Fraction}."""
+    """Convert a sympy polynomial expression to {exponents: nonzero Fraction}.
+
+    sympy lists the zero polynomial as one zero term; it converts to {}.
+    """
     xs = symbols(n)
     poly = sympy.Poly(sympy.expand(expr), *xs)
     out = {}
     for mono, coeff in poly.terms():
-        out[tuple(int(e) for e in mono)] = Fraction(int(coeff.p), int(coeff.q))
+        if coeff:
+            out[tuple(int(e) for e in mono)] = Fraction(int(coeff.p), int(coeff.q))
     return out
 
 

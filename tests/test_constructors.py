@@ -31,6 +31,7 @@ from eikq.pencils import theta3_basis
 from eikq.polyring import (
     PolyTextError,
     Polynomial,
+    block_radial,
     extend_dimension,
     laplacian,
     radial_power,
@@ -70,13 +71,17 @@ class TestMakePrimitive:
 
     def test_quartic_is_canonical_split(self):
         # |xi|^4 - 6 |xi|^2 |eta|^2 + |eta|^4 = |x|^4 - 8 |xi|^2 |eta|^2
-        for n in range(2, 6):
+        for n in range(2, 11):
             for d in range(n // 2 + 1):
-                assert make_primitive(4, n, d) == make_canonical_quartic(n, d)
+                split = radial_power(n, 2) - 8 * block_radial(n, range(d)) * block_radial(
+                    n, range(d, n)
+                )
+                assert make_primitive(4, n, d) == make_canonical_quartic(n, d) == split
 
     @pytest.mark.parametrize(
         "g,n,d",
-        [(1, 3, 1), (2, 4, 2), (3, 3, 1), (4, 5, 3), (6, 3, 2), (6, 4, 1)],
+        [(1, 3, 1), (2, 4, 2), (3, 3, 1), (4, 5, 3), (6, 3, 2), (6, 4, 1),
+         (5, 3, 1), (7, 2, 1), (8, 4, 2)],
     )
     def test_matches_complex_expansion_oracle(self, g, n, d):
         h = make_primitive(g, n, d)
@@ -268,6 +273,9 @@ class TestSerialization:
     def test_bad_matrix_row_line_number(self):
         with pytest.raises(PolyTextError, match="line 3"):
             normal_form_data_from_text("2 1\n1 0\n0 -1 5\nn 3\n")
+        # truncated as well: the bad row comes first in the input, so it is reported
+        with pytest.raises(PolyTextError, match="^line 2: matrix row must hold 2 entries$"):
+            normal_form_data_from_text("2 1\n1 2 3\n")
 
     def test_non_rational_entry(self):
         with pytest.raises(PolyTextError, match="rationals"):

@@ -212,6 +212,20 @@ def test_laplacian_examples():
     assert laplacian(cubic) == Polynomial(3, {(1, 0, 0): -6})
 
 
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(polys(n), polys(n))))
+@settings(max_examples=60, deadline=None)
+def test_laplacian_matches_sympy_oracle(pair):
+    # the Laplacian of (x0^2 - x1^2) h holds 2h - 2h, so terms cancel in its sum
+    r, h = pair
+    n = r.dimension
+    x0, x1 = Polynomial.variable(n, 0), Polynomial.variable(n, 1)
+    f = (x0 * x0 - x1 * x1) * h + r
+    theirs = oracles.from_sympy(oracles.laplacian_sympy(f), n)
+    ours = laplacian(f)
+    assert all(type(c) is Fraction and c != 0 for c in ours.terms.values())
+    assert ours.terms == theirs
+
+
 def test_gradient_of_radial_power():
     # grad |x|^(2m) = 2m |x|^(2m-2) x
     n, m = 4, 3
