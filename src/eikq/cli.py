@@ -13,9 +13,12 @@ Polynomials travel as poly-text (see `eikq.polyring`); rotations as a file
 holding n followed by n^2 rationals row-major, comments allowed.  Exit codes:
 0 affirmative, 1 negative, 2 bad usage or bad input, 3 numerically
 inconclusive, 4 I/O failure, 5 internal error (an exception inside eikq,
-reported on stderr; never a verdict).  `--json` produces byte-stable reports
-carrying "schema_version": "eikq-report-1".  Set EIKQ_COLOR=0 to disable
-ANSI color.
+reported on stderr; never a verdict).  A verb writes one report, negative
+outcomes included: with `--json` a byte-stable JSON object whose first key is
+"schema_version": "eikq-report-1", otherwise text whose first line is colored
+when it goes to a terminal (set EIKQ_COLOR=0 to disable ANSI color).  `-o`,
+where a verb has it, receives the report in either format instead of stdout.
+Errors (exit 2, 4 and 5) are text on stderr, with nothing on stdout.
 
 `classify` and `normalform` take the same --rotation, --exact, --tol and
 --seed and read the same normal form, through `normalform.obtain_normal_form`;
@@ -25,13 +28,14 @@ when that is the normal form of -f, `normalform` says so ("negated").
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import os
 import sys
 import traceback
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .analysis import check_eikonal
 from .classifier import (
@@ -55,16 +59,17 @@ from .polyring import _meaningful_lines, poly_from_text, poly_to_text, rational
 _GREEN, _RED, _YELLOW = "32", "31", "33"
 
 
-def _want_color(stream) -> bool:
-    if os.environ.get("EIKQ_COLOR", "") == "0":
-        return False
-    return hasattr(stream, "isatty") and stream.isatty()
+class _Answer(NamedTuple):
+    """What a verb found, before anything is written.
 
+    `fields` follow "schema_version" in the JSON report; `text` is the plain
+    report, and `color` (an ANSI code, or None) colors its first line.
+    """
 
-def _styled(text: str, code: str, stream) -> str:
-    if not _want_color(stream):
-        return text
-    return f"\x1b[{code}m{text}\x1b[0m"
+    code: int
+    fields: dict
+    text: str
+    color: str | None = None
 
 
 def _read_text(path: str) -> str:
@@ -74,18 +79,22 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-        return
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-
-
-def _read_poly(path: str):
-    return poly_from_text(_read_text(path))
+def _write(answer: _Answer, as_json: bool, path: str | None) -> None:
+    """The one writer: the JSON or text report, to `path` or stdout."""
+    if as_json:
+        text = json.dumps({"schema_version": SCHEMA_VERSION, **answer.fields}, indent=2) + "\n"
+    else:
+        text = answer.text if answer.text.endswith("\n") else answer.text + "\n"
+    with contextlib.ExitStack() as stack:
+        if path is None or path == "-":
+            stream = sys.stdout
+        else:
+            stream = stack.enter_context(open(path, "w", encoding="utf-8"))
+        if (answer.color and not as_json and os.environ.get("EIKQ_COLOR", "") != "0"
+                and stream.isatty()):
+            first, rest = text.split("\n", 1)
+            text = f"\x1b[{answer.color}m{first}\x1b[0m\n{rest}"
+        stream.write(text)
 
 
 def _read_rotation(path: str) -> RationalMatrix:
@@ -106,11 +115,7 @@ def _read_rotation(path: str) -> RationalMatrix:
     return RationalMatrix(rows)
 
 
-def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-
-
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> _Answer:
     if args.type == "primitive":
         if args.g is None or args.n is None or args.dimh is None:
             raise ValueError("construct --type primitive needs --g, --n, --dimh")
@@ -124,82 +129,45 @@ def _cmd_construct(args) -> int:
         f = make_canonical_quartic(args.n, args.k)
         header = f"canonical quartic n={args.n} k={args.k}"
     text = poly_to_text(f, header_comment=header)
-    if args.json:
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "kind": args.type,
-                "n": f.dimension,
-                "poly": text,
-            }
-        )
-    else:
-        _write_text(args.output, text)
-    return 0
+    return _Answer(0, {"kind": args.type, "n": f.dimension, "poly": text}, text)
 
 
-def _cmd_verify(args) -> int:
-    f = _read_poly(args.file)
+def _cmd_verify(args) -> _Answer:
+    f = poly_from_text(_read_text(args.file))
     residual = check_eikonal(f, args.g)
     ok = residual.is_zero or residual.magnitude <= args.tol
-    if args.json:
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "g": args.g,
-                "n": f.dimension,
-                "eikonal": ok,
-                "residual": residual.to_json_dict(),
-                "magnitude": residual.magnitude,
-                "tol": args.tol,
-            }
-        )
+    if residual.is_zero:
+        verdict = "eikonal (residual exactly zero)"
+    elif ok:
+        verdict = f"eikonal within tol (residual {residual.magnitude:.3e})"
     else:
-        if residual.is_zero:
-            verdict = _styled("eikonal (residual exactly zero)", _GREEN, sys.stdout)
-        elif ok:
-            verdict = _styled(
-                f"eikonal within tol (residual {residual.magnitude:.3e})",
-                _GREEN,
-                sys.stdout,
-            )
-        else:
-            verdict = _styled(
-                f"not eikonal (residual {residual.magnitude:.3e})", _RED, sys.stdout
-            )
-        print(f"degree {args.g}, n = {f.dimension}: {verdict}")
-    return 0 if ok else 1
+        verdict = f"not eikonal (residual {residual.magnitude:.3e})"
+    fields = {
+        "g": args.g,
+        "n": f.dimension,
+        "eikonal": ok,
+        "residual": residual.to_json_dict(),
+        "magnitude": residual.magnitude,
+        "tol": args.tol,
+    }
+    text = f"degree {args.g}, n = {f.dimension}: {verdict}"
+    return _Answer(0 if ok else 1, fields, text, _GREEN if ok else _RED)
 
 
-def _cmd_classify(args) -> int:
-    f = _read_poly(args.file)
+def _cmd_classify(args) -> _Answer:
+    f = poly_from_text(_read_text(args.file))
     rotation = _read_rotation(args.rotation) if args.rotation else None
-    report = classify(
-        f,
-        rotation=rotation,
-        allow_float=not args.exact,
-        tol=args.tol,
-        seed=args.seed,
-    )
-    if args.json:
-        _emit_json(report.to_json_dict())
-    else:
-        code = {
-            VERDICT_NOT_EIKONAL: _RED,
-            VERDICT_INCONCLUSIVE: _YELLOW,
-        }.get(report.verdict, _GREEN)
-        lines = report.summary_lines()
-        lines[0] = _styled(lines[0], code, sys.stdout)
-        print("\n".join(lines))
-    if report.verdict == VERDICT_NOT_EIKONAL:
-        return 1
-    if report.verdict == VERDICT_INCONCLUSIVE:
-        return 3
-    return 0
+    report = classify(f, rotation=rotation, allow_float=not args.exact, tol=args.tol,
+                      seed=args.seed)
+    code, color = {
+        VERDICT_NOT_EIKONAL: (1, _RED),
+        VERDICT_INCONCLUSIVE: (3, _YELLOW),
+    }.get(report.verdict, (0, _GREEN))
+    return _Answer(code, report.to_json_dict(), "\n".join(report.summary_lines()), color)
 
 
-def _cmd_normalform(args) -> int:
-    f = _read_poly(args.file)
+def _cmd_normalform(args) -> _Answer:
+    f = poly_from_text(_read_text(args.file))
     rotation = _read_rotation(args.rotation) if args.rotation else None
     eikonal = None if rotation is not None else check_eikonal(f, 4)
     try:
@@ -207,86 +175,54 @@ def _cmd_normalform(args) -> int:
             f, rotation, eikonal, allow_float=not args.exact, tol=args.tol, seed=args.seed
         )
     except NotEikonalEvidence as evidence:
-        print(_styled(f"not eikonal: {evidence}", _RED, sys.stdout))
-        return 1
-    if args.json:
-        payload = {"schema_version": SCHEMA_VERSION}
-        if negated:
-            payload["negated"] = True
-        payload.update(nf.to_json_dict())
-        _emit_json(payload)
-        return 0
-    if negated:
-        print("normal form of -f")
-    print(f"p = {nf.p}, q = {nf.q}, arithmetic = {nf.arithmetic}")
-    print(f"phi eigenvalues: {list(nf.phi_eigenvalues)}")
-    print(f"extraction residual: {nf.extraction_residual:.3e}")
+        fields = {"verdict": VERDICT_NOT_EIKONAL, "detail": str(evidence)}
+        return _Answer(1, fields, f"not eikonal: {evidence}", _RED)
+    fields = {"negated": True} if negated else {}
+    fields.update(nf.to_json_dict())
+    lines = ["normal form of -f"] if negated else []
+    lines.append(f"p = {nf.p}, q = {nf.q}, arithmetic = {nf.arithmetic}")
+    lines.append(f"phi eigenvalues: {list(nf.phi_eigenvalues)}")
+    lines.append(f"extraction residual: {nf.extraction_residual:.3e}")
     for index, matrix in enumerate(nf.pencil, start=1):
-        print(f"A_{index}:")
+        lines.append(f"A_{index}:")
         for i in range(matrix.n_rows):
-            print("  " + " ".join(str(matrix[i, j]) for j in range(matrix.n_cols)))
+            lines.append("  " + " ".join(str(matrix[i, j]) for j in range(matrix.n_cols)))
     for name, poly in (
         ("theta4", nf.theta4),
         ("theta3", nf.theta3),
         ("theta2", nf.theta2),
         ("theta0", nf.theta0),
     ):
-        print(f"{name}:")
-        for line in poly_to_text(poly).splitlines():
-            print("  " + line)
-    return 0
+        lines.append(f"{name}:")
+        lines.extend("  " + line for line in poly_to_text(poly).splitlines())
+    return _Answer(0, fields, "\n".join(lines))
 
 
-def _cmd_congruent(args) -> int:
+def _cmd_congruent(args) -> _Answer:
     answer = congruent_primitive(args.n, args.d1, args.d2)
-    if args.json:
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "n": args.n,
-                "d1": args.d1,
-                "d2": args.d2,
-                "congruent": answer,
-            }
-        )
-    else:
-        word = "congruent" if answer else "not congruent"
-        code = _GREEN if answer else _RED
-        print(
-            _styled(
-                f"dim H = {args.d1} and dim H = {args.d2} in R^{args.n}: {word}",
-                code,
-                sys.stdout,
-            )
-        )
-    return 0 if answer else 1
+    word = "congruent" if answer else "not congruent"
+    return _Answer(
+        0 if answer else 1,
+        {"n": args.n, "d1": args.d1, "d2": args.d2, "congruent": answer},
+        f"dim H = {args.d1} and dim H = {args.d2} in R^{args.n}: {word}",
+        _GREEN if answer else _RED,
+    )
 
 
-def _cmd_search_pencil(args) -> int:
+def _cmd_search_pencil(args) -> _Answer:
+    fields = {"p": args.p, "q": args.q, "nu": args.nu, "budget": args.budget}
     try:
         hits = search_isoparametric_pencil(args.p, args.q, args.nu, budget=args.budget)
     except InfeasibleParameters as reason:
-        print(_styled(f"infeasible: {reason}", _RED, sys.stdout))
-        return 1
-    if args.json:
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "p": args.p,
-                "q": args.q,
-                "nu": args.nu,
-                "budget": args.budget,
-                "count": len(hits),
-                "candidates": [normal_form_data_to_text(h) for h in hits],
-            }
-        )
-        return 0 if hits else 1
+        fields.update(count=0, candidates=[], detail=str(reason))
+        return _Answer(1, fields, f"infeasible: {reason}", _RED)
+    candidates = [normal_form_data_to_text(h) for h in hits]
+    fields.update(count=len(hits), candidates=candidates)
     pieces = [f"# candidates: {len(hits)}"]
-    for index, hit in enumerate(hits, start=1):
+    for index, candidate in enumerate(candidates, start=1):
         pieces.append(f"# candidate {index}")
-        pieces.append(normal_form_data_to_text(hit).rstrip("\n"))
-    _write_text(args.output, "\n".join(pieces) + "\n")
-    return 0 if hits else 1
+        pieces.append(candidate.rstrip("\n"))
+    return _Answer(0 if hits else 1, fields, "\n".join(pieces))
 
 
 def _tolerance(text: str) -> float:
@@ -300,20 +236,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _add_common(sub, *, tol=True, seed=True, rotation=False, exact=False):
-    sub.add_argument("--json", action="store_true", help="emit a JSON report")
-    if tol:
-        sub.add_argument("--tol", type=_tolerance, default=1e-9,
-                         help="numeric acceptance threshold (default 1e-9)")
-    if seed:
-        sub.add_argument("--seed", type=int, default=0,
-                         help="seed for numeric starting points (default 0)")
-    if rotation:
-        sub.add_argument("--rotation", metavar="FILE",
-                         help="exact orthogonal matrix: n then n^2 rationals")
-    if exact:
-        sub.add_argument("--exact", action="store_true",
-                         help="refuse the floating-point fallback")
+def _add_quartic_input(sub) -> None:
+    """The input arguments `classify` and `normalform` share."""
+    sub.add_argument("file", help="poly-text file, or - for stdin")
+    sub.add_argument("--tol", type=_tolerance, default=1e-9,
+                     help="numeric acceptance threshold (default 1e-9)")
+    sub.add_argument("--seed", type=int, default=0,
+                     help="seed for numeric starting points (default 0)")
+    sub.add_argument("--rotation", metavar="FILE",
+                     help="exact orthogonal matrix: n then n^2 rationals")
+    sub.add_argument("--exact", action="store_true",
+                     help="refuse the floating-point fallback")
 
 
 @functools.cache
@@ -324,61 +257,48 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Construct, verify, and classify eikonal polynomials.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    verbs = {}
+    for name, handler, summary in (
+        ("construct", _cmd_construct, "build a polynomial and print it as poly-text"),
+        ("verify", _cmd_verify, "check the eikonal identity for a polynomial file"),
+        ("classify", _cmd_classify, "primitive vs isoparametric for a quartic"),
+        ("normalform", _cmd_normalform, "extract the rotated normal form of a quartic"),
+        ("congruent", _cmd_congruent, "decide congruence of two primitive classes"),
+        ("search-pencil", _cmd_search_pencil, "enumerate isoparametric pencil candidates"),
+    ):
+        verbs[name] = subparsers.add_parser(name, help=summary)
+        verbs[name].add_argument("--json", action="store_true", help="emit a JSON report")
+        verbs[name].set_defaults(handler=handler)
 
-    construct = subparsers.add_parser(
-        "construct", help="build a polynomial and print it as poly-text"
-    )
+    construct = verbs["construct"]
     construct.add_argument("--type", choices=("primitive", "canonical"), required=True)
     construct.add_argument("--g", type=int, help="degree (primitive only)")
     construct.add_argument("--n", type=int, help="ambient dimension")
     construct.add_argument("--dimh", type=int, help="dim H (primitive only)")
     construct.add_argument("--k", type=int, help="split size (canonical only)")
     construct.add_argument("-o", "--output", help="output file (default stdout)")
-    construct.add_argument("--json", action="store_true", help="emit a JSON report")
-    construct.set_defaults(handler=_cmd_construct)
 
-    verify = subparsers.add_parser(
-        "verify", help="check the eikonal identity for a polynomial file"
-    )
+    verify = verbs["verify"]
     verify.add_argument("file", help="poly-text file, or - for stdin")
     verify.add_argument("--g", type=int, default=4, help="degree (default 4)")
-    _add_common(verify, seed=False)
-    verify.set_defaults(handler=_cmd_verify)
+    verify.add_argument("--tol", type=_tolerance, default=1e-9,
+                        help="numeric acceptance threshold (default 1e-9)")
 
-    cls = subparsers.add_parser(
-        "classify", help="primitive vs isoparametric for a quartic"
-    )
-    cls.add_argument("file", help="poly-text file, or - for stdin")
-    _add_common(cls, rotation=True, exact=True)
-    cls.set_defaults(handler=_cmd_classify)
+    _add_quartic_input(verbs["classify"])
+    _add_quartic_input(verbs["normalform"])
 
-    nform = subparsers.add_parser(
-        "normalform", help="extract the rotated normal form of a quartic"
-    )
-    nform.add_argument("file", help="poly-text file, or - for stdin")
-    _add_common(nform, rotation=True, exact=True)
-    nform.set_defaults(handler=_cmd_normalform)
-
-    cong = subparsers.add_parser(
-        "congruent", help="decide congruence of two primitive classes"
-    )
+    cong = verbs["congruent"]
     cong.add_argument("--n", type=int, required=True, help="ambient dimension")
     cong.add_argument("d1", type=int, help="first dim H")
     cong.add_argument("d2", type=int, help="second dim H")
-    cong.add_argument("--json", action="store_true", help="emit a JSON report")
-    cong.set_defaults(handler=_cmd_congruent)
 
-    search = subparsers.add_parser(
-        "search-pencil", help="enumerate isoparametric pencil candidates"
-    )
+    search = verbs["search-pencil"]
     search.add_argument("--p", type=int, required=True)
     search.add_argument("--q", type=int, required=True)
     search.add_argument("--nu", type=int, required=True)
     search.add_argument("--budget", type=int, default=10 ** 6,
                         help="max candidates to examine (default 1e6)")
     search.add_argument("-o", "--output", help="output file (default stdout)")
-    search.add_argument("--json", action="store_true", help="emit a JSON report")
-    search.set_defaults(handler=_cmd_search_pencil)
 
     return parser
 
@@ -387,7 +307,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        answer = args.handler(args)
+        _write(answer, args.json, getattr(args, "output", None))
+        return answer.code
     except ValueError as exc:  # PolyTextError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -77,8 +77,9 @@ class Polynomial:
             mono = tuple(mono)
             if len(mono) != dimension:
                 raise ValueError(f"exponent tuple {mono} does not have length {dimension}")
-            if any((not isinstance(e, int)) or e < 0 for e in mono):
-                raise ValueError(f"exponents must be nonnegative integers: {mono}")
+            for e in mono:
+                if not isinstance(e, int) or e < 0:
+                    raise ValueError(f"exponents must be nonnegative integers: {mono}")
             c = rational(coeff)
             if c != 0:
                 _add_terms(clean, [(mono, c)])

@@ -10,7 +10,9 @@ is read off -f), not eikonal, the inconclusive band, an extraction residual
 above --tol, --exact on an input in normal position, and the ValueError of
 --exact.  After them come `verify --json` records (eikonal primitives of
 degree 4 and 6, a perturbed non-eikonal quartic) and `search-pencil --json`
-records, which take no input file ("poly" is null).
+records, feasible and infeasible, which take no input file ("poly" is null).
+Negative outcomes are JSON reports too: `normalform` on a non-eikonal input
+writes its verdict and evidence.
 
 Run from the repository root with the eikq under test on the path:
 
@@ -113,6 +115,8 @@ SEARCHES = [
     # full searches: every conjugation, so screening across rotations is pinned
     ("search_3_2_1_full", ["--p", "3", "--q", "2", "--nu", "1"]),
     ("search_4_1_2_full", ["--p", "4", "--q", "1", "--nu", "2"]),
+    # infeasible parameters: the empty-search keys plus "detail", exit 1
+    ("search_2_1_2", ["--p", "2", "--q", "1", "--nu", "2"]),
 ]
 
 

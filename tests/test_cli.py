@@ -368,6 +368,96 @@ class TestSearchPencil:
         assert payload["candidates"][0].startswith("3 0\n")
 
 
+NOT_EIKONAL_QUARTIC = "n 2\n4 0 1\n0 4 1\n"  # x0^4 + x1^4
+
+
+class TestOutputContract:
+    """One report per run: `--json` holds for negative outcomes too, and `-o`
+    receives the report in either format."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["construct", "--type", "canonical", "--n", "3", "--k", "1"], 0),
+        (["verify", "{poly}"], 0),
+        (["classify", "{poly}"], 0),
+        (["normalform", "{poly}"], 0),
+        (["congruent", "--n", "5", "2", "3"], 0),
+        (["congruent", "--n", "5", "1", "3"], 1),
+        (["search-pencil", "--p", "2", "--q", "1", "--nu", "1"], 0),
+    ], ids=["construct", "verify", "classify", "normalform", "congruent",
+            "congruent-negative", "search-pencil"])
+    def test_every_verb_writes_json(self, tmp_path, argv, code):
+        poly = write(tmp_path, "f.txt", poly_to_text(make_canonical_quartic(3, 1)))
+        result = run_cli(*[arg.format(poly=poly) for arg in argv], "--json")
+        assert (result.returncode, result.stderr) == (code, "")
+        payload = json.loads(result.stdout)
+        assert list(payload)[0] == "schema_version"
+        assert payload["schema_version"] == "eikq-report-1"
+
+    def test_normalform_not_eikonal_json(self, tmp_path):
+        path = write(tmp_path, "bad.txt", NOT_EIKONAL_QUARTIC)
+        result = run_cli("normalform", path, "--json")
+        assert (result.returncode, result.stderr) == (1, "")
+        payload = json.loads(result.stdout)
+        assert list(payload) == ["schema_version", "verdict", "detail"]
+        assert payload["verdict"] == "not_eikonal"
+        text = run_cli("normalform", path)
+        assert text.stdout == f"not eikonal: {payload['detail']}\n"
+
+    def test_search_pencil_infeasible_json(self):
+        result = run_cli("search-pencil", "--p", "2", "--q", "1", "--nu", "2", "--json")
+        assert (result.returncode, result.stderr) == (1, "")
+        payload = json.loads(result.stdout)
+        assert list(payload) == ["schema_version", "p", "q", "nu", "budget", "count",
+                                 "candidates", "detail"]
+        assert (payload["count"], payload["candidates"]) == (0, [])
+        assert payload["detail"]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["construct", "--type", "canonical", "--n", "3", "--k", "1"], 0),
+        (["search-pencil", "--p", "2", "--q", "1", "--nu", "1"], 0),
+        (["search-pencil", "--p", "2", "--q", "1", "--nu", "2"], 1),
+    ], ids=["construct", "search-pencil", "search-pencil-infeasible"])
+    def test_output_file_receives_the_json_report(self, tmp_path, argv, code):
+        out = tmp_path / "report.json"
+        result = run_cli(*argv, "--json", "-o", str(out))
+        assert (result.returncode, result.stdout, result.stderr) == (code, "", "")
+        payload = json.loads(out.read_text())
+        assert list(payload)[0] == "schema_version"
+        assert out.read_text() == run_cli(*argv, "--json").stdout
+
+    def test_output_file_receives_text(self, tmp_path):
+        out = tmp_path / "report.txt"
+        argv = ["search-pencil", "--p", "2", "--q", "1", "--nu", "2"]
+        result = run_cli(*argv, "-o", str(out))
+        assert (result.returncode, result.stdout) == (1, "")
+        assert out.read_text() == run_cli(*argv).stdout
+        assert out.read_text().startswith("infeasible: ")
+
+    def test_errors_stay_on_stderr(self, tmp_path):
+        out = tmp_path / "report.json"
+        result = run_cli("verify", "/nonexistent/path.txt", "--json")
+        assert (result.returncode, result.stdout) == (4, "")
+        assert result.stderr.startswith("error: ")
+        result = run_cli("construct", "--type", "primitive", "--g", "4", "--json",
+                         "-o", str(out))
+        assert (result.returncode, result.stdout) == (2, "")
+        assert not out.exists()
+
+    def test_color_only_on_the_first_line_of_a_terminal(self, monkeypatch, capsys):
+        import eikq.cli
+
+        answer = eikq.cli._Answer(1, {"x": 1}, "first\nsecond", eikq.cli._RED)
+        monkeypatch.delenv("EIKQ_COLOR", raising=False)
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+        eikq.cli._write(answer, False, None)
+        assert capsys.readouterr().out == "\x1b[31mfirst\x1b[0m\nsecond\n"
+        eikq.cli._write(answer, True, None)
+        assert "\x1b[" not in capsys.readouterr().out
+        monkeypatch.setenv("EIKQ_COLOR", "0")
+        eikq.cli._write(answer, False, None)
+        assert capsys.readouterr().out == "first\nsecond\n"
+
+
 def _in_process(argv, capsys):
     """(exit code, stdout, stderr) of one in-process main call."""
     import eikq.cli

@@ -69,6 +69,18 @@ def test_rational_from_float_is_exact():
 # -- construction and structure --------------------------------------------------
 
 
+def test_constructor_validation_order():
+    # length, then exponents, then the coefficient; a float is refused even at 0.0
+    with pytest.raises(ValueError, match="does not have length 2"):
+        Polynomial(2, {(1, -1, 0): 0.5})
+    for mono in ((1, -1), (1, 1.0), (True, "2")):
+        with pytest.raises(ValueError, match="exponents must be nonnegative integers"):
+            Polynomial(2, {mono: 0.5})
+    for coeff in (0.0, 0.5):
+        with pytest.raises(TypeError, match="float coefficient"):
+            Polynomial(2, {(1, 0): coeff})
+
+
 def test_zero_coefficients_are_dropped():
     f = Polynomial(2, {(1, 0): 1, (0, 1): 0})
     assert len(f.terms) == 1
