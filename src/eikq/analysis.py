@@ -26,9 +26,10 @@ The checks stack in three layers:
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from itertools import islice
-from typing import TYPE_CHECKING, Iterator, Optional, Protocol
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .matrices import _int_matmul, _integer_entries
 from .pencils import (
@@ -57,20 +58,14 @@ if TYPE_CHECKING:
     from .constructors import NormalFormData
 
 
-class _NormalFormLike(Protocol):
-    p: int
-    q: int
-    pencil: Pencil
-    theta3: Polynomial
-
-
 @dataclass(frozen=True)
 class Residual:
     """A named polynomial that should be zero.
 
     Rationalized float data still produces exact arithmetic, but its tiny
-    residuals are judged by thresholds (`magnitude`) rather than by
-    emptiness (`is_zero`).
+    residuals are judged by thresholds rather than by emptiness
+    (`is_zero`): the exact `value.max_abs_coefficient()` is compared with
+    the tolerance, and `magnitude` is its float image for reports.
     """
 
     name: str
@@ -82,7 +77,11 @@ class Residual:
 
     @property
     def magnitude(self) -> float:
-        return float(self.value.max_abs_coefficient())
+        """The largest coefficient as a float; inf past the float range."""
+        try:
+            return float(self.value.max_abs_coefficient())
+        except OverflowError:
+            return math.inf
 
     def to_json_dict(self) -> dict:
         return {
@@ -192,7 +191,7 @@ def check_system(phi: Polynomial, psi: Polynomial, theta: Polynomial) -> Residua
     )
 
 
-def check_structure_identities(nf: "_NormalFormLike") -> ResidualSet:
+def check_structure_identities(nf: NormalFormData) -> ResidualSet:
     """The bidegree-resolved identities of the x_n-free quartic data.
 
     With tau_i = xi^T A_i xi and theta_4, theta_2, theta_0 derived from the

@@ -174,13 +174,13 @@ def classify(
         raise ValueError("f must be a nonzero homogeneous quartic")
     n = f.dimension
     eik = check_eikonal(f, 4)
-    mag = eik.magnitude
-    if mag > REJECT_TOL:
+    deviation, mag = eik.value.max_abs_coefficient(), eik.magnitude
+    if deviation > REJECT_TOL:
         return ClassificationReport(
             VERDICT_NOT_EIKONAL, n, "exact", mag,
             detail="the eikonal residual is far from zero",
         )
-    if mag > tol:
+    if deviation > tol:
         return ClassificationReport(
             VERDICT_INCONCLUSIVE, n, "float", mag,
             detail="the eikonal residual sits between tol and the rejection threshold",
@@ -216,7 +216,7 @@ def _judge(
     ValueError included; on the float route it makes the verdict
     "inconclusive_float".
     """
-    n, p, q = nf.n, nf.p, nf.q
+    n, p, q = nf.ambient_dimension, nf.p, nf.q
     pencil = nf.pencil
     arithmetic = "exact" if exact else "float"
 
@@ -261,17 +261,18 @@ def _judge(
         return primitive((p + trace_int) // 2 + 1)
     if exact:
         try:
-            nu, mu = pencil_spectrum(pencil, p)
+            pencil_spectrum(pencil, p)
         except ValueError as err:
             return fail(str(err))
-    else:
-        trace_sq = float((pencil[0] @ pencil[0]).trace())
-        doubled_nu = _round_int(trace_sq, tol * max(p, 1))
-        if doubled_nu is None or doubled_nu % 2 or doubled_nu < 0:
-            return fail("trace of A_1^2 is not numerically an even integer")
-        residual = max(residual, abs(trace_sq - doubled_nu))
-        nu = doubled_nu // 2
-        mu = p - 2 * nu
+    # nu from tr(A_1^2) = 2 nu on both routes; on the exact route
+    # pencil_spectrum has just proved that this trace is an even integer
+    trace_sq = (pencil[0] @ pencil[0]).trace()
+    doubled_nu = _round_int(trace_sq, tol * max(p, 1))
+    if doubled_nu is None or doubled_nu % 2 or doubled_nu < 0:
+        return fail("trace of A_1^2 is not numerically an even integer")
+    residual = max(residual, abs(float(trace_sq) - doubled_nu))
+    nu = doubled_nu // 2
+    mu = p - 2 * nu
     if 2 * nu != p + 1 - q:
         return fail("pencil traces violate 2 nu = p + 1 - q",
                     "isoparametric pencil with 2 nu != p + 1 - q")

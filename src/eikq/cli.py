@@ -135,7 +135,7 @@ def _cmd_construct(args) -> _Answer:
 def _cmd_verify(args) -> _Answer:
     f = poly_from_text(_read_text(args.file))
     residual = check_eikonal(f, args.g)
-    ok = residual.is_zero or residual.magnitude <= args.tol
+    ok = residual.value.max_abs_coefficient() <= args.tol
     if residual.is_zero:
         verdict = "eikonal (residual exactly zero)"
     elif ok:

@@ -49,6 +49,7 @@ from .polyring import (
     block_radial,
     homogeneous_split,
     partial_derivative,
+    poly_to_text,
     rational,
     substitute_linear,
 )
@@ -69,41 +70,36 @@ class NotEikonalEvidence(Exception):
 
 
 @dataclass(frozen=True)
-class NormalForm:
-    """An extracted normal form together with the rotation that produced it.
+class NormalForm(NormalFormData):
+    """Normal-form data together with how it was read off f.
 
     `rotation` is the exact orthogonal matrix U with f(U x) in normal form
-    (on the float route, the rationalization of a numeric rotation).
-    `phi_eigenvalues` lists the snapped +1/-3 diagonal; the theta components
-    are polynomials in p + q variables, xi first.  `extraction_residual`
-    bounds everything that was discarded on the way: deviations of the
-    x_n^4 coefficient from 1, of the cubic layer from 0, off-diagonal debris
-    of phi, stray psi components, and the eta-cubic part of theta.
+    (on the float route, the rationalization of a numeric rotation).  The
+    theta components are polynomials in p + q variables, xi first; theta_3
+    is the free part of `NormalFormData`, validated like any other.
+    `extraction_residual` bounds everything that was discarded on the way:
+    deviations of the x_n^4 coefficient from 1, of the cubic layer from 0,
+    off-diagonal debris of phi, stray psi components, and the eta-cubic part
+    of theta.
     """
 
     rotation: RationalMatrix
-    p: int
-    q: int
-    phi_eigenvalues: tuple[int, ...]
-    pencil: Pencil
     theta0: Polynomial
     theta2: Polynomial
-    theta3: Polynomial
     theta4: Polynomial
     arithmetic: str
     extraction_residual: float
 
     @property
-    def n(self) -> int:
-        return self.p + self.q + 1
+    def phi_eigenvalues(self) -> tuple[int, ...]:
+        """The snapped +1/-3 diagonal of phi."""
+        return (1,) * self.p + (-3,) * self.q
 
     def to_data(self) -> NormalFormData:
         """Forget the rotation; keep the free data (pencil, theta_3)."""
         return NormalFormData(self.p, self.q, self.pencil, self.theta3)
 
     def to_json_dict(self) -> dict:
-        from .polyring import poly_to_text
-
         return {
             "p": self.p,
             "q": self.q,
@@ -139,10 +135,10 @@ def _refuse_stray(stray: Polynomial, tol: float, message: str) -> float:
 
     With tol = 0 any nonzero coefficient is refused, however small.
     """
-    magnitude = float(stray.max_abs_coefficient())
-    if not stray.is_zero and (tol == 0 or magnitude > tol):
+    deviation = stray.max_abs_coefficient()
+    if deviation > tol:
         raise NotEikonalEvidence(message)
-    return magnitude
+    return float(deviation)
 
 
 _THETA_STRAY = "theta has a component linear in xi, which no eikonal quartic allows"
@@ -262,11 +258,12 @@ def _extract(f: Polynomial, rotation: RationalMatrix, tol: float) -> NormalForm:
         raise ValueError(
             "rotation does not target a critical point of f on the sphere"
         )
-    residual = float(max(top.max_abs_coefficient(), layers[3].max_abs_coefficient()))
-    if residual > tol:
+    deviation = max(top.max_abs_coefficient(), layers[3].max_abs_coefficient())
+    if deviation > tol:
         raise NotEikonalEvidence(
             "no sphere maximum with value 1 and critical structure was found"
         )
+    residual = float(deviation)
     big_phi = quadratic_form_matrix(rational(1, 2) * layers[2], range(m))
     if exact:
         v, p = _rational_eigenbasis(big_phi)
@@ -281,7 +278,6 @@ def _extract(f: Polynomial, rotation: RationalMatrix, tol: float) -> NormalForm:
         rotation = rotation @ w
         g = substitute_linear(g, w)
         layers = _xn_layers(g)
-    eigenvalues = (1,) * p + (-3,) * q
     ideal = block_radial(m, range(p)) - 3 * block_radial(m, range(p, m))
     residual = max(residual, _refuse_stray(
         rational(1, 2) * layers[2] - ideal, tol,
@@ -294,14 +290,13 @@ def _extract(f: Polynomial, rotation: RationalMatrix, tol: float) -> NormalForm:
     parts = _theta_components(layers[0], p)
     residual = max(residual, _refuse_stray(parts[1], tol, _THETA_STRAY))
     return NormalForm(
-        rotation=rotation,
         p=p,
         q=q,
-        phi_eigenvalues=eigenvalues,
         pencil=pencil,
+        theta3=parts[3],
+        rotation=rotation,
         theta0=parts[0],
         theta2=parts[2],
-        theta3=parts[3],
         theta4=parts[4],
         arithmetic="exact" if exact else "float",
         extraction_residual=residual,
@@ -540,7 +535,7 @@ def obtain_normal_form(
     try:
         return extract_normal_form(f, None, tol=tol, seed=seed), False
     except NotEikonalEvidence as evidence:
-        if eikonal.magnitude > tol:
+        if eikonal.value.max_abs_coefficient() > tol:
             raise
         try:
             return extract_normal_form(-f, None, tol=tol, seed=seed), True

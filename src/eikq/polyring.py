@@ -80,7 +80,7 @@ class Polynomial:
             for e in mono:
                 if not isinstance(e, int) or e < 0:
                     raise ValueError(f"exponents must be nonnegative integers: {mono}")
-            c = rational(coeff)
+            c = coeff if type(coeff) is Fraction else rational(coeff)
             if c != 0:
                 _add_terms(clean, [(mono, c)])
         object.__setattr__(self, "terms", clean)

@@ -331,6 +331,14 @@ class TestCheckPencil:
         with pytest.raises(ValueError, match="at least one"):
             check_pencil((), 3)
 
+    def test_asymmetric_matrix_rejected(self):
+        # the record and the check share validate_pencil, and its message
+        bad = RationalMatrix([[0, 1], [0, 0]])
+        with pytest.raises(ValueError, match="^pencil matrix 0 is not symmetric$"):
+            NormalFormData(2, 1, (bad,), Polynomial.zero(3))
+        with pytest.raises(ValueError, match="^pencil matrix 0 is not symmetric$"):
+            check_pencil((bad,), 2)
+
     def test_symmetrized_identity_is_eta_identity(self):
         pencils = [
             ((RationalMatrix.diagonal([1, -1, 0]),), 3),
@@ -400,3 +408,8 @@ class TestResidualMechanics:
         res = Residual("demo", Polynomial.zero(2))
         assert res.is_zero
         assert res.magnitude == 0.0
+
+    def test_magnitude_past_the_float_range(self):
+        res = Residual("demo", Polynomial.monomial(2, (1, 0), 10 ** 400))
+        assert res.magnitude == float("inf")
+        assert res.to_json_dict() == {"zero": False, "max_coeff": str(10 ** 400)}

@@ -221,6 +221,47 @@ class TestClassify:
         assert "\x1b[" not in result.stdout
 
 
+class TestExactTolerance:
+    """Tolerances are compared with exact residuals; floats are only reported."""
+
+    # 10^400 x0^4 + x1^4: its residual is far past the float range
+    HUGE = f"n 2\n4 0 {10 ** 400}\n0 4 1\n"
+    # (1 + 10^-400) x0^4 - 6 x0^2 x1^2 + x1^4: a residual that floats to 0.0
+    TINY = f"n 2\n4 0 {10 ** 400 + 1}/{10 ** 400}\n2 2 -6\n0 4 1\n"
+
+    def test_verify_past_the_float_range(self):
+        result = run_cli("verify", "-", stdin=self.HUGE)
+        assert (result.returncode, result.stderr) == (1, "")
+        assert "not eikonal (residual inf)" in result.stdout
+
+    @pytest.mark.parametrize("verb", ["verify", "classify"])
+    def test_json_past_the_float_range(self, verb):
+        result = run_cli(verb, "-", "--json", stdin=self.HUGE)
+        assert (result.returncode, result.stderr) == (1, "")
+        payload = json.loads(result.stdout)
+        if verb == "verify":
+            assert payload["eikonal"] is False
+            assert payload["magnitude"] == float("inf")
+        else:
+            assert payload["verdict"] == "not_eikonal"
+            assert payload["residual"] == float("inf")
+
+    def test_verify_tol_zero_is_exact(self):
+        result = run_cli("verify", "-", "--tol", "0", stdin=self.TINY)
+        assert result.returncode == 1
+        assert "not eikonal" in result.stdout
+        assert run_cli("verify", "-", stdin=self.TINY).returncode == 0
+
+    def test_classify_tol_zero_is_exact(self):
+        result = run_cli("classify", "-", "--tol", "0", "--json", stdin=self.TINY)
+        assert result.returncode == 3
+        assert json.loads(result.stdout)["verdict"] == "inconclusive_float"
+        default = run_cli("classify", "-", "--json", stdin=self.TINY)
+        assert default.returncode == 0
+        payload = json.loads(default.stdout)
+        assert (payload["verdict"], payload["arithmetic"]) == ("primitive", "float")
+
+
 class TestNormalform:
     def test_exact_in_position(self, tmp_path):
         path = write(tmp_path, "f.txt", poly_to_text(data.corpus()[7]))

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import _data as data
+from eikq.analysis import check_structure_identities
 from eikq.constructors import (
+    NormalFormData,
     assemble_from_normal_form,
     make_canonical_quartic,
     make_primitive,
@@ -58,6 +60,14 @@ class TestExactExtraction:
             assert nf.extraction_residual == 0.0
             assert (nf.p, nf.q) == (d.p, d.q)
             assert nf.to_data() == d
+
+    def test_normal_form_is_its_data(self):
+        # NormalForm is NormalFormData plus how it was read: the identities
+        # see the same pencil and theta_3 either way
+        nf = identity_extract(assemble_from_normal_form(data.isoparametric_data()))
+        assert isinstance(nf, NormalFormData)
+        assert nf.ambient_dimension == nf.rotation.n_rows
+        assert check_structure_identities(nf) == check_structure_identities(nf.to_data())
 
     def test_theta_components(self):
         nf = identity_extract(assemble_from_normal_form(data.involution_data()))
