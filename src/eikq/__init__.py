@@ -15,7 +15,6 @@ from .analysis import (
     check_pencil,
     check_structure_identities,
     check_system,
-    pencil_spectrum,
 )
 from .classifier import (
     ClassificationReport,
@@ -98,7 +97,6 @@ __all__ = [
     "normal_form_data_from_text",
     "normal_form_data_to_text",
     "partial_derivative",
-    "pencil_spectrum",
     "poly_from_text",
     "poly_mul",
     "poly_to_text",

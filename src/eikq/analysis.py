@@ -8,15 +8,18 @@ report them, or apply numeric thresholds to rationalized float data.
 The checks stack in three layers:
 
 * `check_eikonal` / `check_munzner_second`: the ambient PDEs for a degree-g
-  polynomial, |grad f|^2 = g^2 |x|^(2g-2) and the radial Laplacian law.
+  polynomial, |grad f|^2 = g^2 |x|^(2g-2) and the radial Laplacian law
+  (Muenzner's second equation).  Together they define an isoparametric
+  polynomial, and `classifier.classify` decides that verdict by them on f
+  itself; `check_munzner_second` takes a tolerance for float data.
 
 * `check_system`: the five identities tying together the coefficients
   (phi, psi, theta) of a quartic written as
   x_n^4 + 2 phi x_n^2 + 8 psi x_n + theta.
 
-* `check_structure_identities` / `check_pencil` / `pencil_spectrum`: the
-  fine structure of the x_n-free data, split by xi/eta bidegree, and the
-  spectral constraints on the matrix pencil behind psi.  The structure
+* `check_structure_identities` / `check_pencil`: the fine structure of
+  the x_n-free data, split by xi/eta bidegree, and the spectral
+  constraints on the matrix pencil behind psi.  The structure
   identities are gradient inner products over the xi or eta block (tau_i
   and A_eta xi are the partial derivatives of psi); `check_pencil` decides
   the cube identity A_eta^3 = |eta|^2 A_eta on matrices alone, on the
@@ -125,7 +128,7 @@ def check_eikonal(f: Polynomial, g: int) -> Residual:
     return Residual("eikonal", gradient_norm_sq(f) - target)
 
 
-def check_munzner_second(f: Polynomial, g: int, m_sum: int | None = None):
+def check_munzner_second(f: Polynomial, g: int, m_sum: int | None = None, tol: float = 0):
     """Test whether the Laplacian of f is a constant multiple of |x|^(g-2).
 
     Returns None when it is not.  Otherwise returns the constant c with
@@ -133,20 +136,24 @@ def check_munzner_second(f: Polynomial, g: int, m_sum: int | None = None):
     resolved into the multiplicity pair (m1, m2) with m2 - m1 = 2c / g^2 and
     m1 + m2 = m_sum, raising ValueError if those are not both nonnegative
     integers.  Odd g admits only c = 0.
+
+    With tol > 0 the Laplacian need only lie within tol of c |x|^(g-2),
+    coefficient by coefficient, as for rationalized float data.  c is read
+    at one coefficient; when `m_sum` is supplied it is first moved to the
+    nearest constant with integer multiplicities, and the deviation is
+    measured from that one.
     """
     if not isinstance(g, int) or g < 1:
         raise ValueError("degree g must be a positive integer")
     lap = laplacian(f)
-    constant = None
-    if lap.is_zero:
-        constant = rational(0)
-    elif g % 2 == 0:
+    constant, target = rational(0), Polynomial.zero(f.dimension)
+    if g % 2 == 0:
         target = radial_power(f.dimension, (g - 2) // 2)
-        probe = next(iter(target.terms))
-        c = lap.coefficient(probe)
-        if c != 0 and lap == c * target:
-            constant = c
-    if constant is None:
+        constant = lap.coefficient(next(iter(target.terms)))
+        if m_sum is not None and tol > 0:
+            m2 = round((m_sum + 2 * constant / (g * g)) / 2)
+            constant = rational(g * g * (2 * m2 - m_sum), 2)
+    if (lap - constant * target).max_abs_coefficient() > tol:
         return None
     if m_sum is None:
         return constant
@@ -320,15 +327,3 @@ def _trace(b) -> int:
 
 def _is_zero(m) -> bool:
     return not any(map(any, m))
-
-
-def pencil_spectrum(pencil: Pencil, p: int) -> tuple[int, int]:
-    """(nu, mu) for a pencil whose matrices share the {+1, -1, 0} spectrum.
-
-    Raises ValueError when the pencil does not have that spectrum.
-    """
-    report = check_pencil(pencil, p)
-    if not report.spectral:
-        raise ValueError("pencil does not carry a constant {+1, -1, 0} spectrum")
-    assert report.nu is not None and report.mu is not None
-    return report.nu, report.mu

@@ -7,47 +7,53 @@ form
     h_d = |x_H|^4 - 6 |x_H|^2 |x_{H^perp}|^2 + |x_{H^perp}|^4
 
 determined by the dimension d of the distinguished subspace H, or to an
-isoparametric quartic whose normal-form pencil is nonzero.  The congruence
-class of a primitive form is the pair {d, n - d}, so reports carry the
-normalized invariant dim_h = min(d, n - d).  Isoparametric quartics are
-instead labeled by the multiplicity pair (m1, m2) and satisfy the radial
-Laplacian law  laplacian(f) = 8 (m2 - m1) |x|^2.
+isoparametric quartic.  The congruence class of a primitive form is the
+pair {d, n - d}, so reports carry the normalized invariant
+dim_h = min(d, n - d).  An isoparametric quartic is by definition an
+eikonal f with laplacian(f) = 8 (m2 - m1) |x|^2 (Muenzner's second
+equation), labeled by its multiplicities m1, m2 >= 1, m1 + m2 = n/2 - 1.
 
-`classify` verifies eikonality first, then reads a normal form of f or of
--f through `normalform.obtain_normal_form` (exactly when possible,
-numerically otherwise; `eikq normalform` reads the same one), and one judge
-reads the verdict off the pencil:
+`classify` decides the verdicts in this order:
 
-    q = 0 or p = 0          -> primitive (trivial pencil shapes)
-    zero pencil             -> primitive with dim H = p + 1 before folding
-    q = 1                   -> primitive (A^2 = I, dim H from the trace)
-    q >= 2, nonzero pencil  -> isoparametric
+    not_eikonal, inconclusive_float  f's eikonal residual against
+                                     REJECT_TOL and tol
+    isoparametric                    Muenzner's equation on f itself,
+                                     within tol (n even, n >= 6)
+    primitive                        the normal form of f or of -f
+                                     (`normalform.obtain_normal_form`, as
+                                     in `eikq normalform`): a zero pencil,
+                                     or for q = 1 an involution
 
-The judge compares every structural fact with a tolerance.  On the exact
-route the tolerance is 0, the facts are rational identities (A^2 = I,
-`pencil_spectrum`, the Laplacian law), and a failed one raises
-RuntimeError (exit 5 in the CLI), because it contradicts the structure
-theory.  On the float route a residual above `tol` but below the
-rejection threshold comes back as verdict "inconclusive_float", and a
-larger one as "not_eikonal".
-
-The normal form read gives (m1, m2) = (q - 1, nu).  -f has f's
-multiplicities swapped and its Laplacian negated, so when the normal form
-is that of -f the report swaps m1 and m2 and negates `laplacian_constant`:
-both describe the input itself.  p, q, nu and mu remain those of the normal
-form that was read.
+An isoparametric report describes f: (m1, m2), `laplacian_constant`, and
+the numbers of f's own normal form, q = m1 + 1, nu = m2, p = n - 1 - q and
+mu = p - 2 nu; a `rotation` is validated but not needed.  A primitive
+report carries the p and q of the normal form that was read, which may be
+that of -f.  On the exact route every fact is a rational identity, and an
+exactly eikonal f that is neither primitive nor isoparametric raises
+RuntimeError (exit 5 in the CLI): it contradicts the structure theory.  On
+the float route a residual above `tol` but below the rejection threshold
+comes back as verdict "inconclusive_float", and a larger one as
+"not_eikonal".
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .analysis import check_eikonal, pencil_spectrum
+from .analysis import check_eikonal, check_munzner_second
 from .matrices import RationalMatrix
-from .normalform import REJECT_TOL, NormalForm, NotEikonalEvidence, obtain_normal_form
+from .normalform import (
+    FAR_FROM_EIKONAL,
+    REJECT_TOL,
+    NormalForm,
+    NotEikonalEvidence,
+    _require_orthogonal,
+    obtain_normal_form,
+)
 from .pencils import quadratic_form_matrix
 from .polyring import Polynomial, laplacian, radial_power, rational, substitute_linear
 
@@ -146,11 +152,6 @@ def laplacian_signature(f: Polynomial, rotation: RationalMatrix | None = None):
     return tuple((v, m) for v, m in grouped)
 
 
-def _round_int(value, slack: float) -> Optional[int]:
-    nearest = round(value)
-    return nearest if abs(value - nearest) <= slack else None
-
-
 def classify(
     f: Polynomial,
     rotation: RationalMatrix | None = None,
@@ -161,14 +162,13 @@ def classify(
 ) -> ClassificationReport:
     """Decide primitive vs isoparametric for a quartic, with eikonal checks.
 
-    The eikonal residual of f gates everything: exactly zero runs the whole
-    pipeline in rational arithmetic; below `tol` the float route is taken
+    The eikonal residual of f gates everything: exactly zero keeps every
+    decision in rational arithmetic; below `tol` the float route is taken
     (unless `allow_float` is off); between `tol` and `REJECT_TOL` the
-    verdict is "inconclusive_float"; above it "not_eikonal".
-    A `rotation` (exact, orthogonal) short-circuits the numeric maximizer
-    and keeps even rotated inputs on the exact route.  (m1, m2) and
-    `laplacian_constant` are those of f itself; p, q, nu and mu are those of
-    the normal form read, which may be that of -f.
+    verdict is "inconclusive_float"; above it "not_eikonal".  Then
+    Muenzner's equation on f decides "isoparametric", and `_judge` reads
+    any other f through its normal form, where a `rotation` (exact,
+    orthogonal) keeps even rotated inputs on the exact route.
     """
     if f.is_zero or not f.is_homogeneous(4):
         raise ValueError("f must be a nonzero homogeneous quartic")
@@ -177,48 +177,71 @@ def classify(
     deviation, mag = eik.value.max_abs_coefficient(), eik.magnitude
     if deviation > REJECT_TOL:
         return ClassificationReport(
-            VERDICT_NOT_EIKONAL, n, "exact", mag,
-            detail="the eikonal residual is far from zero",
+            VERDICT_NOT_EIKONAL, n, "exact", mag, detail=FAR_FROM_EIKONAL
         )
     if deviation > tol:
         return ClassificationReport(
             VERDICT_INCONCLUSIVE, n, "float", mag,
             detail="the eikonal residual sits between tol and the rejection threshold",
         )
+    # an isoparametric quartic has m1, m2 >= 1, so n = 2 (m1 + m2 + 1) >= 6
+    if n % 2 == 0 and n >= 6 and (allow_float or eik.is_zero):
+        report = _isoparametric(f, rotation, deviation, 0 if eik.is_zero else tol)
+        if report is not None:
+            return report
     try:
-        nf, negated = obtain_normal_form(
-            f, rotation, eik, allow_float=allow_float, tol=tol, seed=seed
-        )
+        nf, _ = obtain_normal_form(f, rotation, eik, allow_float=allow_float, tol=tol, seed=seed)
     except NotEikonalEvidence as evidence:
         return ClassificationReport(
             VERDICT_NOT_EIKONAL, n, "exact" if eik.is_zero else "float",
             max(mag, REJECT_TOL), detail=str(evidence),
         )
     exact = eik.is_zero and nf.arithmetic == "exact"
-    residual = max(mag, nf.extraction_residual)
-    return _judge(f, nf, negated, residual, 0.0 if exact else tol, exact)
+    return _judge(nf, max(deviation, nf.extraction_residual), 0.0 if exact else tol, exact)
 
 
-def _fold(n: int, dim_raw: int) -> int:
-    return min(dim_raw, n - dim_raw)
+def _isoparametric(
+    f: Polynomial, rotation: RationalMatrix | None, deviation, tol: float
+) -> Optional[ClassificationReport]:
+    """The report when laplacian(f) is within `tol` of 8 (m2 - m1) |x|^2 with
+    m1, m2 >= 1, which makes the eikonal f isoparametric; else None.
+
+    tol = 0 gives an exact verdict; on the float route the Laplacian's
+    deviation is folded into `deviation`, f's exact eikonal one.
+    """
+    n = f.dimension
+    try:
+        pair = check_munzner_second(f, 4, n // 2 - 1, tol=tol)
+    except ValueError:  # a radial Laplacian far from any pair, as for |x|^4
+        return None
+    # m1 = 0 or m2 = 0 is h_{n/2} or its negative, which is primitive
+    if pair is None or min(pair) < 1:
+        return None
+    if rotation is not None:
+        _require_orthogonal(rotation, n)
+    m1, m2 = pair
+    constant = rational(8 * (m2 - m1))
+    if tol:  # on the exact route the Laplacian's deviation is 0
+        deviation = max(deviation, (laplacian(f) - constant * radial_power(n, 1)).max_abs_coefficient())
+    p = n - 2 - m1  # f's own normal form: q = m1 + 1, nu = m2
+    return ClassificationReport(
+        VERDICT_ISOPARAMETRIC, n, "float" if tol else "exact", float(deviation),
+        p=p, q=m1 + 1, nu=m2, mu=p - 2 * m2, m1=m1, m2=m2,
+        laplacian_constant=str(constant),
+    )
 
 
-def _judge(
-    f: Polynomial, nf: NormalForm, negated: bool, residual: float, tol: float,
-    exact: bool,
-) -> ClassificationReport:
-    """Read the verdict off the pencil of nf, the normal form of f or of -f.
+def _judge(nf: NormalForm, residual: Fraction, tol: float, exact: bool) -> ClassificationReport:
+    """Read a primitive verdict off the pencil of nf, the normal form of f or of -f.
 
-    Every structural fact is a deviation compared with `tol`; the exact
-    route passes tol = 0, so there the facts are rational identities.  A
-    fact that fails on the exact route contradicts the structure theory of
-    an exactly eikonal f and raises RuntimeError, `pencil_spectrum`'s
-    ValueError included; on the float route it makes the verdict
-    "inconclusive_float".
+    f is not isoparametric, so its pencil must be zero (q = 0 and p = 0
+    included) or, for q = 1, an involution.  Every fact is an exact
+    deviation compared with `tol`.  The exact route passes tol = 0, and a
+    failed fact contradicts the structure theory (RuntimeError); on the
+    float route it makes the verdict "inconclusive_float".  The report
+    holds the float image of the exact deviations folded into `residual`.
     """
     n, p, q = nf.ambient_dimension, nf.p, nf.q
-    pencil = nf.pencil
-    arithmetic = "exact" if exact else "float"
 
     def fail(detail: str, contradiction: str = "") -> ClassificationReport:
         if exact:
@@ -226,68 +249,38 @@ def _judge(
                 f"{contradiction or detail}; this contradicts the structure theory"
             )
         return ClassificationReport(
-            VERDICT_INCONCLUSIVE, n, "float", max(residual, tol), p=p, q=q,
+            VERDICT_INCONCLUSIVE, n, "float", float(max(residual, tol)), p=p, q=q,
             detail=detail,
         )
 
-    def primitive(dim_raw: int) -> ClassificationReport:
+    def primitive(dim_raw: int, deviation: Fraction) -> ClassificationReport:
         return ClassificationReport(
-            VERDICT_PRIMITIVE, n, arithmetic, residual, p=p, q=q,
-            dim_h=_fold(n, dim_raw),
+            VERDICT_PRIMITIVE, n, "exact" if exact else "float",
+            float(max(residual, deviation)),
+            p=p, q=q, dim_h=min(dim_raw, n - dim_raw),
         )
 
     if residual > tol:
         return fail("extraction residual exceeds tol")
-    if q == 0:
-        return primitive(n)
-    if p == 0:
-        return primitive(1)
     # exact rationals, so that with tol = 0 only a zero pencil passes
-    pencil_max = max((a.max_abs() for a in pencil), default=rational(0))
+    pencil_max = max((a.max_abs() for a in nf.pencil), default=rational(0))
     if pencil_max <= tol:
-        residual = max(residual, float(pencil_max))
-        return primitive(p + 1)
+        return primitive(p + 1, pencil_max)
     if q == 1:
-        a = pencil[0]
+        a = nf.pencil[0]
         square_dev = (a @ a - RationalMatrix.identity(p)).max_abs()
-        trace_int = _round_int(a.trace(), tol * max(p, 1))
-        if square_dev > tol or trace_int is None or (p + trace_int) % 2:
+        trace = a.trace()
+        trace_int = round(trace)
+        if (square_dev > tol or abs(trace - trace_int) > tol * max(p, 1)
+                or (p + trace_int) % 2):
             return fail(
                 "single pencil matrix is not numerically an involution",
                 "eikonal quartic with a single pencil matrix that is neither "
                 "zero nor an involution",
             )
-        residual = max(residual, float(square_dev))
-        return primitive((p + trace_int) // 2 + 1)
-    if exact:
-        try:
-            pencil_spectrum(pencil, p)
-        except ValueError as err:
-            return fail(str(err))
-    # nu from tr(A_1^2) = 2 nu on both routes; on the exact route
-    # pencil_spectrum has just proved that this trace is an even integer
-    trace_sq = (pencil[0] @ pencil[0]).trace()
-    doubled_nu = _round_int(trace_sq, tol * max(p, 1))
-    if doubled_nu is None or doubled_nu % 2 or doubled_nu < 0:
-        return fail("trace of A_1^2 is not numerically an even integer")
-    residual = max(residual, abs(float(trace_sq) - doubled_nu))
-    nu = doubled_nu // 2
-    mu = p - 2 * nu
-    if 2 * nu != p + 1 - q:
-        return fail("pencil traces violate 2 nu = p + 1 - q",
-                    "isoparametric pencil with 2 nu != p + 1 - q")
-    # 2 nu = p + 1 - q and the Laplacian law fix (m1, m2) = (q - 1, nu) for
-    # the polynomial nf was read from; -f has them swapped and its Laplacian
-    # negated, so the report states those of the input f
-    m1, m2, constant = q - 1, nu, rational(8 * (nu - q + 1))
-    if negated:
-        m1, m2, constant = m2, m1, -constant
-    lap_max = (laplacian(f) - constant * radial_power(n, 1)).max_abs_coefficient()
-    if lap_max > tol:
-        return fail("Laplacian is not numerically 8 (m2 - m1) |x|^2",
-                    "isoparametric quartic whose Laplacian is not 8 (m2 - m1) |x|^2")
-    residual = max(residual, float(lap_max))
-    return ClassificationReport(
-        VERDICT_ISOPARAMETRIC, n, arithmetic, residual, p=p, q=q,
-        nu=nu, mu=mu, m1=m1, m2=m2, laplacian_constant=str(constant),
+        return primitive((p + trace_int) // 2 + 1, square_dev)
+    return fail(
+        "nonzero pencil with q >= 2, but f fails Muenzner's equation",
+        "eikonal quartic with a nonzero pencil of length q >= 2 that is not "
+        "isoparametric",
     )

@@ -21,8 +21,8 @@ where a verb has it, receives the report in either format instead of stdout.
 Errors (exit 2, 4 and 5) are text on stderr, with nothing on stdout.
 
 `classify` and `normalform` take the same --rotation, --exact, --tol and
---seed and read the same normal form, through `normalform.obtain_normal_form`;
-when that is the normal form of -f, `normalform` says so ("negated").
+--seed; `normalform` prints the normal form that `classify` judges a
+non-isoparametric f by, marked "negated" when it is that of -f.
 """
 
 from __future__ import annotations
@@ -182,7 +182,7 @@ def _cmd_normalform(args) -> _Answer:
     lines = ["normal form of -f"] if negated else []
     lines.append(f"p = {nf.p}, q = {nf.q}, arithmetic = {nf.arithmetic}")
     lines.append(f"phi eigenvalues: {list(nf.phi_eigenvalues)}")
-    lines.append(f"extraction residual: {nf.extraction_residual:.3e}")
+    lines.append(f"extraction residual: {float(nf.extraction_residual):.3e}")
     for index, matrix in enumerate(nf.pencil, start=1):
         lines.append(f"A_{index}:")
         for i in range(matrix.n_rows):

@@ -23,8 +23,8 @@ exactly: a failure is a wrong target (ValueError) when the data merely does
 not expose the normal form, or `NotEikonalEvidence` when it contradicts
 eikonality itself.  Without a rotation, a numeric sphere ascent finds a
 maximizer, a float eigensolver diagonalizes phi, both rotations are
-rationalized entry by entry, and every deviation is accumulated into
-`extraction_residual` and judged against REJECT_TOL.
+rationalized entry by entry, and every deviation is accumulated, exactly,
+into `extraction_residual` and judged against REJECT_TOL.
 
 `obtain_normal_form`, shared by `classify` and `eikq normalform`, decides
 which rotation and which sign (f or -f; congruence includes the sign) the
@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -51,15 +52,17 @@ from .polyring import (
     partial_derivative,
     poly_to_text,
     rational,
+    rational_from_float,
     substitute_linear,
 )
 
 if TYPE_CHECKING:
     from .analysis import Residual
 
-# The one rejection threshold: a deviation beyond it (classify's eikonal
-# residual, a float extraction residual here) means f is not eikonal.
+# The one rejection threshold: a deviation beyond it (an eikonal residual,
+# a float extraction residual) means f is not eikonal.
 REJECT_TOL = 1e-6
+FAR_FROM_EIKONAL = "the eikonal residual is far from zero"
 
 _HALTON_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                   59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113)
@@ -80,7 +83,7 @@ class NormalForm(NormalFormData):
     `extraction_residual` bounds everything that was discarded on the way:
     deviations of the x_n^4 coefficient from 1, of the cubic layer from 0,
     off-diagonal debris of phi, stray psi components, and the eta-cubic part
-    of theta.
+    of theta.  It is exact; reports write its float image.
     """
 
     rotation: RationalMatrix
@@ -88,7 +91,7 @@ class NormalForm(NormalFormData):
     theta2: Polynomial
     theta4: Polynomial
     arithmetic: str
-    extraction_residual: float
+    extraction_residual: Fraction
 
     @property
     def phi_eigenvalues(self) -> tuple[int, ...]:
@@ -105,7 +108,7 @@ class NormalForm(NormalFormData):
             "q": self.q,
             "phi_eigenvalues": list(self.phi_eigenvalues),
             "arithmetic": self.arithmetic,
-            "extraction_residual": self.extraction_residual,
+            "extraction_residual": float(self.extraction_residual),
             "rotation": [
                 [str(self.rotation[i, j]) for j in range(self.rotation.n_cols)]
                 for i in range(self.rotation.n_rows)
@@ -130,15 +133,15 @@ def _theta_components(theta: Polynomial, p: int) -> dict[int, Polynomial]:
     return {k: parts.get((k, 4 - k), zero) for k in range(5)}
 
 
-def _refuse_stray(stray: Polynomial, tol: float, message: str) -> float:
-    """Magnitude of a part that must vanish; NotEikonalEvidence beyond tol.
+def _refuse_stray(stray: Polynomial, tol: float, message: str) -> Fraction:
+    """Exact magnitude of a part that must vanish; NotEikonalEvidence beyond tol.
 
     With tol = 0 any nonzero coefficient is refused, however small.
     """
     deviation = stray.max_abs_coefficient()
     if deviation > tol:
         raise NotEikonalEvidence(message)
-    return float(deviation)
+    return deviation
 
 
 _THETA_STRAY = "theta has a component linear in xi, which no eikonal quartic allows"
@@ -263,13 +266,13 @@ def _extract(f: Polynomial, rotation: RationalMatrix, tol: float) -> NormalForm:
         raise NotEikonalEvidence(
             "no sphere maximum with value 1 and critical structure was found"
         )
-    residual = float(deviation)
+    residual = deviation
     big_phi = quadratic_form_matrix(rational(1, 2) * layers[2], range(m))
     if exact:
         v, p = _rational_eigenbasis(big_phi)
     else:
         v, p, deviation = _float_eigenbasis(big_phi, tol)
-        residual = max(residual, deviation)
+        residual = max(residual, rational_from_float(deviation))
     q = m - p
     if v != RationalMatrix.identity(m):
         w_rows = [list(v.row(i)) + [rational(0)] for i in range(m)]
@@ -497,12 +500,16 @@ def extract_normal_form(
         return _extract(
             f, RationalMatrix.from_float(_householder_to_last(point)), REJECT_TOL
         )
-    n = f.dimension
+    _require_orthogonal(rotation, f.dimension)
+    return _extract(f, rotation, 0)
+
+
+def _require_orthogonal(rotation: RationalMatrix, n: int) -> None:
+    """ValueError unless `rotation` is an exactly orthogonal n x n matrix."""
     if not rotation.is_square or rotation.n_rows != n:
         raise ValueError(f"rotation must be {n} x {n}")
     if not rotation.is_orthogonal():
         raise ValueError("rotation must be exactly orthogonal")
-    return _extract(f, rotation, 0)
 
 
 def obtain_normal_form(
@@ -516,10 +523,15 @@ def obtain_normal_form(
     the float route on f, then on -f.  -f is tried only for an f eikonal
     within `tol`: by Euler's identity such an f is +1 or -1 at each critical
     point on the sphere, and -f is 1 where f is -1 (at e_n, or the maximum
-    of -|x|^4).  When every route fails, f's NotEikonalEvidence is raised.
+    of -|x|^4).  When every route fails, f's NotEikonalEvidence is raised;
+    without a rotation, an eikonal residual above REJECT_TOL raises it at
+    once, before any route runs.
     """
     if rotation is not None:
         return extract_normal_form(f, rotation), False
+    deviation = eikonal.value.max_abs_coefficient()
+    if deviation > REJECT_TOL:
+        raise NotEikonalEvidence(FAR_FROM_EIKONAL)
     if eikonal.is_zero:
         identity = RationalMatrix.identity(f.dimension)
         for negated in (False, True):
@@ -535,7 +547,7 @@ def obtain_normal_form(
     try:
         return extract_normal_form(f, None, tol=tol, seed=seed), False
     except NotEikonalEvidence as evidence:
-        if eikonal.value.max_abs_coefficient() > tol:
+        if deviation > tol:
             raise
         try:
             return extract_normal_form(-f, None, tol=tol, seed=seed), True

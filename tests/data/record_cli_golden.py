@@ -5,8 +5,8 @@ For every input below, runs `eikq classify --json` and `eikq normalform
 input text in cli_golden.json.  The inputs reach each branch of the verdict
 on the exact route and on the float route: q = 0, p = 0, q = 1 with a zero
 pencil and with an involution, a zero pencil with q >= 2, isoparametric
-(the (3, 2, 1) pencil and the Clifford quartic FKM(1, 4), whose normal form
-is read off -f), not eikonal, the inconclusive band, an extraction residual
+(the (3, 2, 1) pencil and the Clifford quartic FKM(1, 4), which classify
+decides on f and normalform reads off -f), not eikonal, the inconclusive band, an extraction residual
 above --tol, --exact on an input in normal position, and the ValueError of
 --exact.  After them come `verify --json` records (eikonal primitives of
 degree 4 and 6, a perturbed non-eikonal quartic) and `search-pencil --json`
@@ -85,6 +85,7 @@ def inputs() -> list[tuple[str, Polynomial, str | None, list[str]]]:
         ("involution_q1_float", rotated_involution, None, []),
         ("zero_pencil_q2_float", substitute_linear(make_canonical_quartic(5, 2),
                                                    random_rational_orthogonal(5, 1)), None, []),
+        # Cayley-rotated: classify decides it exactly, by Muenzner's equation
         ("isoparametric_float", substitute_linear(iso, random_rational_orthogonal(6, 1)),
          None, []),
         ("near_exact_float", _nudge(make_canonical_quartic(3, 1), 12), None, []),

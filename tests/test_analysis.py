@@ -20,7 +20,6 @@ from eikq.analysis import (
     check_pencil,
     check_structure_identities,
     check_system,
-    pencil_spectrum,
 )
 from eikq.constructors import (
     NormalFormData,
@@ -126,6 +125,19 @@ class TestMunznerSecond:
     def test_degree_validation(self):
         with pytest.raises(ValueError):
             check_munzner_second(Polynomial.zero(2), 0)
+
+    def test_tolerance_on_float_rotated_input(self):
+        # a rationalized float rotation is orthogonal only to roundoff, so
+        # the Laplacian of the rotated FKM(1, 4) is 8 |x|^2 only within tol
+        import numpy as np
+
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((8, 8)))
+        g = substitute_linear(data.fkm_1_4(), RationalMatrix.from_float(q))
+        assert check_munzner_second(g, 4) is None
+        assert check_munzner_second(g, 4, m_sum=3, tol=1e-9) == (1, 2)
+        assert check_munzner_second(g, 4, m_sum=3, tol=1e-20) is None
+        constant = check_munzner_second(g, 4, tol=1e-9)
+        assert constant != 8 and abs(constant - 8) <= 1e-9
 
 
 class TestCheckSystem:
@@ -389,13 +401,21 @@ class TestCheckPencil:
 
 
 class TestPencilSpectrum:
+    """The {+1 (nu), -1 (nu), 0 (mu)} spectrum, read by `check_pencil`."""
+
     def test_known_values(self):
-        assert pencil_spectrum((RationalMatrix.diagonal([1, -1, 0]),), 3) == (1, 1)
-        assert pencil_spectrum(data.isoparametric_data().pencil, 3) == (1, 1)
+        for pencil in ((RationalMatrix.diagonal([1, -1, 0]),),
+                       data.isoparametric_data().pencil):
+            report = check_pencil(pencil, 3)
+            assert report.spectral
+            assert (report.nu, report.mu) == (1, 1)
 
     def test_rejects_non_spectral(self):
-        with pytest.raises(ValueError, match="spectrum"):
-            pencil_spectrum((RationalMatrix.identity(2),), 2)
+        # I^3 = I, but its spectrum {1, 1} has trace 2, not 0
+        report = check_pencil((RationalMatrix.identity(2),), 2)
+        assert report.cube_identity
+        assert not report.spectral
+        assert (report.nu, report.mu) == (1, 0)
 
 
 class TestResidualMechanics:

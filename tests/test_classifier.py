@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import _data as data
 import _oracles as oracles
+from eikq.analysis import check_pencil
 from eikq.classifier import (
     SCHEMA_VERSION,
     VERDICT_INCONCLUSIVE,
@@ -29,6 +30,7 @@ from eikq.constructors import (
     make_primitive,
 )
 from eikq.matrices import RationalMatrix, random_rational_orthogonal
+from eikq.normalform import extract_normal_form
 from eikq.pencils import tau_polynomials
 from eikq.polyring import (
     Polynomial,
@@ -116,6 +118,13 @@ class TestClassifyExact:
         assert report.dim_h == 2
         assert report.arithmetic == "exact"
 
+    def test_negated_balanced_primitive(self):
+        # -h_3 in R^6 has laplacian 16 |x|^2, that is (m1, m2) = (0, 2): primitive
+        report = classify(-make_primitive(4, 6, 3))
+        assert report.verdict == VERDICT_PRIMITIVE
+        assert report.dim_h == 3
+        assert report.arithmetic == "exact"
+
     def test_exact_only_needs_position_or_rotation(self):
         f = make_canonical_quartic(4, 1)
         g = substitute_linear(f, random_rational_orthogonal(4, 7))
@@ -140,11 +149,11 @@ class TestClassifyExact:
 
 
 class TestClassifySign:
-    """(m1, m2) and the Laplacian constant describe the input itself.
+    """An isoparametric report describes the input itself.
 
     FKM(1, 4) has (m1, m2) = (1, 2) and laplacian(F) = 8 |x|^2; -F has the
-    multiplicities swapped and the constant negated.  At the identity both
-    F and -F are read through -F's normal form (p, q, nu) = (4, 3, 1).
+    multiplicities swapped and the constant negated.  p, q, nu and mu are
+    those of the input's own normal form: q = m1 + 1, nu = m2.
     """
 
     @staticmethod
@@ -159,15 +168,65 @@ class TestClassifySign:
         f = data.fkm_1_4()
         report = classify(f)
         self.check(f, report, (1, 2), "8", "exact")
-        assert (report.p, report.q, report.nu, report.mu) == (4, 3, 1, 2)
+        assert (report.p, report.q, report.nu, report.mu) == (5, 2, 2, 1)
 
     def test_negated_fkm(self):
         f = -data.fkm_1_4()
-        self.check(f, classify(f), (2, 1), "-8", "exact")
+        report = classify(f)
+        self.check(f, report, (2, 1), "-8", "exact")
+        assert (report.p, report.q, report.nu, report.mu) == (4, 3, 1, 2)
 
-    def test_rotated_fkm_float(self):
+    def test_rotated_fkm_exact(self):
+        # a Cayley rotation is rational and exactly orthogonal
         f = substitute_linear(data.fkm_1_4(), random_rational_orthogonal(8, 1))
-        self.check(f, classify(f), (1, 2), "8", "float")
+        self.check(f, classify(f), (1, 2), "8", "exact")
+
+    def test_float_rotated_fkm(self):
+        import numpy as np
+
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((8, 8)))
+        f = substitute_linear(data.fkm_1_4(), RationalMatrix.from_float(q))
+        report = classify(f)
+        assert report.verdict == VERDICT_ISOPARAMETRIC
+        assert report.arithmetic == "float"
+        assert 0 < report.residual < 1e-9
+        assert (report.m1, report.m2, report.laplacian_constant) == (1, 2, "8")
+        assert (report.p, report.q, report.nu, report.mu) == (5, 2, 2, 1)
+
+
+class TestNormalFormSecondProof:
+    """The normal-form route, an independent proof of each isoparametric
+    verdict: the exact normal form of f or of -f has a spectral pencil with
+    2 nu = p + 1 - q, and its (q - 1, nu) is classify's (m1, m2), swapped
+    when -f was read."""
+
+    @staticmethod
+    def cases():
+        iso = assemble_from_normal_form(data.isoparametric_data())
+        u = random_rational_orthogonal(6, 1)
+        return {
+            "iso_3_2_1": (iso, RationalMatrix.identity(6)),
+            "fkm_1_4": (data.fkm_1_4(), RationalMatrix.identity(8)),
+            "negated_fkm_1_4": (-data.fkm_1_4(), RationalMatrix.identity(8)),
+            "rotated_iso_3_2_1": (substitute_linear(iso, u), u.transpose()),
+        }
+
+    @pytest.mark.parametrize(
+        "name", ["iso_3_2_1", "fkm_1_4", "negated_fkm_1_4", "rotated_iso_3_2_1"]
+    )
+    def test_pencil_agrees_with_munzner(self, name):
+        f, rotation = self.cases()[name]
+        try:
+            nf, negated = extract_normal_form(f, rotation), False
+        except ValueError:
+            nf, negated = extract_normal_form(-f, rotation), True
+        pencil = check_pencil(nf.pencil, nf.p)
+        assert pencil.spectral
+        assert 2 * pencil.nu == nf.p + 1 - nf.q
+        pair = (nf.q - 1, pencil.nu)
+        report = classify(f)
+        assert (report.verdict, report.arithmetic) == (VERDICT_ISOPARAMETRIC, "exact")
+        assert (report.m1, report.m2) == (pair[::-1] if negated else pair)
 
 
 class TestClassifyNumeric:

@@ -3,7 +3,6 @@ JSON determinism, and the text formats for polynomials and rotations."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -198,22 +197,45 @@ class TestClassify:
         assert "internal error: RuntimeError: this contradicts" in captured.err
 
     def test_pencil_contradiction_exit(self, tmp_path, monkeypatch, capsys):
-        # an exactly eikonal input whose pencil reads as non-spectral contradicts
-        # the structure theory: an internal error, not bad input
+        # an exactly eikonal input that fails Muenzner's test, yet has a nonzero
+        # pencil with q >= 2, contradicts the structure theory: an internal
+        # error, not bad input
+        import eikq.classifier
         import eikq.cli
-        from eikq import analysis
 
-        real = analysis.check_pencil
-
-        def non_spectral(pencil, p):
-            return dataclasses.replace(real(pencil, p), spectrum_constant=False)
-
-        monkeypatch.setattr(analysis, "check_pencil", non_spectral)
+        monkeypatch.setattr(eikq.classifier, "check_munzner_second", lambda *a, **k: None)
         path = write(tmp_path, "iso.txt", poly_to_text(data.corpus()[9]))
         assert eikq.cli.main(["classify", path]) == 5
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "internal error: RuntimeError: pencil does not carry" in captured.err
+        assert ("internal error: RuntimeError: eikonal quartic with a nonzero pencil"
+                in captured.err)
+
+    def test_rotated_isoparametric(self, tmp_path):
+        # Muenzner's equation decides an isoparametric input on the exact route
+        # without a rotation; a given one is validated, not used
+        from eikq.matrices import random_rational_orthogonal
+        from eikq.polyring import substitute_linear
+
+        u = random_rational_orthogonal(6, 1)
+        g = substitute_linear(data.corpus()[9], u)
+        path = write(tmp_path, "iso.txt", poly_to_text(g))
+        result = run_cli("classify", path, "--exact", "--json")
+        assert (result.returncode, result.stderr) == (0, "")
+        payload = json.loads(result.stdout)
+        assert (payload["verdict"], payload["arithmetic"]) == ("isoparametric", "exact")
+        n = u.n_rows
+        misses = "\n".join(" ".join(str(u[i, j]) for j in range(n)) for i in range(n))
+        result = run_cli("classify", path, "--json", "--rotation",
+                         write(tmp_path, "misses.txt", f"{n}\n{misses}\n"))
+        assert (result.returncode, json.loads(result.stdout)) == (0, payload)
+        for size, entry, message in ((n, "2", "exactly orthogonal"), (n - 1, "1", "6 x 6")):
+            bad = "\n".join(" ".join(entry if i == j else "0" for j in range(size))
+                            for i in range(size))
+            result = run_cli("classify", path, "--rotation",
+                             write(tmp_path, "bad.txt", f"{size}\n{bad}\n"))
+            assert (result.returncode, result.stdout) == (2, "")
+            assert f"rotation must be {message}" in result.stderr
 
     def test_no_ansi_when_disabled(self, tmp_path):
         path = write(tmp_path, "f.txt", poly_to_text(data.corpus()[0]))
@@ -245,6 +267,17 @@ class TestExactTolerance:
         else:
             assert payload["verdict"] == "not_eikonal"
             assert payload["residual"] == float("inf")
+
+    @pytest.mark.parametrize("text", [HUGE, "n 2\n4 0 -1\n"], ids=["huge", "minus_x0_4"])
+    def test_normalform_refuses_before_the_float_route(self, text):
+        # a residual above the rejection threshold is refused at once, as by
+        # classify, before sphere_maximize reads the coefficients as floats
+        result = run_cli("normalform", "-", "--json", stdin=text)
+        assert (result.returncode, result.stderr) == (1, "")
+        assert json.loads(result.stdout)["detail"] == "the eikonal residual is far from zero"
+        result = run_cli("normalform", "-", stdin=text)
+        assert result.returncode == 1
+        assert result.stdout == "not eikonal: the eikonal residual is far from zero\n"
 
     def test_verify_tol_zero_is_exact(self):
         result = run_cli("verify", "-", "--tol", "0", stdin=self.TINY)
@@ -316,12 +349,17 @@ class TestNormalform:
         assert (payload["p"], payload["q"]) == (n - 1, 0)
 
     def test_negation_needs_an_eikonal_input(self, tmp_path):
-        # -f = x_1^4 - 6 x_0^2 x_1^2 + x_0^4 / 2 has a float normal form
-        # (p, q) = (0, 1), but f is far from eikonal, so f's evidence stands
-        path = write(tmp_path, "f.txt", "n 2\n0 4 -1\n2 2 6\n4 0 -1/2\n")
+        # f = -(|x|^4 + 10^-8 x_0^4) has eikonal residual 3.2e-7, between the
+        # default tol and the rejection threshold.  -f has a float normal form,
+        # but it is read only when f is eikonal within tol; otherwise f's
+        # evidence (its sphere maximum is -1) stands
+        path = write(tmp_path, "f.txt", "n 2\n4 0 -100000001/100000000\n2 2 -2\n0 4 -1\n")
         result = run_cli("normalform", path)
         assert result.returncode == 1
         assert result.stdout.startswith("not eikonal: no sphere maximum with value 1")
+        result = run_cli("normalform", path, "--tol", "1e-6")
+        assert result.returncode == 0
+        assert result.stdout.startswith("normal form of -f\np = 1, q = 0, arithmetic = float")
 
     def test_not_eikonal(self, tmp_path):
         path = write(tmp_path, "bad.txt", "n 2\n4 0 1\n0 4 1\n")

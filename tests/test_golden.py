@@ -14,6 +14,8 @@ from pathlib import Path
 import pytest
 
 from eikq.cli import main
+from eikq.matrices import RationalMatrix
+from eikq.polyring import rational
 
 RECORDS = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
@@ -47,13 +49,23 @@ CLASSIFY_WITH_P = [
 
 @pytest.mark.parametrize("name", CLASSIFY_WITH_P)
 def test_normalform_reads_the_normal_form_classify_reads(name):
-    """Both verbs read the same normal form: wherever classify reports p,
-    normalform succeeds with the same p, q and arithmetic."""
+    """Wherever classify reports p, normalform succeeds.  A primitive verdict
+    is read off the same normal form: same p, q and arithmetic.  An
+    isoparametric one is decided on f, and the normal form agrees with it:
+    its (q - 1, nu) is (m1, m2), swapped when it is that of -f, with
+    2 nu = tr(A_1^2) rounded on the float route."""
     by_verb = {r["verb"]: r for r in RECORDS if r["name"] == name}
     report = json.loads(by_verb["classify"]["stdout"])
     normalform = by_verb["normalform"]
     assert normalform["exit"] == 0
     payload = json.loads(normalform["stdout"])
+    if report["verdict"] == "isoparametric":
+        a1 = RationalMatrix([[rational(v) for v in row] for row in payload["pencil"][0]])
+        pair = (payload["q"] - 1, round(float((a1 @ a1).trace()) / 2))
+        if payload.get("negated"):
+            pair = pair[::-1]
+        assert pair == (report["m1"], report["m2"])
+        return
     assert [payload[k] for k in ("p", "q", "arithmetic")] == [
         report[k] for k in ("p", "q", "arithmetic")
     ]
