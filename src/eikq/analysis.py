@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from itertools import islice
 from typing import TYPE_CHECKING, Iterator, Optional
 
@@ -61,6 +62,33 @@ if TYPE_CHECKING:
     from .constructors import NormalFormData
 
 
+def float_image(value: Fraction | float) -> float:
+    """`value` as a float; inf past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+def scientific(value: Fraction | float) -> str:
+    """A nonnegative `value` in `.3e` notation, as reports print residuals.
+
+    A nonzero rational below the float range keeps its exact magnitude
+    (1.000e-400 rather than 0.000e+00); one past it reads inf.
+    """
+    image = float_image(value)
+    if image or not value:
+        return f"{image:.3e}"
+    value = Fraction(value)
+    exponent = len(str(value.numerator)) - len(str(value.denominator))
+    if value < Fraction(10) ** exponent:
+        exponent -= 1  # now 10^exponent <= value < 10^(exponent + 1)
+    digits = round(value / Fraction(10) ** exponent * 1000)
+    if digits == 10000:
+        digits, exponent = 1000, exponent + 1
+    return f"{digits // 1000}.{digits % 1000:03d}e{exponent:+03d}"
+
+
 @dataclass(frozen=True)
 class Residual:
     """A named polynomial that should be zero.
@@ -81,10 +109,7 @@ class Residual:
     @property
     def magnitude(self) -> float:
         """The largest coefficient as a float; inf past the float range."""
-        try:
-            return float(self.value.max_abs_coefficient())
-        except OverflowError:
-            return math.inf
+        return float_image(self.value.max_abs_coefficient())
 
     def to_json_dict(self) -> dict:
         return {

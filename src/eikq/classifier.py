@@ -19,40 +19,50 @@ equation), labeled by its multiplicities m1, m2 >= 1, m1 + m2 = n/2 - 1.
                                      REJECT_TOL and tol
     isoparametric                    Muenzner's equation on f itself,
                                      within tol (n even, n >= 6)
-    primitive                        the normal form of f or of -f
-                                     (`normalform.obtain_normal_form`, as
-                                     in `eikq normalform`): a zero pencil,
-                                     or for q = 1 an involution
+    primitive, exact                 for an exactly eikonal f, the exact
+                                     normal form of f or of -f at a given
+                                     rotation or at the identity
+                                     (`normalform.exact_normal_form`): a
+                                     zero pencil, or for q = 1 an involution
+    primitive, inconclusive_float    for any other f, the float certificate:
+                                     f = h_d or -h_d exactly when f + |x|^4
+                                     or -f + |x|^4 is 8 (x^T S x)^2 with
+                                     S^2 = I/4, and then d = n/2 + tr S
 
 An isoparametric report describes f: (m1, m2), `laplacian_constant`, and
 the numbers of f's own normal form, q = m1 + 1, nu = m2, p = n - 1 - q and
-mu = p - 2 nu; a `rotation` is validated but not needed.  A primitive
-report carries the p and q of the normal form that was read, which may be
-that of -f.  On the exact route every fact is a rational identity, and an
+mu = p - 2 nu; a `rotation` is validated but not needed.  An exact
+primitive report carries the p and q of the normal form that was read,
+which may be that of -f; a float one reads no normal form, and its p and q
+are null.  On the exact route every fact is a rational identity, and an
 exactly eikonal f that is neither primitive nor isoparametric raises
 RuntimeError (exit 5 in the CLI): it contradicts the structure theory.  On
 the float route a residual above `tol` but below the rejection threshold
 comes back as verdict "inconclusive_float", and a larger one as
-"not_eikonal".
+"not_eikonal".  An f eikonal within `tol` that neither sign of the
+certificate accepts is "inconclusive_float" too.  A `rotation` given with
+an f that is not exactly eikonal is validated but not used.
+`sphere_maximize` and the float normal form serve only `eikq normalform`.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .analysis import check_eikonal, check_munzner_second
+from .analysis import check_eikonal, check_munzner_second, float_image, scientific
 from .matrices import RationalMatrix
 from .normalform import (
+    EXACT_NEEDS_POSITION,
     FAR_FROM_EIKONAL,
     REJECT_TOL,
     NormalForm,
-    NotEikonalEvidence,
     _require_orthogonal,
-    obtain_normal_form,
+    exact_normal_form,
 )
 from .pencils import quadratic_form_matrix
 from .polyring import Polynomial, laplacian, radial_power, rational, substitute_linear
@@ -82,14 +92,25 @@ class ClassificationReport:
     m2: Optional[int] = None
     laplacian_constant: Optional[str] = None
     detail: str = ""
+    # a residual given as an exact rational is kept here, for the text report;
+    # `residual` holds its float image
+    exact_residual: Optional[Fraction] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if isinstance(self.residual, Fraction):
+            object.__setattr__(self, "exact_residual", self.residual)
+            object.__setattr__(self, "residual", float_image(self.residual))
 
     def to_json_dict(self) -> dict:
         """The fields in declaration order, after the schema version."""
-        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
+        fields = {"schema_version": SCHEMA_VERSION, **asdict(self)}
+        del fields["exact_residual"]
+        return fields
 
     def summary_lines(self) -> list[str]:
         lines = [f"verdict: {self.verdict}"]
-        lines.append(f"n = {self.n}, arithmetic = {self.arithmetic}, residual = {self.residual:.3e}")
+        residual = scientific(self.exact_residual or self.residual)
+        lines.append(f"n = {self.n}, arithmetic = {self.arithmetic}, residual = {residual}")
         if self.p is not None:
             lines.append(f"normal form: p = {self.p}, q = {self.q}")
         if self.verdict == VERDICT_PRIMITIVE and self.dim_h is not None:
@@ -158,7 +179,6 @@ def classify(
     *,
     allow_float: bool = True,
     tol: float = 1e-9,
-    seed: int = 0,
 ) -> ClassificationReport:
     """Decide primitive vs isoparametric for a quartic, with eikonal checks.
 
@@ -166,22 +186,24 @@ def classify(
     decision in rational arithmetic; below `tol` the float route is taken
     (unless `allow_float` is off); between `tol` and `REJECT_TOL` the
     verdict is "inconclusive_float"; above it "not_eikonal".  Then
-    Muenzner's equation on f decides "isoparametric", and `_judge` reads
-    any other f through its normal form, where a `rotation` (exact,
-    orthogonal) keeps even rotated inputs on the exact route.
+    Muenzner's equation on f decides "isoparametric".  An exactly eikonal f
+    is next read through its exact normal form, at a `rotation` (exact,
+    orthogonal) or at the identity, and `_judge` decides on it.  Every f
+    that is still undecided gets the float primitive certificate
+    (`_certify`), unless `allow_float` is off (ValueError).
     """
     if f.is_zero or not f.is_homogeneous(4):
         raise ValueError("f must be a nonzero homogeneous quartic")
     n = f.dimension
     eik = check_eikonal(f, 4)
-    deviation, mag = eik.value.max_abs_coefficient(), eik.magnitude
+    deviation = eik.value.max_abs_coefficient()
     if deviation > REJECT_TOL:
         return ClassificationReport(
-            VERDICT_NOT_EIKONAL, n, "exact", mag, detail=FAR_FROM_EIKONAL
+            VERDICT_NOT_EIKONAL, n, "exact", deviation, detail=FAR_FROM_EIKONAL
         )
     if deviation > tol:
         return ClassificationReport(
-            VERDICT_INCONCLUSIVE, n, "float", mag,
+            VERDICT_INCONCLUSIVE, n, "float", deviation,
             detail="the eikonal residual sits between tol and the rejection threshold",
         )
     # an isoparametric quartic has m1, m2 >= 1, so n = 2 (m1 + m2 + 1) >= 6
@@ -189,19 +211,19 @@ def classify(
         report = _isoparametric(f, rotation, deviation, 0 if eik.is_zero else tol)
         if report is not None:
             return report
-    try:
-        nf, _ = obtain_normal_form(f, rotation, eik, allow_float=allow_float, tol=tol, seed=seed)
-    except NotEikonalEvidence as evidence:
-        return ClassificationReport(
-            VERDICT_NOT_EIKONAL, n, "exact" if eik.is_zero else "float",
-            max(mag, REJECT_TOL), detail=str(evidence),
-        )
-    exact = eik.is_zero and nf.arithmetic == "exact"
-    return _judge(nf, max(deviation, nf.extraction_residual), 0.0 if exact else tol, exact)
+    if eik.is_zero:
+        found = exact_normal_form(f, rotation)
+        if found is not None:
+            return _judge(found[0])
+    elif rotation is not None:
+        _require_orthogonal(rotation, n)
+    if not allow_float:
+        raise ValueError(EXACT_NEEDS_POSITION)
+    return _certify(f, deviation, tol)
 
 
 def _isoparametric(
-    f: Polynomial, rotation: RationalMatrix | None, deviation, tol: float
+    f: Polynomial, rotation: RationalMatrix | None, deviation: Fraction, tol: float
 ) -> Optional[ClassificationReport]:
     """The report when laplacian(f) is within `tol` of 8 (m2 - m1) |x|^2 with
     m1, m2 >= 1, which makes the eikonal f isoparametric; else None.
@@ -225,62 +247,145 @@ def _isoparametric(
         deviation = max(deviation, (laplacian(f) - constant * radial_power(n, 1)).max_abs_coefficient())
     p = n - 2 - m1  # f's own normal form: q = m1 + 1, nu = m2
     return ClassificationReport(
-        VERDICT_ISOPARAMETRIC, n, "float" if tol else "exact", float(deviation),
+        VERDICT_ISOPARAMETRIC, n, "float" if tol else "exact", deviation,
         p=p, q=m1 + 1, nu=m2, mu=p - 2 * m2, m1=m1, m2=m2,
         laplacian_constant=str(constant),
     )
 
 
-def _judge(nf: NormalForm, residual: Fraction, tol: float, exact: bool) -> ClassificationReport:
-    """Read a primitive verdict off the pencil of nf, the normal form of f or of -f.
+def _judge(nf: NormalForm) -> ClassificationReport:
+    """Read a primitive verdict off the pencil of nf, the exact normal form of
+    f or of -f.
 
-    f is not isoparametric, so its pencil must be zero (q = 0 and p = 0
-    included) or, for q = 1, an involution.  Every fact is an exact
-    deviation compared with `tol`.  The exact route passes tol = 0, and a
-    failed fact contradicts the structure theory (RuntimeError); on the
-    float route it makes the verdict "inconclusive_float".  The report
-    holds the float image of the exact deviations folded into `residual`.
+    f is exactly eikonal and not isoparametric, so its pencil must be zero
+    (q = 0 and p = 0 included) or, for q = 1, an involution; anything else
+    contradicts the structure theory (RuntimeError).
     """
     n, p, q = nf.ambient_dimension, nf.p, nf.q
-
-    def fail(detail: str, contradiction: str = "") -> ClassificationReport:
-        if exact:
-            raise RuntimeError(
-                f"{contradiction or detail}; this contradicts the structure theory"
-            )
-        return ClassificationReport(
-            VERDICT_INCONCLUSIVE, n, "float", float(max(residual, tol)), p=p, q=q,
-            detail=detail,
-        )
-
-    def primitive(dim_raw: int, deviation: Fraction) -> ClassificationReport:
-        return ClassificationReport(
-            VERDICT_PRIMITIVE, n, "exact" if exact else "float",
-            float(max(residual, deviation)),
-            p=p, q=q, dim_h=min(dim_raw, n - dim_raw),
-        )
-
-    if residual > tol:
-        return fail("extraction residual exceeds tol")
-    # exact rationals, so that with tol = 0 only a zero pencil passes
-    pencil_max = max((a.max_abs() for a in nf.pencil), default=rational(0))
-    if pencil_max <= tol:
-        return primitive(p + 1, pencil_max)
-    if q == 1:
+    if all(a.is_zero() for a in nf.pencil):
+        dim_raw = p + 1
+    elif q == 1:
         a = nf.pencil[0]
-        square_dev = (a @ a - RationalMatrix.identity(p)).max_abs()
-        trace = a.trace()
-        trace_int = round(trace)
-        if (square_dev > tol or abs(trace - trace_int) > tol * max(p, 1)
-                or (p + trace_int) % 2):
-            return fail(
-                "single pencil matrix is not numerically an involution",
-                "eikonal quartic with a single pencil matrix that is neither "
-                "zero nor an involution",
+        if a @ a != RationalMatrix.identity(p):
+            raise RuntimeError(
+                "eikonal quartic with a single pencil matrix that is neither zero "
+                "nor an involution; this contradicts the structure theory"
             )
-        return primitive((p + trace_int) // 2 + 1, square_dev)
-    return fail(
-        "nonzero pencil with q >= 2, but f fails Muenzner's equation",
-        "eikonal quartic with a nonzero pencil of length q >= 2 that is not "
-        "isoparametric",
+        # the eigenvalues of an involution are +-1, so p + tr A is even
+        dim_raw = (p + int(a.trace())) // 2 + 1
+    else:
+        raise RuntimeError(
+            "eikonal quartic with a nonzero pencil of length q >= 2 that is not "
+            "isoparametric; this contradicts the structure theory"
+        )
+    return ClassificationReport(
+        VERDICT_PRIMITIVE, n, "exact", 0.0, p=p, q=q, dim_h=min(dim_raw, n - dim_raw)
     )
+
+
+def _certify(f: Polynomial, deviation: Fraction, tol: float) -> ClassificationReport:
+    """The float primitive verdict on f, eikonal within `tol`.
+
+    f = h_d, or -h_d, exactly when g = f + |x|^4, or -f + |x|^4, is
+    8 (x^T S x)^2 with S^2 = I/4 (T_4 = 2 T_2^2 - 1), and then
+    d = n/2 + tr S.  `_square_certificate` reads S off g; the sign whose
+    deviation is within `tol` gives the verdict, with p and q left null
+    (no normal form is read), and the residual the larger of f's exact
+    eikonal deviation and the certificate's float one.  When neither
+    sign certifies, the verdict is "inconclusive_float" with the smaller
+    certificate deviation.
+    """
+    n = f.dimension
+    radial = radial_power(n, 2)
+    misses = []
+    for g in (radial + f, radial - f):
+        miss, trace = _square_certificate(g)
+        if miss <= tol:
+            d = round(n / 2 + trace)
+            return ClassificationReport(
+                VERDICT_PRIMITIVE, n, "float", max(deviation, miss),
+                dim_h=min(d, n - d),
+            )
+        misses.append(miss)
+    return ClassificationReport(
+        VERDICT_INCONCLUSIVE, n, "float", min(misses),
+        detail="neither f nor -f has a primitive certificate within tol",
+    )
+
+
+def _square_certificate(g: Polynomial) -> tuple[float, float]:
+    """How far the quartic g is from 8 s^2, s = x^T S x with S^2 = I/4; and tr S.
+
+    If g = 8 s^2, then at any a with g(a) > 0,
+    T = hess g(a) - grad g(a) grad g(a)^T / (2 g(a)) = 32 s(a) S with
+    s(a) = +-sqrt(g(a) / 8), and the sign of S does not change 8 s^2.  a is
+    the e_i or e_i + e_j with the largest |g(a)|, so every derivative at a
+    sums coefficients.  The deviation is the larger of max |S^2 - I/4| and
+    max |coeff(g - 8 s^2)|, with S = 0 when g(a) <= 0.  Plain floats,
+    summed over g's sorted terms, so the result depends neither on the
+    order of the terms nor on the host's BLAS.
+    """
+    n = g.dimension
+    terms = [(mono, float(c)) for mono, c in g.sorted_terms()]
+    # g(e_i + e_j) = g(e_i) + g(e_j) + the coefficients supported on {i, j}
+    on_support: dict[tuple[int, ...], float] = {}
+    for mono, c in terms:
+        support = tuple(i for i, e in enumerate(mono) if e)
+        if len(support) <= 2:
+            on_support[support] = on_support.get(support, 0.0) + c
+    single = [on_support.get((i,), 0.0) for i in range(n)]
+    candidates = [((i,), single[i]) for i in range(n)] + [
+        ((i, j), single[i] + single[j] + on_support.get((i, j), 0.0))
+        for i in range(n) for j in range(i + 1, n)
+    ]
+    support, value = max(candidates, key=lambda item: abs(item[1]))
+    s = [[0.0] * n for _ in range(n)]
+    if value > 0:
+        inside = set(support)
+        grad = [0.0] * n
+        hess = [[0.0] * n for _ in range(n)]
+        for mono, c in terms:
+            outside = sum(e for i, e in enumerate(mono) if i not in inside)
+            if outside > 2:
+                continue
+            used = [i for i, e in enumerate(mono) if e]
+            for k in used:
+                # a derivative of x^m is nonzero at a only when what is left of
+                # x^m has no variable outside a's support
+                out_k = outside - (k not in inside)
+                if out_k == 0:
+                    grad[k] += c * mono[k]
+                for l in used:
+                    power = mono[l] - (k == l)
+                    if power and out_k - (l not in inside) == 0:
+                        hess[k][l] += c * (mono[k] * power)
+        scale = 32 * math.sqrt(value / 8)
+        for k in range(n):
+            for l in range(n):
+                s[k][l] = (hess[k][l] - grad[k] * grad[l] / (2 * value)) / scale
+    square = max(
+        abs(sum(s[i][m] * s[m][j] for m in range(n)) - (0.25 if i == j else 0.0))
+        for i in range(n) for j in range(n)
+    )
+    # 8 s^2 from the quadratic monomials x_i x_j (i <= j) of s
+    quadratic = []
+    for i in range(n):
+        for j in range(i, n):
+            exponents = [0] * n
+            exponents[i] += 1
+            exponents[j] += 1
+            quadratic.append((exponents, s[i][j] if i == j else 2 * s[i][j]))
+    model: dict[tuple[int, ...], float] = {}
+    for u, (eu, cu) in enumerate(quadratic):
+        for v in range(u, len(quadratic)):
+            ev, cv = quadratic[v]
+            mono = tuple(a + b for a, b in zip(eu, ev))
+            weight = 8.0 if v == u else 16.0
+            model[mono] = model.get(mono, 0.0) + weight * cu * cv
+    coefficients = dict(terms)
+    miss = max(
+        (abs(coefficients.get(mono, 0.0) - model.get(mono, 0.0))
+         for mono in coefficients.keys() | model.keys()),
+        default=0.0,
+    )
+    return max(square, miss), sum(s[i][i] for i in range(n))

@@ -20,9 +20,12 @@ when it goes to a terminal (set EIKQ_COLOR=0 to disable ANSI color).  `-o`,
 where a verb has it, receives the report in either format instead of stdout.
 Errors (exit 2, 4 and 5) are text on stderr, with nothing on stdout.
 
-`classify` and `normalform` take the same --rotation, --exact, --tol and
---seed; `normalform` prints the normal form that `classify` judges a
-non-isoparametric f by, marked "negated" when it is that of -f.
+`classify` and `normalform` take the same --rotation, --exact and --tol.
+On an exactly eikonal, non-isoparametric f, `normalform` prints the exact
+normal form that `classify` judges f by, marked "negated" when it is that
+of -f.  Any other f `classify` decides by a closed-form float certificate,
+while `normalform` reads its normal form at a maximizer found by a float
+sphere ascent, whose starting points `normalform --seed` draws.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import sys
 import traceback
 from typing import NamedTuple, Sequence
 
-from .analysis import check_eikonal
+from .analysis import check_eikonal, scientific
 from .classifier import (
     SCHEMA_VERSION,
     VERDICT_INCONCLUSIVE,
@@ -135,13 +138,14 @@ def _cmd_construct(args) -> _Answer:
 def _cmd_verify(args) -> _Answer:
     f = poly_from_text(_read_text(args.file))
     residual = check_eikonal(f, args.g)
-    ok = residual.value.max_abs_coefficient() <= args.tol
+    deviation = residual.value.max_abs_coefficient()
+    ok = deviation <= args.tol
     if residual.is_zero:
         verdict = "eikonal (residual exactly zero)"
     elif ok:
-        verdict = f"eikonal within tol (residual {residual.magnitude:.3e})"
+        verdict = f"eikonal within tol (residual {scientific(deviation)})"
     else:
-        verdict = f"not eikonal (residual {residual.magnitude:.3e})"
+        verdict = f"not eikonal (residual {scientific(deviation)})"
     fields = {
         "g": args.g,
         "n": f.dimension,
@@ -157,8 +161,7 @@ def _cmd_verify(args) -> _Answer:
 def _cmd_classify(args) -> _Answer:
     f = poly_from_text(_read_text(args.file))
     rotation = _read_rotation(args.rotation) if args.rotation else None
-    report = classify(f, rotation=rotation, allow_float=not args.exact, tol=args.tol,
-                      seed=args.seed)
+    report = classify(f, rotation=rotation, allow_float=not args.exact, tol=args.tol)
     code, color = {
         VERDICT_NOT_EIKONAL: (1, _RED),
         VERDICT_INCONCLUSIVE: (3, _YELLOW),
@@ -182,7 +185,7 @@ def _cmd_normalform(args) -> _Answer:
     lines = ["normal form of -f"] if negated else []
     lines.append(f"p = {nf.p}, q = {nf.q}, arithmetic = {nf.arithmetic}")
     lines.append(f"phi eigenvalues: {list(nf.phi_eigenvalues)}")
-    lines.append(f"extraction residual: {float(nf.extraction_residual):.3e}")
+    lines.append(f"extraction residual: {scientific(nf.extraction_residual)}")
     for index, matrix in enumerate(nf.pencil, start=1):
         lines.append(f"A_{index}:")
         for i in range(matrix.n_rows):
@@ -241,8 +244,6 @@ def _add_quartic_input(sub) -> None:
     sub.add_argument("file", help="poly-text file, or - for stdin")
     sub.add_argument("--tol", type=_tolerance, default=1e-9,
                      help="numeric acceptance threshold (default 1e-9)")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for numeric starting points (default 0)")
     sub.add_argument("--rotation", metavar="FILE",
                      help="exact orthogonal matrix: n then n^2 rationals")
     sub.add_argument("--exact", action="store_true",
@@ -286,6 +287,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     _add_quartic_input(verbs["classify"])
     _add_quartic_input(verbs["normalform"])
+    verbs["normalform"].add_argument(
+        "--seed", type=int, default=0,
+        help="seed for the starting points of the float sphere ascent (default 0)")
 
     cong = verbs["congruent"]
     cong.add_argument("--n", type=int, required=True, help="ambient dimension")

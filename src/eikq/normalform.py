@@ -26,9 +26,12 @@ maximizer, a float eigensolver diagonalizes phi, both rotations are
 rationalized entry by entry, and every deviation is accumulated, exactly,
 into `extraction_residual` and judged against REJECT_TOL.
 
-`obtain_normal_form`, shared by `classify` and `eikq normalform`, decides
-which rotation and which sign (f or -f; congruence includes the sign) the
-normal form is read from, exact routes first.
+`obtain_normal_form`, behind `eikq normalform`, decides which rotation
+and which sign (f or -f; congruence includes the sign) the normal form is
+read from, exact routes (`exact_normal_form`, which `classify` shares)
+first.  The float route, `sphere_maximize` included, serves only
+`eikq normalform`: `classify` decides the remaining inputs by a closed-form
+certificate instead.
 """
 
 from __future__ import annotations
@@ -63,6 +66,10 @@ if TYPE_CHECKING:
 # a float extraction residual) means f is not eikonal.
 REJECT_TOL = 1e-6
 FAR_FROM_EIKONAL = "the eikonal residual is far from zero"
+EXACT_NEEDS_POSITION = (
+    "--exact needs f in normal-form position or an explicit rotation; "
+    "rerun without --exact to allow the float path"
+)
 
 _HALTON_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                   59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113)
@@ -512,38 +519,48 @@ def _require_orthogonal(rotation: RationalMatrix, n: int) -> None:
         raise ValueError("rotation must be exactly orthogonal")
 
 
+def exact_normal_form(
+    f: Polynomial, rotation: RationalMatrix | None
+) -> tuple[NormalForm, bool] | None:
+    """The normal form of f, or of -f (flag True), on an exact route: the
+    given `rotation`, on f only; without one, the identity on f, then on -f,
+    each ValueError moving on (None when both fail).  The identity route is
+    meant for an exactly eikonal f, on which every route is exact.
+    """
+    if rotation is not None:
+        return extract_normal_form(f, rotation), False
+    identity = RationalMatrix.identity(f.dimension)
+    for negated in (False, True):
+        try:
+            return extract_normal_form(-f if negated else f, identity), negated
+        except ValueError:
+            pass
+    return None
+
+
 def obtain_normal_form(
     f: Polynomial, rotation: RationalMatrix | None, eikonal: Residual | None,
     *, allow_float: bool, tol: float, seed: int,
 ) -> tuple[NormalForm, bool]:
     """The normal form of f, or of -f (flag True), by the first route that
-    applies: the given `rotation`, on f only; for an exactly eikonal f
-    (`eikonal` is its residual) the identity on f, then on -f, each
-    ValueError moving on; then, unless `allow_float` is off (ValueError),
-    the float route on f, then on -f.  -f is tried only for an f eikonal
-    within `tol`: by Euler's identity such an f is +1 or -1 at each critical
-    point on the sphere, and -f is 1 where f is -1 (at e_n, or the maximum
-    of -|x|^4).  When every route fails, f's NotEikonalEvidence is raised;
-    without a rotation, an eikonal residual above REJECT_TOL raises it at
-    once, before any route runs.
+    applies: `exact_normal_form` with the given `rotation`, or for an exactly
+    eikonal f (`eikonal` is its residual) at the identity; then, unless
+    `allow_float` is off (ValueError), the float route on f, then on -f.
+    -f is tried only for an f eikonal within `tol`: by Euler's identity such
+    an f is +1 or -1 at each critical point on the sphere, and -f is 1 where
+    f is -1 (at e_n, or the maximum of -|x|^4).  When every route fails,
+    f's NotEikonalEvidence is raised; without a rotation, an eikonal
+    residual above REJECT_TOL raises it at once, before the float route.
     """
-    if rotation is not None:
-        return extract_normal_form(f, rotation), False
+    if rotation is not None or eikonal.is_zero:
+        found = exact_normal_form(f, rotation)
+        if found is not None:
+            return found
     deviation = eikonal.value.max_abs_coefficient()
     if deviation > REJECT_TOL:
         raise NotEikonalEvidence(FAR_FROM_EIKONAL)
-    if eikonal.is_zero:
-        identity = RationalMatrix.identity(f.dimension)
-        for negated in (False, True):
-            try:
-                return extract_normal_form(-f if negated else f, identity), negated
-            except ValueError:
-                pass
     if not allow_float:
-        raise ValueError(
-            "--exact needs f in normal-form position or an explicit "
-            "rotation; rerun without --exact to allow the float path"
-        )
+        raise ValueError(EXACT_NEEDS_POSITION)
     try:
         return extract_normal_form(f, None, tol=tol, seed=seed), False
     except NotEikonalEvidence as evidence:

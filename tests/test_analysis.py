@@ -20,6 +20,7 @@ from eikq.analysis import (
     check_pencil,
     check_structure_identities,
     check_system,
+    scientific,
 )
 from eikq.constructors import (
     NormalFormData,
@@ -433,3 +434,18 @@ class TestResidualMechanics:
         res = Residual("demo", Polynomial.monomial(2, (1, 0), 10 ** 400))
         assert res.magnitude == float("inf")
         assert res.to_json_dict() == {"zero": False, "max_coeff": str(10 ** 400)}
+
+    @pytest.mark.parametrize("value, text", [
+        (0, "0.000e+00"),
+        (0.0, "0.000e+00"),
+        (48.0, "4.800e+01"),
+        (rational(3, 7), "4.286e-01"),
+        (rational(1, 10 ** 400), "1.000e-400"),
+        (rational(96, 10 ** 400), "9.600e-399"),
+        (rational(99995, 10 ** 405), "1.000e-400"),  # rounds up a decade
+        (rational(10 ** 400), "inf"),
+    ])
+    def test_scientific(self, value, text):
+        # `.3e` of the float image, except below the float range, where the
+        # exact magnitude is kept
+        assert scientific(value) == text

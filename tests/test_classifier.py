@@ -30,7 +30,7 @@ from eikq.constructors import (
     make_primitive,
 )
 from eikq.matrices import RationalMatrix, random_rational_orthogonal
-from eikq.normalform import extract_normal_form
+from eikq.normalform import NotEikonalEvidence, extract_normal_form
 from eikq.pencils import tau_polynomials
 from eikq.polyring import (
     Polynomial,
@@ -229,6 +229,86 @@ class TestNormalFormSecondProof:
         assert (report.m1, report.m2) == (pair[::-1] if negated else pair)
 
 
+def _float_rotated(f: Polynomial, seed: int) -> Polynomial:
+    import numpy as np
+
+    n = f.dimension
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return substitute_linear(f, RationalMatrix.from_float(q * np.sign(np.diag(r))))
+
+
+class TestCertificateSecondProof:
+    """The float normal-form route, an independent proof of each float
+    primitive verdict: the certificate's dim_h is the one read off the
+    normal form of f or of -f at a numeric maximizer, where a zero pencil
+    gives d = p + 1 and a q = 1 involution d = (p + tr A)/2 + 1."""
+
+    @staticmethod
+    def normal_form_dim_h(f: Polynomial) -> int:
+        try:
+            nf = extract_normal_form(f, None)
+        except NotEikonalEvidence:
+            nf = extract_normal_form(-f, None)
+        n, p = f.dimension, nf.p
+        if all(a.max_abs() <= 1e-9 for a in nf.pencil):
+            d = p + 1
+        else:
+            assert nf.q == 1
+            d = (p + round(float(nf.pencil[0].trace()))) // 2 + 1
+        return min(d, n - d)
+
+    def check(self, f: Polynomial) -> ClassificationReport:
+        report = classify(f)
+        assert (report.verdict, report.arithmetic) == (VERDICT_PRIMITIVE, "float")
+        assert (report.p, report.q) == (None, None)
+        assert 0 < report.residual < 1e-9
+        assert report.dim_h == self.normal_form_dim_h(f)
+        return report
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_rotated_primitive(self, n):
+        for d in range(n + 1):
+            for sign in (1, -1):
+                f = _float_rotated(sign * make_primitive(4, n, d), 10 * n + d)
+                assert self.check(f).dim_h == min(d, n - d)
+
+    @pytest.mark.parametrize("plant", ["involution", "zero_pencil"])
+    def test_rotated_plant(self, plant):
+        f = assemble_from_normal_form(getattr(data, f"{plant}_data")())
+        for sign in (1, -1):
+            self.check(_float_rotated(sign * f, 7))
+
+    def test_outcomes_kept(self):
+        near = make_canonical_quartic(3, 1) + rational(1, 10 ** 8) * Polynomial.monomial(
+            3, (4, 0, 0)
+        )
+        assert classify(near).verdict == VERDICT_INCONCLUSIVE
+        fkm = classify(_float_rotated(data.fkm_1_4(), 3))
+        assert (fkm.verdict, fkm.arithmetic) == (VERDICT_ISOPARAMETRIC, "float")
+        radial = -(make_primitive(4, 3, 0) + rational(1, 10 ** 12) * Polynomial.monomial(
+            3, (4, 0, 0)
+        ))
+        report = classify(radial)
+        assert (report.verdict, report.arithmetic, report.dim_h) == (
+            VERDICT_PRIMITIVE, "float", 0)
+
+    def test_rotation_with_an_inexact_input(self):
+        # a rotation is read exactly only with an exactly eikonal f; with an f
+        # eikonal within tol it is validated, and the certificate decides
+        f = make_canonical_quartic(3, 1) + rational(1, 10 ** 12) * Polynomial.monomial(
+            3, (0, 0, 4)
+        )
+        identity = RationalMatrix.identity(3)
+        report = classify(f, rotation=identity)
+        assert report == classify(f)
+        assert (report.verdict, report.arithmetic, report.dim_h) == (
+            VERDICT_PRIMITIVE, "float", 1)
+        with pytest.raises(ValueError, match="exactly orthogonal"):
+            classify(f, rotation=identity.scale(2))
+        with pytest.raises(ValueError, match="needs f in normal-form position"):
+            classify(f, rotation=identity, allow_float=False)
+
+
 class TestClassifyNumeric:
     def test_blunt_rejection(self):
         report = classify(Polynomial.monomial(2, (4, 0)))
@@ -279,7 +359,11 @@ class TestClassifyNumeric:
         report = classify(f)
         assert report.verdict == VERDICT_PRIMITIVE
         assert report.arithmetic == "float"
-        assert (report.p, report.q) == (1, 1)
+        # the float certificate reads no normal form
+        assert (report.p, report.q, report.dim_h) == (None, None, 1)
+        # the certificate fits exactly here, and the exact eikonal deviation,
+        # whose float image is 0.0, stays the residual
+        assert (report.residual, report.exact_residual) == (0.0, rational(32, 10 ** 400))
 
 
 class TestCongruentPrimitive:

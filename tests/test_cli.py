@@ -3,6 +3,7 @@ JSON determinism, and the text formats for polynomials and rotations."""
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
@@ -237,6 +238,30 @@ class TestClassify:
             assert (result.returncode, result.stdout) == (2, "")
             assert f"rotation must be {message}" in result.stderr
 
+    def test_irrational_h(self, monkeypatch, capsys):
+        # 4 x0^3 x1 - 4 x0 x1^3 is h_1 rotated by pi/8: exactly eikonal, but
+        # its H is irrational, so no rational rotation reaches normal position.
+        # The float certificate decides it without a sphere search; --exact
+        # still refuses it (an exact certificate would close this gap).
+        import eikq.cli
+        import eikq.normalform
+
+        def unused(*args, **kwargs):
+            raise AssertionError("classify ran sphere_maximize")
+
+        monkeypatch.setattr(eikq.normalform, "sphere_maximize", unused)
+        text = "n 2\n3 1 4\n1 3 -4\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert eikq.cli.main(["classify", "-", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["verdict"], payload["arithmetic"], payload["dim_h"]) == (
+            "primitive", "float", 1)
+        assert 0 < payload["residual"] < 1e-9
+        result = run_cli("classify", "-", "--exact", stdin=text)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert "--exact needs f in normal-form position" in result.stderr
+        assert run_cli("verify", "-", stdin=text).returncode == 0
+
     def test_no_ansi_when_disabled(self, tmp_path):
         path = write(tmp_path, "f.txt", poly_to_text(data.corpus()[0]))
         result = run_cli("classify", path)
@@ -285,6 +310,18 @@ class TestExactTolerance:
         assert "not eikonal" in result.stdout
         assert run_cli("verify", "-", stdin=self.TINY).returncode == 0
 
+    @pytest.mark.parametrize("verb, line", [
+        ("verify", "degree 4, n = 2: not eikonal (residual 9.600e-399)"),
+        ("classify", "n = 2, arithmetic = float, residual = 9.600e-399"),
+    ])
+    def test_text_keeps_a_residual_below_the_float_range(self, verb, line):
+        # the residual is 96 / 10^400, whose float image is 0.0
+        result = run_cli(verb, "-", "--tol", "0", stdin=self.TINY)
+        assert result.returncode == (1 if verb == "verify" else 3)
+        assert line in result.stdout.splitlines()
+        payload = json.loads(run_cli(verb, "-", "--tol", "0", "--json", stdin=self.TINY).stdout)
+        assert (payload["magnitude"] if verb == "verify" else payload["residual"]) == 0.0
+
     def test_classify_tol_zero_is_exact(self):
         result = run_cli("classify", "-", "--tol", "0", "--json", stdin=self.TINY)
         assert result.returncode == 3
@@ -314,7 +351,7 @@ class TestNormalform:
 
     def test_inexact_input_is_not_extracted_exactly(self, tmp_path):
         # f lies in normal-form position but is not exactly eikonal, so the
-        # extraction takes the float route and agrees with classify
+        # extraction takes the float route
         from eikq.constructors import make_canonical_quartic
         from eikq.polyring import Polynomial, rational
 
@@ -327,7 +364,10 @@ class TestNormalform:
         payload = json.loads(result.stdout)
         report = json.loads(run_cli("classify", path, "--json").stdout)
         assert payload["arithmetic"] == report["arithmetic"] == "float"
-        assert (payload["p"], payload["q"]) == (report["p"], report["q"]) == (0, 2)
+        assert (payload["p"], payload["q"]) == (0, 2)
+        # classify decides it by the float certificate, which reads no normal
+        # form; the zero pencil of this one gives the same dim_h, p + 1
+        assert (report["p"], report["q"], report["dim_h"]) == (None, None, 1)
 
     @pytest.mark.parametrize("text, n", [
         ("n 1\n4 -1\n", 1),
@@ -573,6 +613,14 @@ class TestUsage:
         assert [code for code, _, _ in reused] == [0, 0, 2, 0, 2, 0, 0, 2, 0]
         assert reused[0] == reused[3] and reused[1] == reused[5]
         assert "usage: eikq congruent" in reused[2][2]
+
+    def test_seed_only_on_normalform(self, tmp_path, capsys):
+        # classify has no sphere ascent left to seed
+        path = write(tmp_path, "f.txt", poly_to_text(data.corpus()[0]))
+        code, out, err = _in_process(["classify", path, "--seed", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --seed" in err
+        assert _in_process(["normalform", path, "--seed", "1"], capsys)[0] == 0
 
     @pytest.mark.parametrize("verb, tol", [
         ("verify", "inf"), ("verify", "-1"), ("classify", "-1"), ("classify", "nan"),

@@ -41,19 +41,41 @@ def test_cli_golden_bytes(record, tmp_path, capsys):
     )
 
 
-CLASSIFY_WITH_P = [
+def _tol(record) -> float:
+    options = record["options"]
+    return float(options[options.index("--tol") + 1]) if "--tol" in options else 1e-9
+
+
+def _dim_h(payload, tol: float) -> int:
+    """dim_h read off a normal-form record: a zero pencil (entries within
+    tol) gives d = p + 1, a q = 1 involution (p + tr A)/2 + 1."""
+    p, q = payload["p"], payload["q"]
+    pencil = [[[rational(v) for v in row] for row in a] for a in payload["pencil"]]
+    if all(abs(v) <= tol for a in pencil for row in a for v in row):
+        d = p + 1
+    else:
+        assert q == 1, "a nonzero pencil with q >= 2 is isoparametric"
+        d = (p + round(float(sum(pencil[0][i][i] for i in range(p))))) // 2 + 1
+    return min(d, p + q + 1 - d)
+
+
+CROSS_CHECKED = [
     r["name"] for r in RECORDS
-    if r["verb"] == "classify" and r["stdout"] and json.loads(r["stdout"])["p"] is not None
+    if r["verb"] == "classify" and r["stdout"]
+    and json.loads(r["stdout"])["verdict"] != "not_eikonal"
 ]
 
 
-@pytest.mark.parametrize("name", CLASSIFY_WITH_P)
+@pytest.mark.parametrize("name", CROSS_CHECKED)
 def test_normalform_reads_the_normal_form_classify_reads(name):
-    """Wherever classify reports p, normalform succeeds.  A primitive verdict
-    is read off the same normal form: same p, q and arithmetic.  An
-    isoparametric one is decided on f, and the normal form agrees with it:
-    its (q - 1, nu) is (m1, m2), swapped when it is that of -f, with
-    2 nu = tr(A_1^2) rounded on the float route."""
+    """Wherever classify's verdict is not not_eikonal, normalform succeeds
+    and agrees.  An exact primitive verdict is read off the same
+    normal form: same p, q and arithmetic.  A float primitive one comes
+    from the certificate, and the float normal form gives its dim_h.  An
+    isoparametric one is decided on f: the normal form's (q - 1, nu) is
+    (m1, m2), swapped when it is that of -f, with 2 nu = tr(A_1^2) rounded
+    on the float route.  An inconclusive one is not decided by the normal
+    form either: its extraction residual exceeds tol."""
     by_verb = {r["verb"]: r for r in RECORDS if r["name"] == name}
     report = json.loads(by_verb["classify"]["stdout"])
     normalform = by_verb["normalform"]
@@ -65,6 +87,17 @@ def test_normalform_reads_the_normal_form_classify_reads(name):
         if payload.get("negated"):
             pair = pair[::-1]
         assert pair == (report["m1"], report["m2"])
+        return
+    tol = _tol(by_verb["classify"])
+    if report["verdict"] == "inconclusive_float":
+        assert payload["arithmetic"] == "float"
+        assert payload["extraction_residual"] > tol
+        return
+    assert report["verdict"] == "primitive"
+    if report["arithmetic"] == "float":
+        assert (report["p"], report["q"]) == (None, None)
+        assert payload["arithmetic"] == "float"
+        assert _dim_h(payload, tol) == report["dim_h"]
         return
     assert [payload[k] for k in ("p", "q", "arithmetic")] == [
         report[k] for k in ("p", "q", "arithmetic")
