@@ -16,12 +16,16 @@ equation), labeled by its multiplicities m1, m2 >= 1, m1 + m2 = n/2 - 1.
 `classify` decides the verdicts in this order:
 
     not_eikonal, inconclusive_float  f's eikonal residual against
-                                     REJECT_TOL and tol
+                                     REJECT_TOL and tol; with a valid
+                                     rotation R the exact zero test runs
+                                     on the sparse f(R x), and a nonzero
+                                     residual is still measured on f
     isoparametric                    Muenzner's equation on f itself,
                                      within tol (n even, n >= 6)
     primitive, exact                 for an exactly eikonal f, the exact
                                      normal form of f or of -f at a given
-                                     rotation or at the identity
+                                     rotation (read off the f(R x) of the
+                                     zero test) or at the identity
                                      (`normalform.exact_normal_form`): a
                                      zero pencil, or for q = 1 an involution
     primitive, inconclusive_float    for any other f, the float certificate:
@@ -41,7 +45,8 @@ the float route a residual above `tol` but below the rejection threshold
 comes back as verdict "inconclusive_float", and a larger one as
 "not_eikonal".  An f eikonal within `tol` that neither sign of the
 certificate accepts is "inconclusive_float" too.  A `rotation` given with
-an f that is not exactly eikonal is validated but not used.
+an f that is not exactly eikonal is validated, after the eikonal gate, but
+not used.
 `sphere_maximize` and the float normal form serve only `eikq normalform`.
 """
 
@@ -63,6 +68,7 @@ from .normalform import (
     NormalForm,
     _require_orthogonal,
     exact_normal_form,
+    rotate_if_eikonal,
 )
 from .pencils import quadratic_form_matrix
 from .polyring import Polynomial, laplacian, radial_power, rational, substitute_linear
@@ -185,45 +191,52 @@ def classify(
     The eikonal residual of f gates everything: exactly zero keeps every
     decision in rational arithmetic; below `tol` the float route is taken
     (unless `allow_float` is off); between `tol` and `REJECT_TOL` the
-    verdict is "inconclusive_float"; above it "not_eikonal".  Then
+    verdict is "inconclusive_float"; above it "not_eikonal".  With an
+    exactly orthogonal `rotation` R the zero test is made on the sparse
+    f(R x) instead (`normalform.rotate_if_eikonal`), which the exact
+    extraction then reads; a nonzero residual is still measured on f, and
+    an invalid rotation is refused (ValueError) only after that gate.  Then
     Muenzner's equation on f decides "isoparametric".  An exactly eikonal f
-    is next read through its exact normal form, at a `rotation` (exact,
-    orthogonal) or at the identity, and `_judge` decides on it.  Every f
-    that is still undecided gets the float primitive certificate
-    (`_certify`), unless `allow_float` is off (ValueError).
+    is next read through its exact normal form, at R or at the identity,
+    and `_judge` decides on it.  Every f that is still undecided gets the
+    float primitive certificate (`_certify`), unless `allow_float` is off
+    (ValueError).
     """
     if f.is_zero or not f.is_homogeneous(4):
         raise ValueError("f must be a nonzero homogeneous quartic")
     n = f.dimension
-    eik = check_eikonal(f, 4)
-    deviation = eik.value.max_abs_coefficient()
-    if deviation > REJECT_TOL:
-        return ClassificationReport(
-            VERDICT_NOT_EIKONAL, n, "exact", deviation, detail=FAR_FROM_EIKONAL
-        )
-    if deviation > tol:
-        return ClassificationReport(
-            VERDICT_INCONCLUSIVE, n, "float", deviation,
-            detail="the eikonal residual sits between tol and the rejection threshold",
-        )
+    rotated = rotate_if_eikonal(f, rotation)
+    deviation = Fraction(0)
+    if rotated is None:
+        deviation = check_eikonal(f, 4).value.max_abs_coefficient()
+        if deviation > REJECT_TOL:
+            return ClassificationReport(
+                VERDICT_NOT_EIKONAL, n, "exact", deviation, detail=FAR_FROM_EIKONAL
+            )
+        if deviation > tol:
+            return ClassificationReport(
+                VERDICT_INCONCLUSIVE, n, "float", deviation,
+                detail="the eikonal residual sits between tol and the rejection threshold",
+            )
+        if rotation is not None:
+            _require_orthogonal(rotation, n)
+    exact = not deviation
     # an isoparametric quartic has m1, m2 >= 1, so n = 2 (m1 + m2 + 1) >= 6
-    if n % 2 == 0 and n >= 6 and (allow_float or eik.is_zero):
-        report = _isoparametric(f, rotation, deviation, 0 if eik.is_zero else tol)
+    if n % 2 == 0 and n >= 6 and (allow_float or exact):
+        report = _isoparametric(f, deviation, 0 if exact else tol)
         if report is not None:
             return report
-    if eik.is_zero:
-        found = exact_normal_form(f, rotation)
+    if exact:
+        found = exact_normal_form(f, rotation, rotated)
         if found is not None:
             return _judge(found[0])
-    elif rotation is not None:
-        _require_orthogonal(rotation, n)
     if not allow_float:
         raise ValueError(EXACT_NEEDS_POSITION)
     return _certify(f, deviation, tol)
 
 
 def _isoparametric(
-    f: Polynomial, rotation: RationalMatrix | None, deviation: Fraction, tol: float
+    f: Polynomial, deviation: Fraction, tol: float
 ) -> Optional[ClassificationReport]:
     """The report when laplacian(f) is within `tol` of 8 (m2 - m1) |x|^2 with
     m1, m2 >= 1, which makes the eikonal f isoparametric; else None.
@@ -239,8 +252,6 @@ def _isoparametric(
     # m1 = 0 or m2 = 0 is h_{n/2} or its negative, which is primitive
     if pair is None or min(pair) < 1:
         return None
-    if rotation is not None:
-        _require_orthogonal(rotation, n)
     m1, m2 = pair
     constant = rational(8 * (m2 - m1))
     if tol:  # on the exact route the Laplacian's deviation is 0

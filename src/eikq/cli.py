@@ -172,10 +172,9 @@ def _cmd_classify(args) -> _Answer:
 def _cmd_normalform(args) -> _Answer:
     f = poly_from_text(_read_text(args.file))
     rotation = _read_rotation(args.rotation) if args.rotation else None
-    eikonal = None if rotation is not None else check_eikonal(f, 4)
     try:
         nf, negated = obtain_normal_form(
-            f, rotation, eikonal, allow_float=not args.exact, tol=args.tol, seed=args.seed
+            f, rotation, allow_float=not args.exact, tol=args.tol, seed=args.seed
         )
     except NotEikonalEvidence as evidence:
         fields = {"verdict": VERDICT_NOT_EIKONAL, "detail": str(evidence)}

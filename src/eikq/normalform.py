@@ -15,8 +15,8 @@ reader, `polyring.homogeneous_split` over the blocks (xi, eta): A_i is the
 matrix of d psi_21 / d eta_i (psi_21 the part of bidegree (2, 1)), every
 other part of psi is stray, and theta_k is the part of xi-degree k.
 
-One pipeline, `_extract(f, rotation, tol)`, reads the normal form off
-f(rotation x), and tol = 0 means exact.  The routes differ only in where
+One pipeline, `_extract(g, rotation, tol)`, reads the normal form off
+g = f(rotation x), and tol = 0 means exact.  The routes differ only in where
 the rotations come from.  With an exact orthogonal `rotation`, phi is
 diagonalized by rational row reduction and every structural fact must hold
 exactly: a failure is a wrong target (ValueError) when the data merely does
@@ -29,9 +29,12 @@ into `extraction_residual` and judged against REJECT_TOL.
 `obtain_normal_form`, behind `eikq normalform`, decides which rotation
 and which sign (f or -f; congruence includes the sign) the normal form is
 read from, exact routes (`exact_normal_form`, which `classify` shares)
-first.  The float route, `sphere_maximize` included, serves only
-`eikq normalform`: `classify` decides the remaining inputs by a closed-form
-certificate instead.
+first.  With a valid rotation R, `rotate_if_eikonal` makes the exact zero
+test on the sparse f(R x) instead of on f, and hands the same f(R x) to
+the extraction; a nonzero residual is still measured on f.  The float
+route, `sphere_maximize` included, serves only `eikq normalform`:
+`classify` decides the remaining inputs by a closed-form certificate
+instead.
 """
 
 from __future__ import annotations
@@ -40,10 +43,10 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .analysis import check_eikonal
 from .constructors import NormalFormData
 from .matrices import RationalMatrix, orthonormalize_rational
 from .pencils import Pencil, quadratic_form_matrix
@@ -58,9 +61,6 @@ from .polyring import (
     rational_from_float,
     substitute_linear,
 )
-
-if TYPE_CHECKING:
-    from .analysis import Residual
 
 # The one rejection threshold: a deviation beyond it (an eikonal residual,
 # a float extraction residual) means f is not eikonal.
@@ -245,8 +245,8 @@ def _float_eigenbasis(
     return RationalMatrix.from_float(eigvecs[:, plus + minus]), len(plus), deviation
 
 
-def _extract(f: Polynomial, rotation: RationalMatrix, tol: float) -> NormalForm:
-    """Read the normal form of f off f(rotation x), up to `tol`.
+def _extract(g: Polynomial, rotation: RationalMatrix, tol: float) -> NormalForm:
+    """Read the normal form of f off g = f(rotation x), up to `tol`.
 
     tol = 0 is the exact route: every structural fact must hold exactly,
     the eigenbasis of phi is found in rational arithmetic, and a rotation
@@ -256,8 +256,7 @@ def _extract(f: Polynomial, rotation: RationalMatrix, tol: float) -> NormalForm:
     NotEikonalEvidence.
     """
     exact = tol == 0
-    m = f.dimension - 1
-    g = substitute_linear(f, rotation)
+    m = g.dimension - 1
     layers = _xn_layers(g)
     top = layers[4] - Polynomial.constant(m, 1)
     if exact and not top.is_zero:
@@ -486,6 +485,7 @@ def extract_normal_form(
     *,
     tol: float = 1e-9,
     seed: int = 0,
+    rotated: Polynomial | None = None,
 ) -> NormalForm:
     """Rotate f into normal form, exactly or numerically.
 
@@ -493,22 +493,26 @@ def extract_normal_form(
     coefficient phi is diagonalized.  With `rotation` given, the extraction
     is exact: phi's eigenspaces are found by rational row reduction, and
     ValueError means the rotation does not expose the normal form (wrong
-    target, or no rational orthonormal eigenbasis).  Without a rotation, a
-    numeric maximizer (`sphere_maximize`, with `tol` and `seed`) and
-    a float eigensolver supply rotations that are rationalized entry by
-    entry, so the result carries arithmetic="float" and an extraction
-    residual, and deviations above REJECT_TOL are NotEikonalEvidence.  On
-    either route NotEikonalEvidence means f cannot be eikonal at all.
+    target, or no rational orthonormal eigenbasis).  `rotated`, when given,
+    is f(rotation x) for a rotation already found exactly orthogonal
+    (`rotate_if_eikonal`), and is read instead of substituting again.
+    Without a rotation, a numeric maximizer (`sphere_maximize`, with `tol`
+    and `seed`) and a float eigensolver supply rotations that are
+    rationalized entry by entry, so the result carries arithmetic="float"
+    and an extraction residual, and deviations above REJECT_TOL are
+    NotEikonalEvidence.  On either route NotEikonalEvidence means f cannot
+    be eikonal at all.
     """
     if f.is_zero or not f.is_homogeneous(4):
         raise ValueError("f must be a nonzero homogeneous quartic")
     if rotation is None:
         point = np.array(sphere_maximize(f, tol=tol, seed=seed))
-        return _extract(
-            f, RationalMatrix.from_float(_householder_to_last(point)), REJECT_TOL
-        )
-    _require_orthogonal(rotation, f.dimension)
-    return _extract(f, rotation, 0)
+        rotation = RationalMatrix.from_float(_householder_to_last(point))
+        return _extract(substitute_linear(f, rotation), rotation, REJECT_TOL)
+    if rotated is None:
+        _require_orthogonal(rotation, f.dimension)
+        rotated = substitute_linear(f, rotation)
+    return _extract(rotated, rotation, 0)
 
 
 def _require_orthogonal(rotation: RationalMatrix, n: int) -> None:
@@ -519,16 +523,40 @@ def _require_orthogonal(rotation: RationalMatrix, n: int) -> None:
         raise ValueError("rotation must be exactly orthogonal")
 
 
-def exact_normal_form(
+def rotate_if_eikonal(
     f: Polynomial, rotation: RationalMatrix | None
+) -> Polynomial | None:
+    """f(rotation x) when `rotation` is an exactly orthogonal n x n matrix and
+    f(rotation x) is exactly eikonal (as a quartic); otherwise None, and an
+    invalid rotation raises nothing here.
+
+    For an orthogonal R the eikonal residual of f(R x) is that of f at R x,
+    so this zero test decides whether f is exactly eikonal.  It is cheap
+    because f(R x) is sparse when R exposes a normal form, and the caller
+    passes it on to the extraction.  A nonzero residual is left to be
+    measured on f, and an invalid rotation to be refused where it is used.
+    """
+    if rotation is None:
+        return None
+    try:
+        _require_orthogonal(rotation, f.dimension)
+    except ValueError:
+        return None
+    rotated = substitute_linear(f, rotation)
+    return rotated if check_eikonal(rotated, 4).is_zero else None
+
+
+def exact_normal_form(
+    f: Polynomial, rotation: RationalMatrix | None, rotated: Polynomial | None = None
 ) -> tuple[NormalForm, bool] | None:
     """The normal form of f, or of -f (flag True), on an exact route: the
-    given `rotation`, on f only; without one, the identity on f, then on -f,
-    each ValueError moving on (None when both fail).  The identity route is
-    meant for an exactly eikonal f, on which every route is exact.
+    given `rotation`, on f only, read off `rotated` = f(rotation x) when
+    given (`rotate_if_eikonal`); without one, the identity on f, then on
+    -f, each ValueError moving on (None when both fail).  The identity
+    route is meant for an exactly eikonal f, on which every route is exact.
     """
     if rotation is not None:
-        return extract_normal_form(f, rotation), False
+        return extract_normal_form(f, rotation, rotated=rotated), False
     identity = RationalMatrix.identity(f.dimension)
     for negated in (False, True):
         try:
@@ -539,26 +567,33 @@ def exact_normal_form(
 
 
 def obtain_normal_form(
-    f: Polynomial, rotation: RationalMatrix | None, eikonal: Residual | None,
+    f: Polynomial, rotation: RationalMatrix | None,
     *, allow_float: bool, tol: float, seed: int,
 ) -> tuple[NormalForm, bool]:
     """The normal form of f, or of -f (flag True), by the first route that
-    applies: `exact_normal_form` with the given `rotation`, or for an exactly
-    eikonal f (`eikonal` is its residual) at the identity; then, unless
-    `allow_float` is off (ValueError), the float route on f, then on -f.
-    -f is tried only for an f eikonal within `tol`: by Euler's identity such
-    an f is +1 or -1 at each critical point on the sphere, and -f is 1 where
-    f is -1 (at e_n, or the maximum of -|x|^4).  When every route fails,
-    f's NotEikonalEvidence is raised; without a rotation, an eikonal
-    residual above REJECT_TOL raises it at once, before the float route.
+    applies: for an exactly eikonal f, `exact_normal_form` at the given
+    `rotation` (the zero test made on f(rotation x), `rotate_if_eikonal`)
+    or, without one, at the identity; then, unless `allow_float` is off
+    (ValueError), the float route on f, then on -f.  An eikonal residual of
+    f above REJECT_TOL raises NotEikonalEvidence before the float route,
+    and an invalid rotation raises ValueError after that gate, as in
+    `classify`.  -f is tried only for an f eikonal within `tol`: by Euler's
+    identity such an f is +1 or -1 at each critical point on the sphere,
+    and -f is 1 where f is -1 (at e_n, or the maximum of -|x|^4).  When
+    every route fails, f's NotEikonalEvidence is raised.
     """
-    if rotation is not None or eikonal.is_zero:
-        found = exact_normal_form(f, rotation)
-        if found is not None:
-            return found
-    deviation = eikonal.value.max_abs_coefficient()
+    rotated = rotate_if_eikonal(f, rotation)
+    if rotated is not None:
+        return exact_normal_form(f, rotation, rotated)
+    deviation = check_eikonal(f, 4).value.max_abs_coefficient()
     if deviation > REJECT_TOL:
         raise NotEikonalEvidence(FAR_FROM_EIKONAL)
+    if rotation is not None:
+        _require_orthogonal(rotation, f.dimension)
+    elif not deviation:
+        found = exact_normal_form(f, None)
+        if found is not None:
+            return found
     if not allow_float:
         raise ValueError(EXACT_NEEDS_POSITION)
     try:

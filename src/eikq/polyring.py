@@ -493,7 +493,7 @@ def radial_power(dimension: int, exponent: int) -> Polynomial:
 # -- poly-text wire format ----------------------------------------------------
 
 
-_COEFF_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
+_COEFF_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 class PolyTextError(ValueError):
@@ -559,10 +559,12 @@ def _poly_from_lines(lines: Iterator[tuple[int, str]]) -> Polynomial:
         if any(e < 0 for e in mono):
             raise PolyTextError("exponents must be nonnegative", number)
         token = fields[dimension]
-        if not _COEFF_RE.fullmatch(token):
+        parts = _COEFF_RE.fullmatch(token)
+        if parts is None:
             raise PolyTextError(f"bad coefficient {token!r}, expected p or p/q", number)
+        numerator, denominator = parts.groups()
         try:
-            coeff = rational(token)
+            coeff = Fraction(int(numerator), int(denominator or 1))
         except ZeroDivisionError:
             raise PolyTextError(f"bad coefficient {token!r}, zero denominator", number) from None
         if coeff:

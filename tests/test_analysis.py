@@ -352,6 +352,21 @@ class TestCheckPencil:
         with pytest.raises(ValueError, match="^pencil matrix 0 is not symmetric$"):
             check_pencil((bad,), 2)
 
+    def test_pencil_errors_in_matrix_order(self):
+        # shape, then symmetry, matrix by matrix: the first bad matrix names the error
+        good, bad = RationalMatrix.identity(2), RationalMatrix([[0, 1], [0, 0]])
+        wide = RationalMatrix([[1, 0, 0], [0, 1, 0]])
+        for pencil, message in (
+            ((good, bad, wide), "pencil matrix 1 is not symmetric"),
+            ((good, wide, bad), "pencil matrix 1 is not 2 x 2"),
+            ((bad, RationalMatrix.identity(3)), "pencil matrix 0 is not symmetric"),
+            ((RationalMatrix.identity(3), bad), "pencil matrix 0 is not 2 x 2"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                check_pencil(pencil, 2)
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                NormalFormData(2, len(pencil), pencil, Polynomial.zero(2 + len(pencil)))
+
     def test_symmetrized_identity_is_eta_identity(self):
         pencils = [
             ((RationalMatrix.diagonal([1, -1, 0]),), 3),

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 import _data as data
 import _oracles as oracles
-from eikq.analysis import check_pencil
+import eikq.classifier as classifier_module
+import eikq.normalform as normalform_module
+from eikq.analysis import check_eikonal, check_pencil
 from eikq.classifier import (
     SCHEMA_VERSION,
     VERDICT_INCONCLUSIVE,
@@ -30,7 +32,7 @@ from eikq.constructors import (
     make_primitive,
 )
 from eikq.matrices import RationalMatrix, random_rational_orthogonal
-from eikq.normalform import NotEikonalEvidence, extract_normal_form
+from eikq.normalform import NotEikonalEvidence, extract_normal_form, rotate_if_eikonal
 from eikq.pencils import tau_polynomials
 from eikq.polyring import (
     Polynomial,
@@ -307,6 +309,113 @@ class TestCertificateSecondProof:
             classify(f, rotation=identity.scale(2))
         with pytest.raises(ValueError, match="needs f in normal-form position"):
             classify(f, rotation=identity, allow_float=False)
+
+
+def _perturbed(f: Polynomial, exponent: int) -> Polynomial:
+    """f plus 10^-exponent x_0^2 x_{n-1}^2 (10^-exponent x_0^4 when n = 1)."""
+    mono = [0] * f.dimension
+    mono[0] += 2
+    mono[-1] += 2
+    return f + rational(1, 10 ** exponent) * Polynomial.monomial(f.dimension, tuple(mono))
+
+
+class TestRotatedEikonalGate:
+    """With a valid rotation R the exact zero test runs on f(R x); every
+    report must be the one the gate on f alone gives."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        index=st.integers(min_value=0, max_value=len(data.corpus()) - 1),
+        seed=st.integers(min_value=0, max_value=10 ** 6),
+        exponent=st.sampled_from([None, 2, 12, 40]),
+    )
+    def test_zero_test_is_rotation_invariant(self, index, seed, exponent):
+        f = data.corpus()[index]
+        if exponent is not None:
+            f = _perturbed(f, exponent)
+        u = random_rational_orthogonal(f.dimension, seed)
+        exact = check_eikonal(f, 4).is_zero
+        assert exact == (exponent is None)
+        g = substitute_linear(f, u)
+        assert check_eikonal(g, 4).is_zero == exact
+        # the classify-style input: g with the rotation that undoes u
+        back = rotate_if_eikonal(g, u.transpose())
+        assert (back == f) if exact else back is None
+
+    def test_invalid_rotation_is_not_used(self):
+        f = make_canonical_quartic(4, 1)
+        identity = RationalMatrix.identity(4)
+        assert rotate_if_eikonal(f, identity) == f
+        assert rotate_if_eikonal(f, None) is None
+        assert rotate_if_eikonal(f, identity.scale(2)) is None
+        assert rotate_if_eikonal(f, RationalMatrix.identity(3)) is None
+
+    @staticmethod
+    def f_gate_report(monkeypatch, f, rotation, **options):
+        """classify with the zero test left to f: what the gate on f alone gives."""
+        with monkeypatch.context() as patch:
+            patch.setattr(classifier_module, "rotate_if_eikonal", lambda f, rotation: None)
+            return classify(f, rotation, **options)
+
+    @pytest.mark.parametrize("exponent", [None, 3, 12], ids=["exact", "perturbed", "within_tol"])
+    def test_reports_match_the_f_gate(self, monkeypatch, exponent):
+        for index, f in enumerate(data.corpus()):
+            if exponent is not None:
+                f = _perturbed(f, exponent)
+            u = random_rational_orthogonal(f.dimension, 40 + index)
+            g, back = substitute_linear(f, u), u.transpose()
+            report = classify(g, back)
+            assert report.to_json_dict() == self.f_gate_report(monkeypatch, g, back).to_json_dict()
+            assert report.summary_lines() == self.f_gate_report(monkeypatch, g, back).summary_lines()
+            if exponent is None:
+                assert report.arithmetic == "exact"
+            else:
+                assert report.residual > 0
+
+    def test_error_order(self):
+        f = make_canonical_quartic(4, 1)
+        far = _perturbed(f, 2)
+        wrong_size, scaled = RationalMatrix.identity(3), RationalMatrix.identity(4).scale(2)
+        # a non-eikonal f is reported before the rotation is looked at
+        for rotation in (wrong_size, scaled):
+            assert classify(far, rotation).verdict == VERDICT_NOT_EIKONAL
+        with pytest.raises(ValueError, match="^rotation must be 4 x 4$"):
+            classify(f, wrong_size)
+        with pytest.raises(ValueError, match="^rotation must be exactly orthogonal$"):
+            classify(f, scaled)
+        with pytest.raises(ValueError, match="^rotation must be exactly orthogonal$"):
+            classify(_perturbed(f, 12), scaled)
+        # an isoparametric f too: the rotation is refused, as before
+        iso = data.corpus()[9]
+        with pytest.raises(ValueError, match="^rotation must be 6 x 6$"):
+            classify(iso, RationalMatrix.identity(4))
+
+    def test_one_substitution_per_exact_rotated_call(self, monkeypatch):
+        substituted, checked = [], []
+
+        def counting_substitution(f, rotation):
+            substituted.append(f)
+            return substitute_linear(f, rotation)
+
+        def counting_check(f, g):
+            checked.append(f)
+            return check_eikonal(f, g)
+
+        monkeypatch.setattr(normalform_module, "substitute_linear", counting_substitution)
+        monkeypatch.setattr(normalform_module, "check_eikonal", counting_check)
+        monkeypatch.setattr(classifier_module, "check_eikonal", counting_check)
+        # phi is already diagonal, +1 block first, so no second rotation is made
+        corpus = data.corpus()
+        for f in (corpus[0], corpus[3], corpus[7], corpus[8], make_primitive(4, 4, 3)):
+            u = random_rational_orthogonal(f.dimension, f.dimension)
+            g = substitute_linear(f, u)
+            substituted.clear()
+            checked.clear()
+            report = classify(g, u.transpose())
+            assert (report.verdict, report.arithmetic) == (VERDICT_PRIMITIVE, "exact")
+            assert substituted == [g]
+            # the zero test ran once, on the sparse f(R x), never on the dense g
+            assert checked == [f]
 
 
 class TestClassifyNumeric:

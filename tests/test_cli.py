@@ -174,6 +174,16 @@ class TestClassify:
         result = run_cli("classify", fpath, "--rotation", rpath)
         assert result.returncode == 2
 
+    def test_far_input_with_an_invalid_rotation(self, tmp_path):
+        # not eikonal is the verdict whatever the rotation; it is refused
+        # only for an f that passes the eikonal gate
+        fpath = write(tmp_path, "f.txt", "n 4\n4 0 0 0 2\n0 0 0 4 2\n")
+        for rotation in ("4\n2 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n", "3\n1 0 0\n0 1 0\n0 0 1\n"):
+            rpath = write(tmp_path, "rot.txt", rotation)
+            result = run_cli("classify", fpath, "--rotation", rpath, "--json")
+            assert result.returncode == 1
+            assert json.loads(result.stdout)["verdict"] == "not_eikonal"
+
     def test_exact_flag_without_position(self, tmp_path):
         from eikq.matrices import random_rational_orthogonal
         from eikq.polyring import substitute_linear
@@ -429,6 +439,55 @@ class TestNormalform:
         result = run_cli("normalform", fpath, "--rotation", rpath)
         assert result.returncode == 0
         assert "arithmetic = exact" in result.stdout
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_rotation_with_an_inexact_input(self, tmp_path, as_json):
+        # f(R x) is not exactly eikonal, so the normal form is read as
+        # without a rotation: the float route, within --tol
+        from eikq.polyring import Polynomial, rational
+
+        f = make_canonical_quartic(3, 1) + rational(1, 10 ** 12) * Polynomial.monomial(
+            3, (0, 2, 2)
+        )
+        fpath = write(tmp_path, "f.txt", poly_to_text(f))
+        rpath = write(tmp_path, "rot.txt", "3\n1 0 0\n0 1 0\n0 0 1\n")
+        options = ["--json"] if as_json else []
+        rotated = run_cli("normalform", fpath, "--rotation", rpath, *options)
+        plain = run_cli("normalform", fpath, *options)
+        assert rotated.returncode == plain.returncode == 0
+        assert rotated.stdout == plain.stdout
+        if as_json:
+            assert json.loads(rotated.stdout)["arithmetic"] == "float"
+        else:
+            assert "arithmetic = float" in rotated.stdout
+        # the rotation is still validated, and --exact still refuses the float route
+        bad = write(tmp_path, "bad.txt", "3\n2 0 0\n0 1 0\n0 0 1\n")
+        result = run_cli("normalform", fpath, "--rotation", bad)
+        assert (result.returncode, result.stderr) == (2, "error: rotation must be exactly orthogonal\n")
+        result = run_cli("normalform", fpath, "--rotation", rpath, "--exact")
+        assert result.returncode == 2
+        assert "needs f in normal-form position" in result.stderr
+
+    def test_far_input_with_a_rotation(self, tmp_path):
+        # the eikonal gate on f comes before the rotation is used or refused
+        fpath = write(tmp_path, "f.txt", "n 4\n4 0 0 0 2\n0 0 0 4 2\n")
+        for rotation in (IDENTITY_4, "3\n1 0 0\n0 1 0\n0 0 1\n"):
+            rpath = write(tmp_path, "rot.txt", rotation)
+            result = run_cli("normalform", fpath, "--rotation", rpath, "--json")
+            assert result.returncode == 1
+            assert json.loads(result.stdout) == {
+                "schema_version": "eikq-report-1",
+                "verdict": "not_eikonal",
+                "detail": "the eikonal residual is far from zero",
+            }
+
+    def test_exact_input_with_a_wrong_size_rotation(self, tmp_path):
+        fpath = write(tmp_path, "f.txt", poly_to_text(data.corpus()[7]))
+        rpath = write(tmp_path, "rot.txt", "3\n1 0 0\n0 1 0\n0 0 1\n")
+        for verb in ("normalform", "classify"):
+            result = run_cli(verb, fpath, "--rotation", rpath)
+            assert (result.returncode, result.stdout) == (2, "")
+            assert result.stderr == "error: rotation must be 4 x 4\n"
 
 
 class TestCongruent:

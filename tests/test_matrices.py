@@ -39,6 +39,12 @@ def test_inverse_of_singular_matrix_raises():
 
 def test_symmetry_and_skew_predicates():
     assert RationalMatrix([[1, 5], [5, -2]]).is_symmetric()
+    assert RationalMatrix([[1, "1/2", 0], ["2/4", 3, -1], [0, -1, 7]]).is_symmetric()
+    assert not RationalMatrix([[1, 2, 0], [2, 3, -1], [0, 1, 7]]).is_symmetric()
+    assert not RationalMatrix([[0, 1], [0, 0]]).is_symmetric()
+    assert not RationalMatrix([[1, 0, 0], [0, 1, 0]]).is_symmetric()
+    assert RationalMatrix([[4]]).is_symmetric()
+    assert RationalMatrix([]).is_symmetric()
     assert RationalMatrix([[0, 3], [-3, 0]]).is_skew()
     assert not RationalMatrix([[0, 3], [3, 0]]).is_skew()
 

@@ -546,6 +546,30 @@ def test_poly_text_errors_carry_line_numbers(text, bad_line):
     assert excinfo.value.line_number == bad_line
 
 
+@pytest.mark.parametrize(
+    "token, value",
+    [("3", 3), ("+3", 3), ("-3/4", Fraction(-3, 4)), ("6/4", Fraction(3, 2)),
+     ("-0/7", 0), ("007/010", Fraction(7, 10)), ("-" + "9" * 40, -(10 ** 40 - 1))],
+)
+def test_poly_text_coefficients(token, value):
+    f = poly_from_text(f"n 1\n4 {token}\n")
+    assert f == Polynomial(1, {(4,): value})
+    assert all(type(c) is Fraction for c in f.terms.values())
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [("3/0", "line 2: bad coefficient '3/0', zero denominator"),
+     ("1.5", "line 2: bad coefficient '1.5', expected p or p/q"),
+     ("3/-4", "line 2: bad coefficient '3/-4', expected p or p/q"),
+     ("1e3", "line 2: bad coefficient '1e3', expected p or p/q")],
+)
+def test_poly_text_coefficient_errors(token, message):
+    with pytest.raises(PolyTextError) as excinfo:
+        poly_from_text(f"n 1\n4 {token}\n")
+    assert str(excinfo.value) == message
+
+
 def test_poly_text_round_trip_random():
     for seed in range(TOTAL_SEEDS):
         rng = random.Random(500 + seed)
