@@ -62,6 +62,7 @@ import numpy as np
 from .analysis import check_eikonal, check_munzner_second, float_image, scientific
 from .matrices import RationalMatrix
 from .normalform import (
+    EXACT_NEEDS_EIKONAL,
     EXACT_NEEDS_POSITION,
     FAR_FROM_EIKONAL,
     REJECT_TOL,
@@ -231,7 +232,7 @@ def classify(
         if found is not None:
             return _judge(found[0])
     if not allow_float:
-        raise ValueError(EXACT_NEEDS_POSITION)
+        raise ValueError(EXACT_NEEDS_POSITION if rotation is None else EXACT_NEEDS_EIKONAL)
     return _certify(f, deviation, tol)
 
 

@@ -134,11 +134,7 @@ class RationalMatrix:
         return sum(self.entries[i][i] for i in range(self.n_rows))
 
     def is_symmetric(self) -> bool:
-        """Square and equal to its transpose, tested once per off-diagonal pair."""
-        e = self.entries
-        return self.is_square and all(
-            e[i][j] == e[j][i] for i in range(len(e)) for j in range(i + 1, len(e))
-        )
+        return self.is_square and self == self.transpose()
 
     def is_skew(self) -> bool:
         return self.is_square and self.transpose() == -self

@@ -70,6 +70,11 @@ EXACT_NEEDS_POSITION = (
     "--exact needs f in normal-form position or an explicit rotation; "
     "rerun without --exact to allow the float path"
 )
+# with a valid rotation, --exact fails only on an f that is not exactly eikonal
+EXACT_NEEDS_EIKONAL = (
+    "--exact needs an exactly eikonal f, but its eikonal residual is nonzero; "
+    "rerun without --exact to allow the float path"
+)
 
 _HALTON_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                   59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113)
@@ -485,7 +490,6 @@ def extract_normal_form(
     *,
     tol: float = 1e-9,
     seed: int = 0,
-    rotated: Polynomial | None = None,
 ) -> NormalForm:
     """Rotate f into normal form, exactly or numerically.
 
@@ -493,34 +497,41 @@ def extract_normal_form(
     coefficient phi is diagonalized.  With `rotation` given, the extraction
     is exact: phi's eigenspaces are found by rational row reduction, and
     ValueError means the rotation does not expose the normal form (wrong
-    target, or no rational orthonormal eigenbasis).  `rotated`, when given,
-    is f(rotation x) for a rotation already found exactly orthogonal
-    (`rotate_if_eikonal`), and is read instead of substituting again.
-    Without a rotation, a numeric maximizer (`sphere_maximize`, with `tol`
-    and `seed`) and a float eigensolver supply rotations that are
-    rationalized entry by entry, so the result carries arithmetic="float"
-    and an extraction residual, and deviations above REJECT_TOL are
-    NotEikonalEvidence.  On either route NotEikonalEvidence means f cannot
-    be eikonal at all.
+    target, or no rational orthonormal eigenbasis).  Without a rotation, a
+    numeric maximizer (`sphere_maximize`, with `tol` and `seed`) and
+    a float eigensolver supply rotations that are rationalized entry by
+    entry, so the result carries arithmetic="float" and an extraction
+    residual, and deviations above REJECT_TOL are NotEikonalEvidence.  On
+    either route NotEikonalEvidence means f cannot be eikonal at all.
     """
-    if f.is_zero or not f.is_homogeneous(4):
-        raise ValueError("f must be a nonzero homogeneous quartic")
+    _require_quartic(f)
     if rotation is None:
         point = np.array(sphere_maximize(f, tol=tol, seed=seed))
         rotation = RationalMatrix.from_float(_householder_to_last(point))
         return _extract(substitute_linear(f, rotation), rotation, REJECT_TOL)
-    if rotated is None:
-        _require_orthogonal(rotation, f.dimension)
-        rotated = substitute_linear(f, rotation)
-    return _extract(rotated, rotation, 0)
+    _require_orthogonal(rotation, f.dimension)
+    return _extract(substitute_linear(f, rotation), rotation, 0)
+
+
+def _require_quartic(f: Polynomial) -> None:
+    if f.is_zero or not f.is_homogeneous(4):
+        raise ValueError("f must be a nonzero homogeneous quartic")
+
+
+def _rotation_problem(rotation: RationalMatrix, n: int) -> str | None:
+    """Why `rotation` is not an exactly orthogonal n x n matrix, or None."""
+    if not rotation.is_square or rotation.n_rows != n:
+        return f"rotation must be {n} x {n}"
+    if not rotation.is_orthogonal():
+        return "rotation must be exactly orthogonal"
+    return None
 
 
 def _require_orthogonal(rotation: RationalMatrix, n: int) -> None:
     """ValueError unless `rotation` is an exactly orthogonal n x n matrix."""
-    if not rotation.is_square or rotation.n_rows != n:
-        raise ValueError(f"rotation must be {n} x {n}")
-    if not rotation.is_orthogonal():
-        raise ValueError("rotation must be exactly orthogonal")
+    problem = _rotation_problem(rotation, n)
+    if problem is not None:
+        raise ValueError(problem)
 
 
 def rotate_if_eikonal(
@@ -533,30 +544,28 @@ def rotate_if_eikonal(
     For an orthogonal R the eikonal residual of f(R x) is that of f at R x,
     so this zero test decides whether f is exactly eikonal.  It is cheap
     because f(R x) is sparse when R exposes a normal form, and the caller
-    passes it on to the extraction.  A nonzero residual is left to be
-    measured on f, and an invalid rotation to be refused where it is used.
+    passes it on to `exact_normal_form`.  A nonzero residual is left to be
+    measured on f, and an invalid rotation to be refused after that.
     """
-    if rotation is None:
-        return None
-    try:
-        _require_orthogonal(rotation, f.dimension)
-    except ValueError:
+    if rotation is None or _rotation_problem(rotation, f.dimension) is not None:
         return None
     rotated = substitute_linear(f, rotation)
     return rotated if check_eikonal(rotated, 4).is_zero else None
 
 
 def exact_normal_form(
-    f: Polynomial, rotation: RationalMatrix | None, rotated: Polynomial | None = None
+    f: Polynomial, rotation: RationalMatrix | None, rotated: Polynomial | None
 ) -> tuple[NormalForm, bool] | None:
     """The normal form of f, or of -f (flag True), on an exact route: the
-    given `rotation`, on f only, read off `rotated` = f(rotation x) when
-    given (`rotate_if_eikonal`); without one, the identity on f, then on
-    -f, each ValueError moving on (None when both fail).  The identity
-    route is meant for an exactly eikonal f, on which every route is exact.
+    given `rotation`, on f only, read off `rotated` = f(rotation x) as
+    `rotate_if_eikonal` returned it; without a rotation (and `rotated`
+    None), the identity on f, then on -f, each ValueError moving on (None
+    when both fail).  The identity route is meant for an exactly eikonal f,
+    on which every route is exact.
     """
     if rotation is not None:
-        return extract_normal_form(f, rotation, rotated=rotated), False
+        _require_quartic(f)
+        return _extract(rotated, rotation, 0), False
     identity = RationalMatrix.identity(f.dimension)
     for negated in (False, True):
         try:
@@ -591,11 +600,11 @@ def obtain_normal_form(
     if rotation is not None:
         _require_orthogonal(rotation, f.dimension)
     elif not deviation:
-        found = exact_normal_form(f, None)
+        found = exact_normal_form(f, None, None)
         if found is not None:
             return found
     if not allow_float:
-        raise ValueError(EXACT_NEEDS_POSITION)
+        raise ValueError(EXACT_NEEDS_POSITION if rotation is None else EXACT_NEEDS_EIKONAL)
     try:
         return extract_normal_form(f, None, tol=tol, seed=seed), False
     except NotEikonalEvidence as evidence:

@@ -307,7 +307,7 @@ class TestCertificateSecondProof:
             VERDICT_PRIMITIVE, "float", 1)
         with pytest.raises(ValueError, match="exactly orthogonal"):
             classify(f, rotation=identity.scale(2))
-        with pytest.raises(ValueError, match="needs f in normal-form position"):
+        with pytest.raises(ValueError, match="^--exact needs an exactly eikonal f, but"):
             classify(f, rotation=identity, allow_float=False)
 
 
@@ -352,9 +352,13 @@ class TestRotatedEikonalGate:
 
     @staticmethod
     def f_gate_report(monkeypatch, f, rotation, **options):
-        """classify with the zero test left to f: what the gate on f alone gives."""
+        """classify with the zero test made on f: what the gate on f alone gives."""
+
+        def zero_test_on_f(f, rotation):
+            return substitute_linear(f, rotation) if check_eikonal(f, 4).is_zero else None
+
         with monkeypatch.context() as patch:
-            patch.setattr(classifier_module, "rotate_if_eikonal", lambda f, rotation: None)
+            patch.setattr(classifier_module, "rotate_if_eikonal", zero_test_on_f)
             return classify(f, rotation, **options)
 
     @pytest.mark.parametrize("exponent", [None, 3, 12], ids=["exact", "perturbed", "within_tol"])

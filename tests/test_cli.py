@@ -464,9 +464,14 @@ class TestNormalform:
         bad = write(tmp_path, "bad.txt", "3\n2 0 0\n0 1 0\n0 0 1\n")
         result = run_cli("normalform", fpath, "--rotation", bad)
         assert (result.returncode, result.stderr) == (2, "error: rotation must be exactly orthogonal\n")
-        result = run_cli("normalform", fpath, "--rotation", rpath, "--exact")
-        assert result.returncode == 2
-        assert "needs f in normal-form position" in result.stderr
+        # and --exact names the reason: f is not exactly eikonal
+        for verb in ("normalform", "classify"):
+            result = run_cli(verb, fpath, "--rotation", rpath, "--exact", *options)
+            assert (result.returncode, result.stdout) == (2, "")
+            assert result.stderr == (
+                "error: --exact needs an exactly eikonal f, but its eikonal residual "
+                "is nonzero; rerun without --exact to allow the float path\n"
+            )
 
     def test_far_input_with_a_rotation(self, tmp_path):
         # the eikonal gate on f comes before the rotation is used or refused
@@ -488,6 +493,19 @@ class TestNormalform:
             result = run_cli(verb, fpath, "--rotation", rpath)
             assert (result.returncode, result.stdout) == (2, "")
             assert result.stderr == "error: rotation must be 4 x 4\n"
+
+    def test_non_quartic_with_an_eikonal_rotation(self, tmp_path):
+        # f + 1 has f's gradient, so f(R x) + 1 passes the zero test; it is
+        # still refused as no quartic, with or without the rotation
+        from eikq.polyring import Polynomial
+
+        f = data.corpus()[7] + Polynomial.constant(4, 1)
+        fpath = write(tmp_path, "f.txt", poly_to_text(f))
+        rpath = write(tmp_path, "rot.txt", IDENTITY_4)
+        for options in ([], ["--rotation", rpath], ["--rotation", rpath, "--exact"]):
+            result = run_cli("normalform", fpath, *options)
+            assert (result.returncode, result.stdout) == (2, "")
+            assert result.stderr == "error: f must be a nonzero homogeneous quartic\n"
 
 
 class TestCongruent:
