@@ -70,6 +70,7 @@ from .normalform import (
     _require_orthogonal,
     exact_normal_form,
     rotate_if_eikonal,
+    zero_one_derivatives,
 )
 from .pencils import quadratic_form_matrix
 from .polyring import Polynomial, laplacian, radial_power, rational, substitute_linear
@@ -331,46 +332,17 @@ def _square_certificate(g: Polynomial) -> tuple[float, float]:
     If g = 8 s^2, then at any a with g(a) > 0,
     T = hess g(a) - grad g(a) grad g(a)^T / (2 g(a)) = 32 s(a) S with
     s(a) = +-sqrt(g(a) / 8), and the sign of S does not change 8 s^2.  a is
-    the e_i or e_i + e_j with the largest |g(a)|, so every derivative at a
-    sums coefficients.  The deviation is the larger of max |S^2 - I/4| and
-    max |coeff(g - 8 s^2)|, with S = 0 when g(a) <= 0.  Plain floats,
-    summed over g's sorted terms, so the result depends neither on the
-    order of the terms nor on the host's BLAS.
+    the e_i or e_i + e_j with the largest |g(a)|, where every derivative
+    sums coefficients (`normalform.zero_one_derivatives`).  The deviation
+    is the larger of max |S^2 - I/4| and max |coeff(g - 8 s^2)|, with S = 0
+    when g(a) <= 0.  Plain floats, summed over g's sorted terms, so the
+    result depends neither on the order of the terms nor on the host's
+    BLAS.
     """
     n = g.dimension
-    terms = [(mono, float(c)) for mono, c in g.sorted_terms()]
-    # g(e_i + e_j) = g(e_i) + g(e_j) + the coefficients supported on {i, j}
-    on_support: dict[tuple[int, ...], float] = {}
-    for mono, c in terms:
-        support = tuple(i for i, e in enumerate(mono) if e)
-        if len(support) <= 2:
-            on_support[support] = on_support.get(support, 0.0) + c
-    single = [on_support.get((i,), 0.0) for i in range(n)]
-    candidates = [((i,), single[i]) for i in range(n)] + [
-        ((i, j), single[i] + single[j] + on_support.get((i, j), 0.0))
-        for i in range(n) for j in range(i + 1, n)
-    ]
-    support, value = max(candidates, key=lambda item: abs(item[1]))
+    terms, _, value, grad, hess = zero_one_derivatives(g, lambda item: abs(item[1]))
     s = [[0.0] * n for _ in range(n)]
     if value > 0:
-        inside = set(support)
-        grad = [0.0] * n
-        hess = [[0.0] * n for _ in range(n)]
-        for mono, c in terms:
-            outside = sum(e for i, e in enumerate(mono) if i not in inside)
-            if outside > 2:
-                continue
-            used = [i for i, e in enumerate(mono) if e]
-            for k in used:
-                # a derivative of x^m is nonzero at a only when what is left of
-                # x^m has no variable outside a's support
-                out_k = outside - (k not in inside)
-                if out_k == 0:
-                    grad[k] += c * mono[k]
-                for l in used:
-                    power = mono[l] - (k == l)
-                    if power and out_k - (l not in inside) == 0:
-                        hess[k][l] += c * (mono[k] * power)
         scale = 32 * math.sqrt(value / 8)
         for k in range(n):
             for l in range(n):

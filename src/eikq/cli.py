@@ -24,8 +24,8 @@ Errors (exit 2, 4 and 5) are text on stderr, with nothing on stdout.
 On an exactly eikonal, non-isoparametric f, `normalform` prints the exact
 normal form that `classify` judges f by, marked "negated" when it is that
 of -f.  Any other f `classify` decides by a closed-form float certificate,
-while `normalform` reads its normal form at a maximizer found by a float
-sphere ascent, whose starting points `normalform --seed` draws.
+while `normalform` reads its normal form at a sphere maximizer reached by
+one closed-form great-circle step.
 """
 
 from __future__ import annotations
@@ -174,7 +174,7 @@ def _cmd_normalform(args) -> _Answer:
     rotation = _read_rotation(args.rotation) if args.rotation else None
     try:
         nf, negated = obtain_normal_form(
-            f, rotation, allow_float=not args.exact, tol=args.tol, seed=args.seed
+            f, rotation, allow_float=not args.exact, tol=args.tol
         )
     except NotEikonalEvidence as evidence:
         fields = {"verdict": VERDICT_NOT_EIKONAL, "detail": str(evidence)}
@@ -286,9 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     _add_quartic_input(verbs["classify"])
     _add_quartic_input(verbs["normalform"])
-    verbs["normalform"].add_argument(
-        "--seed", type=int, default=0,
-        help="seed for the starting points of the float sphere ascent (default 0)")
 
     cong = verbs["congruent"]
     cong.add_argument("--n", type=int, required=True, help="ambient dimension")

@@ -21,10 +21,11 @@ the rotations come from.  With an exact orthogonal `rotation`, phi is
 diagonalized by rational row reduction and every structural fact must hold
 exactly: a failure is a wrong target (ValueError) when the data merely does
 not expose the normal form, or `NotEikonalEvidence` when it contradicts
-eikonality itself.  Without a rotation, a numeric sphere ascent finds a
-maximizer, a float eigensolver diagonalizes phi, both rotations are
-rationalized entry by entry, and every deviation is accumulated, exactly,
-into `extraction_residual` and judged against REJECT_TOL.
+eikonality itself.  Without a rotation, one closed-form great-circle step
+(`sphere_maximize`) reaches a maximizer, a reflection sends e_n there, a
+float eigensolver diagonalizes phi, both rotations are rationalized entry
+by entry, and every deviation is accumulated, exactly, into
+`extraction_residual` and judged against REJECT_TOL.
 
 `obtain_normal_form`, behind `eikq normalform`, decides which rotation
 and which sign (f or -f; congruence includes the sign) the normal form is
@@ -34,13 +35,12 @@ test on the sparse f(R x) instead of on f, and hands the same f(R x) to
 the extraction; a nonzero residual is still measured on f.  The float
 route, `sphere_maximize` included, serves only `eikq normalform`:
 `classify` decides the remaining inputs by a closed-form certificate
-instead.
+instead, which reads f at the same 0/1 points (`zero_one_derivatives`).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,10 +75,6 @@ EXACT_NEEDS_EIKONAL = (
     "--exact needs an exactly eikonal f, but its eikonal residual is nonzero; "
     "rerun without --exact to allow the float path"
 )
-
-_HALTON_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
-                  59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113)
-
 
 class NotEikonalEvidence(Exception):
     """Extraction met structure that no eikonal quartic can have."""
@@ -317,179 +313,112 @@ def _extract(g: Polynomial, rotation: RationalMatrix, tol: float) -> NormalForm:
     )
 
 
-def _stacked_table(
-    polys: list[Polynomial], n: int
-) -> tuple[np.ndarray, list[tuple[np.ndarray, slice]]]:
-    """Stack the exponent rows of `polys` into one table.
+def zero_one_derivatives(g: Polynomial, rank) -> tuple:
+    """(terms, support, value, grad, hess): g's float terms, and g with its
+    gradient and Hessian at the 0/1 point a = e_i or e_i + e_j that `rank`
+    puts first, all in floats.
 
-    Returns the flat `take` index that reads the rows x ** exps of every
-    polynomial out of the (D + 1) x n power table with entry (k, j) = x_j^k,
-    and for each polynomial its float coefficients and the slice of its
-    rows.  Terms are in canonical order, so the float sums (and ties between
-    equal maxima) do not depend on the order in which the terms were given.
+    `rank((support of a, g(a)))` is a sort key; the largest wins, the first in
+    the order e_0, ..., e_{n-1}, e_0 + e_1, e_0 + e_2, ... on a tie.  At a
+    0/1 point every derivative is a sum of integer multiples of
+    coefficients, summed over g's sorted terms, so the result depends
+    neither on the order of the terms nor on the host.  ValueError when a
+    coefficient lies past the float range.
     """
-    exps: list[tuple[int, ...]] = []
-    blocks = []
-    for g in polys:
-        terms = g.sorted_terms()
-        blocks.append((np.array([float(c) for _, c in terms]),
-                       slice(len(exps), len(exps) + len(terms))))
-        exps.extend(mono for mono, _ in terms)
-    rows = np.array(exps, dtype=np.intp).reshape(-1, n)
-    return (rows * n + np.arange(n)).ravel(), blocks
+    n = g.dimension
+    try:
+        terms = [(mono, float(c)) for mono, c in g.sorted_terms()]
+    except OverflowError:
+        raise ValueError("a coefficient lies past the float range (about 1.8e308), "
+                         "and the float route reads coefficients as floats") from None
+    # g(e_i + e_j) = g(e_i) + g(e_j) + the coefficients supported on {i, j}
+    on_support: dict[tuple[int, ...], float] = {}
+    for mono, c in terms:
+        support = tuple(i for i, e in enumerate(mono) if e)
+        if len(support) <= 2:
+            on_support[support] = on_support.get(support, 0.0) + c
+    single = [on_support.get((i,), 0.0) for i in range(n)]
+    candidates = [((i,), single[i]) for i in range(n)] + [
+        ((i, j), single[i] + single[j] + on_support.get((i, j), 0.0))
+        for i in range(n) for j in range(i + 1, n)
+    ]
+    support, value = max(candidates, key=rank)
+    inside = set(support)
+    grad = [0.0] * n
+    hess = [[0.0] * n for _ in range(n)]
+    for mono, c in terms:
+        outside = sum(e for i, e in enumerate(mono) if i not in inside)
+        if outside > 2:
+            continue
+        used = [i for i, e in enumerate(mono) if e]
+        for k in used:
+            # a derivative of x^m is nonzero at a only when what is left of
+            # x^m has no variable outside a's support
+            out_k = outside - (k not in inside)
+            if out_k == 0:
+                grad[k] += c * mono[k]
+            for l in used:
+                power = mono[l] - (k == l)
+                if power and out_k - (l not in inside) == 0:
+                    hess[k][l] += c * (mono[k] * power)
+    return terms, support, value, grad, hess
 
 
-def _halton(index: int, base: int) -> float:
-    result = 0.0
-    fraction = 1.0
-    while index > 0:
-        fraction /= base
-        result += fraction * (index % base)
-        index //= base
-    return result
+def sphere_maximize(f: Polynomial) -> tuple[float, ...]:
+    """A point of the unit sphere where the eikonal quartic f is 1, in one step.
 
+    On the sphere an eikonal quartic has |grad_S f|^2 = 16 (1 - f^2), so
+    f = cos 4d, with d the distance to the set where f = 1 and |grad d| = 1
+    (for h_d the angle to H or to H^perp; for an isoparametric f, Muenzner's
+    parallel hypersurfaces).  So the path of steepest ascent from x is the
+    great circle along T = grad f(x) - 4 f(x) x, and it reaches f = 1 after
+    the angle theta / 4, where cos theta = f(x) and sin theta = |T| / 4.
 
-def sphere_maximize(
-    f: Polynomial, seeds: int = 64, tol: float = 1e-9, seed: int = 0
-) -> tuple[float, ...]:
-    """Numerically maximize f over the unit sphere by projected ascent.
-
-    Starts from `seeds` low-discrepancy directions (shifted by `seed`),
-    runs adaptive-step projected gradient ascent capped at 10^4 iterations
-    each, and returns the best point whose tangential gradient dropped below
-    `tol`.  If no start converges a warning is emitted and the best iterate
-    found is returned anyway.
-
-    Two exponent tables are built once: the rows of f followed by those of
-    each d_i f, and the rows of the second partials d_i d_j f with j >= i.
-    At each point the powers x_j^k, k = 0..D with D the largest exponent of
-    f, are computed once; the monomials of a table are read from them by one
-    `take` and one row product, and each polynomial is one dot product over
-    its rows.  Every power, row product and dot is the one term-by-term
-    evaluation of each polynomial would compute, so the points are the same
-    bit for bit.
+    x is the e_i or (e_i + e_j) / sqrt 2 with the largest f, read by
+    `zero_one_derivatives` and rescaled by f(a / sqrt m) = f(a) / m^2 and
+    grad f(a / sqrt m) = grad f(a) / m^(3/2).  Only +, *, / and sqrt, which
+    IEEE 754 rounds correctly, and correctly rounded sums (`math.fsum`) are
+    used, so the point is the same bit for bit on every host.  x itself is
+    returned when T = 0, or when x is a minimum (cos(theta/2) = 0, as for
+    -|x|^4); the extraction then fails, and `obtain_normal_form` tries -f.
+    For an f eikonal only within a tolerance, the point is a maximizer up to
+    about that tolerance, which the extraction residual measures.
     """
-    n = f.dimension
-    if n < 1:
-        raise ValueError("cannot maximize over a zero-dimensional sphere")
-    if f.is_zero:
-        raise ValueError("cannot maximize the zero polynomial")
-    partials = [partial_derivative(f, i) for i in range(n)]
-    first_index, first_blocks = _stacked_table([f, *partials], n)
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    second_index, second_blocks = _stacked_table(
-        [partial_derivative(partials[i], j) for i, j in pairs], n
+    _require_quartic(f)
+    _, support, value, grad, _ = zero_one_derivatives(
+        f, lambda item: item[1] / len(item[0]) ** 2
     )
-    # float exponents, so that numpy calls the same pow as x ** exps would
-    degrees = np.arange(float(max(max(mono) for mono in f.terms) + 1))[:, None]
-
-    def products(x: np.ndarray, index: np.ndarray) -> np.ndarray:
-        return np.multiply.reduce((x ** degrees).take(index).reshape(-1, n), axis=1)
-
-    def evaluate(x: np.ndarray) -> tuple[float, np.ndarray]:
-        """f(x) and grad f(x)."""
-        rows = products(x, first_index)
-        sums = [c @ rows[s] for c, s in first_blocks]
-        return float(sums[0]), np.array(sums[1:])
-
-    def hessian(x: np.ndarray) -> np.ndarray:
-        rows = products(x, second_index)
-        out = np.empty((n, n))
-        for (i, j), (c, s) in zip(pairs, second_blocks):
-            out[i, j] = out[j, i] = c @ rows[s]
-        return out
-
-    def norm(v: np.ndarray) -> float:
-        return math.sqrt(v @ v)
-
-    def polish(
-        x: np.ndarray, val: float, gvec: np.ndarray
-    ) -> tuple[np.ndarray, float, np.ndarray]:
-        # Newton on the first-order sphere condition grad f = lambda x;
-        # quadratic convergence takes the ascent's 1e-7 down to roundoff.
-        for _ in range(25):
-            lam = float(gvec @ x)
-            tangent = gvec - lam * x
-            if norm(tangent) <= 1e-15:
-                break
-            projector = np.eye(n) - np.outer(x, x)
-            system = projector @ hessian(x) @ projector - lam * projector + np.outer(x, x)
-            try:
-                delta = np.linalg.solve(system, -tangent)
-            except np.linalg.LinAlgError:
-                delta, *_ = np.linalg.lstsq(system, -tangent, rcond=None)
-            if not np.all(np.isfinite(delta)) or norm(delta) > 0.5:
-                break
-            x = x + delta
-            x /= norm(x)
-            val, gvec = evaluate(x)
-        return x, val, gvec
-
-    bases = [_HALTON_PRIMES[i % len(_HALTON_PRIMES)] for i in range(n)]
-    best_any: tuple[float, np.ndarray] | None = None
-    best_conv: tuple[float, np.ndarray] | None = None
-    for k in range(seeds):
-        raw = np.array(
-            [2.0 * _halton(seed * seeds + k + 1, b) - 1.0 for b in bases]
-        )
-        length = norm(raw)
-        if length < 1e-12:
-            raw = np.zeros(n)
-            raw[k % n] = 1.0
-            length = 1.0
-        x = raw / length
-        val, gvec = evaluate(x)
-        step = 0.25
-        coarse = max(tol, 1e-7)
-        for _ in range(10_000):
-            tangent = gvec - (gvec @ x) * x
-            if norm(tangent) <= coarse:
-                break
-            y = x + step * tangent
-            y /= norm(y)
-            fy, gy = evaluate(y)
-            if fy > val:
-                x, val, gvec = y, fy, gy
-                step = min(step * 1.5, 1.0)
-            else:
-                step *= 0.5
-                if step < 1e-17:
-                    break
-        x, val, gvec = polish(x, val, gvec)
-        converged = bool(norm(gvec - (gvec @ x) * x) <= tol)
-        if best_any is None or val > best_any[0]:
-            best_any = (val, x)
-        if converged and (best_conv is None or val > best_conv[0]):
-            best_conv = (val, x)
-    if best_conv is not None:
-        return tuple(float(c) for c in best_conv[1])
-    warnings.warn(
-        "sphere ascent did not converge from any start; returning best iterate",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    assert best_any is not None
-    return tuple(float(c) for c in best_any[1])
+    m = len(support)
+    root = math.sqrt(m)
+    x = [1.0 / root if i in support else 0.0 for i in range(f.dimension)]
+    fx = value / (m * m)
+    t = [grad[i] / (m * root) - 4.0 * fx * x[i] for i in range(f.dimension)]
+    length = math.sqrt(math.fsum(c * c for c in t))
+    if length == 0.0:
+        return tuple(x)
+    sin, cos = length / 4.0, fx
+    scale = math.sqrt(sin * sin + cos * cos)
+    sin, cos = sin / scale, cos / scale
+    for _ in range(2):  # theta / 2, then theta / 4
+        half = math.sqrt((1.0 + cos) / 2.0)
+        if half == 0.0:
+            return tuple(x)
+        sin, cos = sin / (2.0 * half), half
+    return tuple(cos * x[i] + sin * (t[i] / length) for i in range(f.dimension))
 
 
-def _householder_to_last(v: np.ndarray) -> np.ndarray:
-    """Orthogonal matrix sending the last basis vector to v."""
-    n = len(v)
-    e = np.zeros(n)
-    e[-1] = 1.0
-    w = e - v
-    norm_sq = float(w @ w)
-    if norm_sq < 1e-24:
-        return np.eye(n)
-    return np.eye(n) - 2.0 * np.outer(w, w) / norm_sq
+def _householder_to_last(v: tuple[float, ...]) -> list[list[float]]:
+    """Orthogonal matrix sending the last basis vector to v or to -v: to the
+    one that makes w = e_n -+ v have |w|^2 >= 2, so that the reflection is
+    well conditioned near e_n.  f is even, so both are maximizers."""
+    w = [c if v[-1] > 0 else -c for c in v]
+    w[-1] += 1.0
+    scale = 2.0 / math.fsum(c * c for c in w)
+    return [[(i == j) - scale * a * b for j, b in enumerate(w)] for i, a in enumerate(w)]
 
 
 def extract_normal_form(
-    f: Polynomial,
-    rotation: RationalMatrix | None = None,
-    *,
-    tol: float = 1e-9,
-    seed: int = 0,
+    f: Polynomial, rotation: RationalMatrix | None = None
 ) -> NormalForm:
     """Rotate f into normal form, exactly or numerically.
 
@@ -497,17 +426,17 @@ def extract_normal_form(
     coefficient phi is diagonalized.  With `rotation` given, the extraction
     is exact: phi's eigenspaces are found by rational row reduction, and
     ValueError means the rotation does not expose the normal form (wrong
-    target, or no rational orthonormal eigenbasis).  Without a rotation, a
-    numeric maximizer (`sphere_maximize`, with `tol` and `seed`) and
-    a float eigensolver supply rotations that are rationalized entry by
-    entry, so the result carries arithmetic="float" and an extraction
-    residual, and deviations above REJECT_TOL are NotEikonalEvidence.  On
-    either route NotEikonalEvidence means f cannot be eikonal at all.
+    target, or no rational orthonormal eigenbasis).  Without a rotation,
+    the closed-form sphere step (`sphere_maximize`) and a float
+    eigensolver supply rotations that are rationalized entry by entry, so
+    the result carries arithmetic="float" and an extraction residual, and
+    deviations above REJECT_TOL are NotEikonalEvidence; a coefficient past
+    the float range is a ValueError.  On either route NotEikonalEvidence
+    means f cannot be eikonal at all.
     """
     _require_quartic(f)
     if rotation is None:
-        point = np.array(sphere_maximize(f, tol=tol, seed=seed))
-        rotation = RationalMatrix.from_float(_householder_to_last(point))
+        rotation = RationalMatrix.from_float(_householder_to_last(sphere_maximize(f)))
         return _extract(substitute_linear(f, rotation), rotation, REJECT_TOL)
     _require_orthogonal(rotation, f.dimension)
     return _extract(substitute_linear(f, rotation), rotation, 0)
@@ -577,7 +506,7 @@ def exact_normal_form(
 
 def obtain_normal_form(
     f: Polynomial, rotation: RationalMatrix | None,
-    *, allow_float: bool, tol: float, seed: int,
+    *, allow_float: bool, tol: float,
 ) -> tuple[NormalForm, bool]:
     """The normal form of f, or of -f (flag True), by the first route that
     applies: for an exactly eikonal f, `exact_normal_form` at the given
@@ -606,11 +535,11 @@ def obtain_normal_form(
     if not allow_float:
         raise ValueError(EXACT_NEEDS_POSITION if rotation is None else EXACT_NEEDS_EIKONAL)
     try:
-        return extract_normal_form(f, None, tol=tol, seed=seed), False
+        return extract_normal_form(f, None), False
     except NotEikonalEvidence as evidence:
         if deviation > tol:
             raise
         try:
-            return extract_normal_form(-f, None, tol=tol, seed=seed), True
+            return extract_normal_form(-f, None), True
         except NotEikonalEvidence:
             raise evidence from None

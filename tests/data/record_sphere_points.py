@@ -1,17 +1,19 @@
 """Record the sphere maximizers checked by tests/test_normalform.py.
 
-For every input below, runs `sphere_maximize(f, seeds, tol, seed)` and
-stores `float.hex` of each coordinate of the returned point next to the
-input text in sphere_points.json, so that a rewrite of the ascent must give
-the same points bit for bit.  The inputs are canonical, primitive,
-involution and isoparametric quartics for n = 3..6 under float QR rotations
-(a fixed numpy seed) and under Cayley rotations (`random_rational_orthogonal`
-with fixed seeds), two of them negated, one with `seed` 3, one with 8
-starts, x_0^4 in one variable, the degree-6 primitive form
-`make_primitive(6, 3, 1)`, and one run with `tol` 1e-300, which no start
-reaches, so the point is the best iterate returned with a RuntimeWarning.
+For every input below, runs `sphere_maximize(f)` and stores `float.hex` of
+each coordinate of the returned point next to the input text in
+sphere_points.json, so that a rewrite of the step must give the same points
+bit for bit.  The inputs are canonical, primitive, involution and
+isoparametric quartics for n = 3..6 under float QR rotations (a fixed numpy
+seed) and under Cayley rotations (`random_rational_orthogonal` with fixed
+seeds), two of them negated, and x_0^4 in one variable.  The names
+`canonical_4_1_cayley_seed3` and `involution_qr_seeds8` once recorded other
+starts of a multi-start ascent; they now repeat the input, and the point, of
+`canonical_4_1_cayley` and `involution_qr`.
 
-Run from the repository root with the eikq under test on the path:
+The step uses only +, *, / and sqrt on floats read from the coefficients,
+so the points do not depend on numpy or on the host.  Run from the
+repository root with the eikq under test on the path:
 
     PYTHONPATH=src python tests/data/record_sphere_points.py
 """
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import json
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +42,8 @@ from eikq.polyring import Polynomial, poly_to_text, substitute_linear  # noqa: E
 OUTPUT = HERE / "sphere_points.json"
 
 
-def inputs() -> list[tuple[str, Polynomial, int, int, float]]:
-    """(name, polynomial, seeds, seed, tol)."""
+def inputs() -> list[tuple[str, Polynomial]]:
+    """(name, polynomial)."""
     nprng = np.random.default_rng(7)
 
     def qr(f: Polynomial) -> Polynomial:
@@ -58,40 +59,31 @@ def inputs() -> list[tuple[str, Polynomial, int, int, float]]:
     involution_qr = qr(involution)
     canonical_cayley = cayley(make_canonical_quartic(4, 1), 3)
     return [
-        ("canonical_3_1_qr", qr(make_canonical_quartic(3, 1)), 64, 0, 1e-9),
-        ("primitive_4_2_qr", qr(make_primitive(4, 4, 2)), 64, 0, 1e-9),
-        ("involution_qr", involution_qr, 64, 0, 1e-9),
-        ("canonical_5_2_qr", qr(make_canonical_quartic(5, 2)), 64, 0, 1e-9),
-        ("isoparametric_qr", qr(iso), 64, 0, 1e-9),
-        ("primitive_3_1_cayley", cayley(make_primitive(4, 3, 1), 1), 64, 0, 1e-9),
-        ("canonical_4_1_cayley", canonical_cayley, 64, 0, 1e-9),
-        ("involution_cayley", cayley(involution, 5), 64, 0, 1e-9),
-        ("primitive_5_3_cayley", cayley(make_primitive(4, 5, 3), 2), 64, 0, 1e-9),
-        ("canonical_6_2_cayley", cayley(make_canonical_quartic(6, 2), 4), 64, 0, 1e-9),
-        ("negated_involution_qr", -involution_qr, 64, 0, 1e-9),
-        ("negated_canonical_4_1_cayley", -canonical_cayley, 64, 0, 1e-9),
-        ("canonical_4_1_cayley_seed3", canonical_cayley, 64, 3, 1e-9),
-        ("involution_qr_seeds8", involution_qr, 8, 0, 1e-9),
-        ("one_variable", Polynomial.monomial(1, (4,)), 64, 0, 1e-9),
-        ("primitive_g6", make_primitive(6, 3, 1), 64, 0, 1e-9),
-        ("canonical_3_1_cayley_unconverged", cayley(make_canonical_quartic(3, 1), 1),
-         2, 0, 1e-300),
+        ("canonical_3_1_qr", qr(make_canonical_quartic(3, 1))),
+        ("primitive_4_2_qr", qr(make_primitive(4, 4, 2))),
+        ("involution_qr", involution_qr),
+        ("canonical_5_2_qr", qr(make_canonical_quartic(5, 2))),
+        ("isoparametric_qr", qr(iso)),
+        ("primitive_3_1_cayley", cayley(make_primitive(4, 3, 1), 1)),
+        ("canonical_4_1_cayley", canonical_cayley),
+        ("involution_cayley", cayley(involution, 5)),
+        ("primitive_5_3_cayley", cayley(make_primitive(4, 5, 3), 2)),
+        ("canonical_6_2_cayley", cayley(make_canonical_quartic(6, 2), 4)),
+        ("negated_involution_qr", -involution_qr),
+        ("negated_canonical_4_1_cayley", -canonical_cayley),
+        ("canonical_4_1_cayley_seed3", canonical_cayley),
+        ("involution_qr_seeds8", involution_qr),
+        ("one_variable", Polynomial.monomial(1, (4,))),
     ]
 
 
 def record() -> list[dict]:
     records = []
-    for name, f, seeds, seed, tol in inputs():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            point = sphere_maximize(f, seeds, tol, seed)
+    for name, f in inputs():
         records.append({
             "name": name,
             "poly": poly_to_text(f),
-            "seeds": seeds,
-            "seed": seed,
-            "tol": tol,
-            "point": [float.hex(c) for c in point],
+            "point": [float.hex(c) for c in sphere_maximize(f)],
         })
     return records
 

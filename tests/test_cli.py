@@ -691,13 +691,13 @@ class TestUsage:
         assert reused[0] == reused[3] and reused[1] == reused[5]
         assert "usage: eikq congruent" in reused[2][2]
 
-    def test_seed_only_on_normalform(self, tmp_path, capsys):
-        # classify has no sphere ascent left to seed
+    @pytest.mark.parametrize("verb", ["classify", "normalform"])
+    def test_no_seed_option(self, verb, tmp_path, capsys):
+        # the sphere maximum is found in closed form, with nothing to seed
         path = write(tmp_path, "f.txt", poly_to_text(data.corpus()[0]))
-        code, out, err = _in_process(["classify", path, "--seed", "1"], capsys)
+        code, out, err = _in_process([verb, path, "--seed", "1"], capsys)
         assert (code, out) == (2, "")
         assert "unrecognized arguments: --seed" in err
-        assert _in_process(["normalform", path, "--seed", "1"], capsys)[0] == 0
 
     @pytest.mark.parametrize("verb, tol", [
         ("verify", "inf"), ("verify", "-1"), ("classify", "-1"), ("classify", "nan"),

@@ -1,14 +1,17 @@
-"""Tests for normal-form extraction: the exact rotation route, the numeric
-sphere ascent, and the structural evidence raised against non-solutions."""
+"""Tests for normal-form extraction: the exact rotation route, the
+closed-form sphere step, and the structural evidence raised against
+non-solutions."""
 
 from __future__ import annotations
 
 import json
-import warnings
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _data as data
 from eikq.analysis import check_structure_identities
@@ -22,6 +25,7 @@ from eikq.matrices import RationalMatrix, random_rational_orthogonal
 from eikq.normalform import (
     NormalForm,
     NotEikonalEvidence,
+    _householder_to_last,
     extract_normal_form,
     sphere_maximize,
     split_theta,
@@ -29,6 +33,7 @@ from eikq.normalform import (
 from eikq.polyring import (
     Polynomial,
     evaluate,
+    partial_derivative,
     poly_from_text,
     rational,
     substitute_linear,
@@ -179,21 +184,72 @@ class TestExactExtraction:
         assert nf.pencil == ()
 
 
+def _sweep_inputs() -> list[tuple[str, Polynomial]]:
+    """+-h_d for n = 2..7, the (3, 2, 1) isoparametric quartic, FKM(1, 4)
+    and the involution; -|x|^4 is left out, since its maximum is -1."""
+    out = []
+    for n in range(2, 8):
+        for d in range(n + 1):
+            h = make_primitive(4, n, d)
+            out.append((f"h_{d} in n = {n}", h))
+            if 0 < d < n:
+                out.append((f"-h_{d} in n = {n}", -h))
+    out.append(("isoparametric", assemble_from_normal_form(data.isoparametric_data())))
+    out.append(("fkm_1_4", data.fkm_1_4()))
+    out.append(("involution", assemble_from_normal_form(data.involution_data())))
+    return out
+
+
+SWEEP = _sweep_inputs()
+
+
+def qr_rotation(n: int, seed: int) -> RationalMatrix:
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return RationalMatrix.from_float(q * np.sign(np.diag(r)))
+
+
 class TestSphereMaximize:
     def test_finds_global_maximum(self):
         f = make_canonical_quartic(4, 1)
-        x = sphere_maximize(f, seeds=32)
+        x = sphere_maximize(f)
         assert abs(sum(c * c for c in x) - 1.0) < 1e-12
         value = evaluate(f, [rational_from(c) for c in x])
         assert abs(float(value) - 1.0) < 1e-10
 
     def test_radial_power(self):
-        x = sphere_maximize(make_primitive(4, 3, 0), seeds=8)
+        x = sphere_maximize(make_primitive(4, 3, 0))
         assert abs(sum(c * c for c in x) - 1.0) < 1e-12
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             sphere_maximize(Polynomial.zero(3))
+
+    def test_rejects_non_quartics(self):
+        with pytest.raises(ValueError, match="quartic"):
+            sphere_maximize(make_primitive(6, 3, 1))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        case=st.sampled_from(SWEEP),
+        cayley=st.booleans(),
+        seed=st.integers(min_value=0, max_value=10 ** 6),
+    )
+    def test_one_step_reaches_the_maximum(self, case, cayley, seed):
+        """Rotated by a Cayley or a rationalized QR rotation, f = 1 at the
+        returned point, where the tangential gradient vanishes."""
+        _, f = case
+        n = f.dimension
+        f = substitute_linear(
+            f, random_rational_orthogonal(n, seed) if cayley else qr_rotation(n, seed)
+        )
+        x = sphere_maximize(f)
+        assert len(x) == n
+        assert abs(sum(c * c for c in x) - 1.0) <= 1e-12
+        point = [rational_from(c) for c in x]
+        assert abs(float(evaluate(f, point)) - 1.0) <= 1e-12
+        grad = [evaluate(partial_derivative(f, i), point) for i in range(n)]
+        radial = sum(g * c for g, c in zip(grad, point))
+        assert max(abs(float(g - radial * c)) for g, c in zip(grad, point)) <= 1e-12
 
     @pytest.mark.parametrize(
         "record", SPHERE_POINTS, ids=[r["name"] for r in SPHERE_POINTS]
@@ -201,20 +257,37 @@ class TestSphereMaximize:
     def test_recorded_points(self, record):
         """Bit for bit the points in data/sphere_points.json (written by
         data/record_sphere_points.py)."""
-        f = poly_from_text(record["poly"])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            x = sphere_maximize(f, record["seeds"], record["tol"], record["seed"])
+        x = sphere_maximize(poly_from_text(record["poly"]))
         assert [float.hex(c) for c in x] == record["point"]
 
-    def test_no_convergence_warns_and_returns_unit_vector(self):
-        # the ascent stops at 1e-7 and the Newton polish cannot reach 1e-300;
-        # rotated, so that no start lands where the tangent is exactly zero
-        f = substitute_linear(make_canonical_quartic(3, 1), random_rational_orthogonal(3, 1))
-        with pytest.warns(RuntimeWarning, match="did not converge"):
-            x = sphere_maximize(f, seeds=2, tol=1e-300)
-        assert len(x) == 3
-        assert abs(sum(c * c for c in x) - 1.0) < 1e-12
+    def test_term_order_does_not_matter(self):
+        for record in SPHERE_POINTS:
+            f = poly_from_text(record["poly"])
+            reordered = Polynomial(f.dimension, dict(reversed(list(f.terms.items()))))
+            assert list(reordered.terms) != list(f.terms) or len(f.terms) == 1
+            assert [float.hex(c) for c in sphere_maximize(reordered)] == record["point"]
+
+    def test_minimum_is_returned_at_once(self):
+        # -x_0^4 is -1 everywhere on the sphere: the tangential gradient at
+        # e_0 is zero, and the extraction then fails on f and reads -f
+        assert sphere_maximize(-Polynomial.monomial(1, (4,))) == (1.0,)
+        assert sphere_maximize(-make_primitive(4, 3, 0)) == (1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("last", [1.0, 1.0 - 2.0 ** -40, 0.0, -1.0 + 2.0 ** -40, -1.0])
+    def test_reflection_to_the_point(self, last):
+        """The reflection sends e_n to +-v and stays orthogonal to roundoff,
+        also next to e_n and -e_n."""
+        rest = math.sqrt(1.0 - last * last)
+        v = np.array([rest * 0.6, rest * 0.8, last])
+        h = np.array(_householder_to_last(tuple(v)))
+        assert np.abs(h.T @ h - np.eye(3)).max() <= 4e-16
+        column = h[:, -1]
+        assert min(np.abs(column - v).max(), np.abs(column + v).max()) <= 4e-16
+
+    def test_past_the_float_range(self):
+        f = Polynomial(2, {(4, 0): 10 ** 400, (0, 4): 1})
+        with pytest.raises(ValueError, match="float range"):
+            extract_normal_form(f, None)
 
 
 def rational_from(value: float):
@@ -227,7 +300,7 @@ class TestFloatExtraction:
         u = RationalMatrix.from_float(
             givens(4, 0, 3, 0.7) @ givens(4, 1, 2, 1.1) @ givens(4, 0, 2, 0.4)
         )
-        nf = extract_normal_form(substitute_linear(f, u), None, seed=0)
+        nf = extract_normal_form(substitute_linear(f, u), None)
         assert nf.arithmetic == "float"
         assert nf.extraction_residual < 1e-9
         assert (nf.p, nf.q) == (2, 1)
@@ -237,6 +310,15 @@ class TestFloatExtraction:
         nf = extract_normal_form(make_canonical_quartic(3, 1), None)
         assert nf.arithmetic == "float"
         assert nf.extraction_residual < 1e-9
+
+    def test_maximizer_next_to_last_axis(self):
+        # the rotated involution peaks within 1e-4 of e_n; a reflection built
+        # from e_n - v there left a residual of 1.4e-13
+        record = next(r for r in SPHERE_POINTS if r["name"] == "involution_qr")
+        assert float.fromhex(record["point"][-1]) > 1.0 - 1e-4
+        nf = extract_normal_form(poly_from_text(record["poly"]), None)
+        assert (nf.p, nf.q) == (2, 1)
+        assert nf.extraction_residual < 1e-14
 
     def test_structure_violation_is_evidence(self):
         with pytest.raises(NotEikonalEvidence):
