@@ -57,10 +57,8 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .analysis import check_eikonal, check_munzner_second, float_image, scientific
-from .matrices import RationalMatrix
+from .matrices import RationalMatrix, symmetric_eigen
 from .normalform import (
     EXACT_NEEDS_EIKONAL,
     EXACT_NEEDS_POSITION,
@@ -153,8 +151,9 @@ def laplacian_signature(f: Polynomial, rotation: RationalMatrix | None = None):
     The Laplacian of a quartic is a quadratic form; its spectrum (with
     multiplicity) is invariant under the orthogonal group, which makes the
     signature a congruence test.  Exact eigenvalues are reported when the
-    form is diagonal; otherwise floating-point eigenvalues are grouped to
-    1e-6.
+    form is diagonal; otherwise the float eigenvalues of
+    `matrices.symmetric_eigen` (cyclic Jacobi, the same bits on every host)
+    are grouped to 1e-6.
     """
     if f.is_zero or not f.is_homogeneous(4):
         raise ValueError("f must be a nonzero homogeneous quartic")
@@ -168,8 +167,7 @@ def laplacian_signature(f: Polynomial, rotation: RationalMatrix | None = None):
         matrix[i, j] != 0 for i in range(n) for j in range(n) if i != j
     )
     if off_diagonal:
-        eigs = np.linalg.eigvalsh(np.array(matrix.to_float()))
-        values, slack = [float(e) for e in eigs], 1e-6
+        values, slack = symmetric_eigen(matrix)[0], 1e-6
     else:
         values, slack = [matrix[i, i] for i in range(n)], 0
     grouped: list[list] = []

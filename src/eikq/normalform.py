@@ -22,20 +22,21 @@ diagonalized by rational row reduction and every structural fact must hold
 exactly: a failure is a wrong target (ValueError) when the data merely does
 not expose the normal form, or `NotEikonalEvidence` when it contradicts
 eikonality itself.  Without a rotation, one closed-form great-circle step
-(`sphere_maximize`) reaches a maximizer, a reflection sends e_n there, a
-float eigensolver diagonalizes phi, both rotations are rationalized entry
-by entry, and every deviation is accumulated, exactly, into
-`extraction_residual` and judged against REJECT_TOL.
+(`sphere_maximize`) reaches a maximizer, a reflection sends e_n there,
+Jacobi rotations (`matrices.symmetric_eigen`) diagonalize phi, both
+rotations are rationalized entry by entry, and every deviation is
+accumulated, exactly, into `extraction_residual`, judged against REJECT_TOL.
 
 `obtain_normal_form`, behind `eikq normalform`, decides which rotation
 and which sign (f or -f; congruence includes the sign) the normal form is
-read from, exact routes (`exact_normal_form`, which `classify` shares)
-first.  With a valid rotation R, `rotate_if_eikonal` makes the exact zero
-test on the sparse f(R x) instead of on f, and hands the same f(R x) to
-the extraction; a nonzero residual is still measured on f.  The float
-route, `sphere_maximize` included, serves only `eikq normalform`:
-`classify` decides the remaining inputs by a closed-form certificate
-instead, which reads f at the same 0/1 points (`zero_one_derivatives`).
+read from, exact routes (`exact_normal_form`, shared with `classify`: f,
+then -f, at the given rotation or the identity) first.  With a valid
+rotation R, `rotate_if_eikonal` makes the exact zero test on the sparse
+f(R x) instead of on f, and hands the same f(R x) to the extraction; a
+nonzero residual is still measured on f.  The float route,
+`sphere_maximize` included, serves only `eikq normalform`: `classify`
+decides the remaining inputs by a closed-form certificate instead, which
+reads f at the same 0/1 points (`zero_one_derivatives`).
 """
 
 from __future__ import annotations
@@ -44,11 +45,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .analysis import check_eikonal
 from .constructors import NormalFormData
-from .matrices import RationalMatrix, orthonormalize_rational
+from .matrices import RationalMatrix, orthonormalize_rational, symmetric_eigen
 from .pencils import Pencil, quadratic_form_matrix
 from .polyring import (
     Polynomial,
@@ -229,10 +228,7 @@ def _float_eigenbasis(
     Eigenvalues are snapped to +1 or -3 within tol; also returns p and the
     largest distance of an eigenvalue from its snapped value.
     """
-    m = big_phi.n_rows
-    if m == 0:
-        return RationalMatrix.identity(0), 0, 0.0
-    eigvals, eigvecs = np.linalg.eigh(np.array(big_phi.to_float()))
+    eigvals, eigvecs = symmetric_eigen(big_phi)
     plus, minus = [], []
     deviation = 0.0
     for index, lam in enumerate(eigvals):
@@ -243,7 +239,8 @@ def _float_eigenbasis(
             )
         (plus if target > 0 else minus).append(index)
         deviation = max(deviation, abs(lam - target))
-    return RationalMatrix.from_float(eigvecs[:, plus + minus]), len(plus), deviation
+    vectors = [[row[j] for j in plus + minus] for row in eigvecs]
+    return RationalMatrix.from_float(vectors), len(plus), deviation
 
 
 def _extract(g: Polynomial, rotation: RationalMatrix, tol: float) -> NormalForm:
@@ -252,9 +249,9 @@ def _extract(g: Polynomial, rotation: RationalMatrix, tol: float) -> NormalForm:
     tol = 0 is the exact route: every structural fact must hold exactly,
     the eigenbasis of phi is found in rational arithmetic, and a rotation
     that misses a maximizer with value 1 raises ValueError.  With tol > 0
-    the eigenbasis comes from a float eigensolver, everything dropped is
-    accumulated into `extraction_residual`, and any deviation above tol is
-    NotEikonalEvidence.
+    the eigenbasis comes from Jacobi rotations (`symmetric_eigen`), the
+    same on every host, everything dropped is accumulated into
+    `extraction_residual`, and any deviation above tol is NotEikonalEvidence.
     """
     exact = tol == 0
     m = g.dimension - 1
@@ -427,12 +424,12 @@ def extract_normal_form(
     is exact: phi's eigenspaces are found by rational row reduction, and
     ValueError means the rotation does not expose the normal form (wrong
     target, or no rational orthonormal eigenbasis).  Without a rotation,
-    the closed-form sphere step (`sphere_maximize`) and a float
-    eigensolver supply rotations that are rationalized entry by entry, so
-    the result carries arithmetic="float" and an extraction residual, and
-    deviations above REJECT_TOL are NotEikonalEvidence; a coefficient past
-    the float range is a ValueError.  On either route NotEikonalEvidence
-    means f cannot be eikonal at all.
+    the closed-form sphere step (`sphere_maximize`) and Jacobi rotations
+    (`symmetric_eigen`) supply rotations that are rationalized entry by
+    entry, so the result carries arithmetic="float" and an extraction
+    residual, and deviations above REJECT_TOL are NotEikonalEvidence; a
+    coefficient past the float range is a ValueError.  On either route
+    NotEikonalEvidence means f cannot be eikonal at all.
     """
     _require_quartic(f)
     if rotation is None:
@@ -485,23 +482,27 @@ def rotate_if_eikonal(
 def exact_normal_form(
     f: Polynomial, rotation: RationalMatrix | None, rotated: Polynomial | None
 ) -> tuple[NormalForm, bool] | None:
-    """The normal form of f, or of -f (flag True), on an exact route: the
-    given `rotation`, on f only, read off `rotated` = f(rotation x) as
-    `rotate_if_eikonal` returned it; without a rotation (and `rotated`
-    None), the identity on f, then on -f, each ValueError moving on (None
-    when both fail).  The identity route is meant for an exactly eikonal f,
-    on which every route is exact.
+    """The normal form of f, or of -f (flag True), on an exact route: at the
+    given `rotation`, read off `rotated` = f(rotation x) as
+    `rotate_if_eikonal` returned it, or, without a rotation (and `rotated`
+    None), at the identity.  f is tried first, and only a ValueError moves
+    on to -f.  When both fail, f's ValueError is raised at a given rotation,
+    and None is returned at the identity.  The identity route is meant for
+    an exactly eikonal f, on which every route is exact.
     """
-    if rotation is not None:
-        _require_quartic(f)
-        return _extract(rotated, rotation, 0), False
-    identity = RationalMatrix.identity(f.dimension)
+    _require_quartic(f)
+    failures = []
     for negated in (False, True):
         try:
-            return extract_normal_form(-f if negated else f, identity), negated
-        except ValueError:
-            pass
-    return None
+            if rotation is None:
+                identity = RationalMatrix.identity(f.dimension)
+                return extract_normal_form(-f if negated else f, identity), negated
+            return _extract(-rotated if negated else rotated, rotation, 0), negated
+        except ValueError as failure:
+            failures.append(failure)
+    if rotation is None:
+        return None
+    raise failures[0]
 
 
 def obtain_normal_form(
@@ -509,10 +510,10 @@ def obtain_normal_form(
     *, allow_float: bool, tol: float,
 ) -> tuple[NormalForm, bool]:
     """The normal form of f, or of -f (flag True), by the first route that
-    applies: for an exactly eikonal f, `exact_normal_form` at the given
-    `rotation` (the zero test made on f(rotation x), `rotate_if_eikonal`)
-    or, without one, at the identity; then, unless `allow_float` is off
-    (ValueError), the float route on f, then on -f.  An eikonal residual of
+    applies: for an exactly eikonal f, `exact_normal_form` (f, then -f) at
+    the given `rotation` (the zero test made on f(rotation x),
+    `rotate_if_eikonal`) or, without one, at the identity; then, unless
+    `allow_float` is off (ValueError), the float route on f, then on -f.  An eikonal residual of
     f above REJECT_TOL raises NotEikonalEvidence before the float route,
     and an invalid rotation raises ValueError after that gate, as in
     `classify`.  -f is tried only for an f eikonal within `tol`: by Euler's

@@ -440,6 +440,27 @@ class TestNormalform:
         assert result.returncode == 0
         assert "arithmetic = exact" in result.stdout
 
+    @pytest.mark.parametrize("verb", ["classify", "normalform"])
+    def test_negated_input_at_a_rotation(self, tmp_path, verb):
+        # g = -h_2(U x) and R = U^T: g(R x) = -h_2(x) is -1 at the last basis
+        # vector, so the exact route at R reads -g, as the identity route does
+        from eikq.constructors import make_primitive
+        from eikq.matrices import random_rational_orthogonal
+        from eikq.polyring import substitute_linear
+
+        u = random_rational_orthogonal(4, 1)
+        fpath = write(tmp_path, "f.txt", poly_to_text(substitute_linear(-make_primitive(4, 4, 2), u)))
+        rows = (" ".join(str(v) for v in row) for row in u.transpose().entries)
+        rpath = write(tmp_path, "rot.txt", "4\n" + "\n".join(rows) + "\n")
+        result = run_cli(verb, fpath, "--rotation", rpath, "--exact", "--json")
+        assert (result.returncode, result.stderr) == (0, "")
+        payload = json.loads(result.stdout)
+        assert payload["arithmetic"] == "exact"
+        if verb == "normalform":
+            assert payload["negated"] is True
+        else:
+            assert (payload["verdict"], payload["dim_h"]) == ("primitive", 2)
+
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
     def test_rotation_with_an_inexact_input(self, tmp_path, as_json):
         # f(R x) is not exactly eikonal, so the normal form is read as

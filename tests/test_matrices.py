@@ -5,16 +5,19 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import eikq.matrices as matrices_module
 from eikq.matrices import (
     RationalMatrix,
     cayley_orthogonal,
     orthonormalize_rational,
     random_rational_orthogonal,
+    symmetric_eigen,
 )
 
 
@@ -320,3 +323,68 @@ def test_orthonormalize_rational_matches_sympy(vectors):
     zero = [Fraction(0)] * len(vectors[0])
     assert orthonormalize_rational(vectors + [total]) == basis
     assert orthonormalize_rational(vectors + [zero]) == basis
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Q diag(L) Q^T for a rational orthogonal Q, with L drawn from {+1, -3}
+    (the spectrum of phi) or from small rationals; or a symmetric matrix
+    with free entries."""
+    n = draw(st.integers(0, 10))
+    kind = draw(st.sampled_from(["phi", "spectrum", "entries"]))
+    if kind == "entries":
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = draw(_ENTRIES)
+        return RationalMatrix(rows)
+    values = st.sampled_from([1, -3]) if kind == "phi" else _ENTRIES
+    spectrum = draw(st.lists(values, min_size=n, max_size=n))
+    if n == 0:
+        return RationalMatrix([])
+    q = random_rational_orthogonal(n, draw(st.integers(0, 10 ** 6)))
+    return q @ RationalMatrix.diagonal(spectrum) @ q.transpose()
+
+
+@given(symmetric_matrices())
+@settings(max_examples=150, deadline=None)
+def test_symmetric_eigen_matches_numpy(m):
+    n = m.n_rows
+    values, vectors = symmetric_eigen(m)
+    assert len(values) == len(vectors) == n
+    assert values == sorted(values)
+    if n == 0:
+        return
+    a = np.array([[float(x) for x in row] for row in m.entries])
+    v = np.array(vectors)
+    scale = np.linalg.norm(a)
+    reference, _ = np.linalg.eigh(a)
+    assert np.abs(np.array(values) - reference).max() <= 1e-12 * scale
+    assert np.abs(v.T @ v - np.eye(n)).max() <= 1e-12
+    assert np.abs(a @ v - v * np.array(values)).max() <= 1e-12 * scale
+
+
+def test_symmetric_eigen_of_a_diagonal_matrix_needs_no_rotation():
+    values, vectors = symmetric_eigen(RationalMatrix.diagonal([1, -3, Fraction(1, 3), -3]))
+    assert values == [-3.0, -3.0, 1 / 3, 1.0]
+    assert vectors == [
+        [0.0, 0.0, 0.0, 1.0],
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0],
+    ]
+    assert symmetric_eigen(RationalMatrix([])) == ([], [])
+    assert symmetric_eigen(RationalMatrix([[7]])) == ([7.0], [[1.0]])
+
+
+def test_symmetric_eigen_refuses_past_the_sweep_cap(monkeypatch):
+    m = RationalMatrix([[1, 2, 3], [2, 4, 5], [3, 5, 6]])
+    assert len(symmetric_eigen(m)[0]) == 3
+    monkeypatch.setattr(matrices_module, "JACOBI_SWEEPS", 1)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        symmetric_eigen(m)
+
+
+def test_symmetric_eigen_needs_a_symmetric_matrix():
+    with pytest.raises(ValueError, match="symmetric"):
+        symmetric_eigen(RationalMatrix([[1, 2], [3, 4]]))

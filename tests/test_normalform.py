@@ -359,3 +359,33 @@ class TestSplitTheta:
     def test_ring_mismatch(self):
         with pytest.raises(ValueError):
             split_theta(Polynomial.zero(3), 1, 1)
+
+
+def test_float_routes_run_without_numpy():
+    # eikq needs only the standard library at run time: with numpy made
+    # unimportable, both symmetric eigenproblems (the Laplacian's spectrum
+    # and the float diagonalization of phi) still run
+    import subprocess
+    import sys
+
+    import eikq
+
+    script = """
+import sys
+sys.modules["numpy"] = None
+from eikq.classifier import laplacian_signature
+from eikq.constructors import make_canonical_quartic
+from eikq.matrices import random_rational_orthogonal
+from eikq.normalform import extract_normal_form
+from eikq.polyring import substitute_linear
+u = random_rational_orthogonal(5, 3)
+f = substitute_linear(make_canonical_quartic(5, 2), u)
+print([m for _, m in laplacian_signature(f, rotation=u)])
+nf = extract_normal_form(f)
+print(nf.arithmetic, float(nf.extraction_residual) < 1e-12)
+"""
+    env = {"PYTHONPATH": str(Path(eikq.__file__).parents[1]), "PATH": ""}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=env, timeout=120)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "[2, 3]\nfloat True\n"
