@@ -20,10 +20,14 @@ Three construction routes live here:
   rational pencils and a grid of theta_3 coefficients, keeping exactly the
   candidates whose assembled quartic is eikonal.  Pencils are screened
   once per set of seeds, not once per rotated copy: rotating or reordering
-  a pencil does not change whether it passes `check_pencil`.  The eikonal
-  residual is quadratic in theta_3, so it is expanded once per pencil and
-  every grid point is decided in integer arithmetic, without assembling
-  its quartic.
+  a pencil does not change whether it passes `check_pencil`.  The same
+  orbit rule decides the theta_3 = 0 quartic: the quartic of a reordered,
+  conjugated pencil is the seed set's quartic composed with an orthogonal
+  map, so it is eikonal exactly when the seed set's is, and its theta_3
+  basis has the same length.  A pencil with an empty basis is therefore
+  decided by its seed set alone.  Otherwise the eikonal residual is
+  quadratic in theta_3, so it is expanded once per pencil and every grid
+  point is decided in integer arithmetic, without assembling its quartic.
 """
 
 from __future__ import annotations
@@ -326,12 +330,22 @@ def search_isoparametric_pencil(
     seed set, on the raw seeds in index order: `.passed` is the same for
     C^T A_i C, since C^T C = I keeps every product identity and trace, and
     for any order of the matrices, since every condition is symmetric in
-    them.  The empty pencil (q = 0) is admissible.  The eikonal
-    residual of the assembled quartic f0 + sum_i c_i B_i (B_i the lifted
-    8 b_i) is quadratic in the c_i, so for each admissible pencil it is
-    expanded once, into integer rows (`_grid_decider`), and each theta_3
-    grid point is decided exactly by integer dot products with those rows;
-    theta_3 and the normal-form data are built only for hits.  Pencils and
+    them.  The empty pencil (q = 0) is admissible.  The theta_3 = 0
+    quartic f0 is decided once per seed set too, on the same raw seeds:
+    for the pencil (C^T A_sigma(i) C)_i, f0 is the seed set's f0 composed
+    with the orthogonal map diag(C, P_sigma, 1), as psi, theta_4, theta_2,
+    theta_0 and phi are all equivariant, and the eikonal equation is
+    O(n)-invariant; the eigenspace dimensions, and with them the length of
+    the theta_3 basis, do not change under conjugation either.  So a
+    pencil with an empty basis is a hit exactly when its seed set's f0 is
+    eikonal, and no quartic is assembled for it; a pencil with a nonempty
+    basis takes its f0 residual as zero in that case and computes it
+    otherwise.  The eikonal residual of the assembled quartic
+    f0 + sum_i c_i B_i (B_i the lifted 8 b_i) is quadratic in the c_i, so
+    for each such pencil it is expanded once, into integer rows
+    (`_grid_decider`), and each theta_3 grid point is decided exactly by
+    integer dot products with those rows; theta_3 and the normal-form data
+    are built only for hits.  Pencils and
     grid points both count as examined candidates, and the search stops
     once `budget` of them have been examined.  The result order is
     deterministic.
@@ -359,6 +373,9 @@ def search_isoparametric_pencil(
     seen_pencils: set[tuple[int, ...]] = set()
     # check_pencil(...).passed by sorted seed indices, exact as said above
     passed: dict[tuple[int, ...], bool] = {}
+    # by the same key, on the same raw seeds: (the theta_3 = 0 quartic is
+    # eikonal, the theta_3 basis is empty), exact for the whole orbit
+    orbit: dict[tuple[int, ...], tuple[bool, bool]] = {}
     zero3 = Polynomial.zero(p + q)
     for conj in _conjugations(p):
         conj_t = conj.transpose()
@@ -374,17 +391,27 @@ def search_isoparametric_pencil(
             examined += 1
             if examined > budget:
                 return hits
+            seed_set = tuple(sorted(idx))
             if idx:
-                seed_set = tuple(sorted(idx))
                 if seed_set not in passed:
                     passed[seed_set] = check_pencil(tuple(seeds[i] for i in seed_set), p).passed
                 if not passed[seed_set]:
                     continue
+            if seed_set not in orbit:
+                raw = tuple(seeds[i] for i in seed_set)
+                f_raw = assemble_from_normal_form(NormalFormData(p, q, raw, zero3))
+                orbit[seed_set] = (check_eikonal(f_raw, 4).is_zero, not theta3_basis(raw, p))
+            eikonal0, flat = orbit[seed_set]
             pencil = tuple(conjugated[i] for i in idx)
+            if flat:
+                if eikonal0:
+                    hits.append(NormalFormData(p, q, pencil, zero3))
+                continue
             basis = theta3_basis(pencil, p)
             f0 = assemble_from_normal_form(NormalFormData(p, q, pencil, zero3))
+            r0 = Polynomial.zero(p + q + 1) if eikonal0 else check_eikonal(f0, 4).value
             lifted = [extend_dimension(8 * b, p + q + 1) for b in basis]
-            is_eikonal = _grid_decider(f0, check_eikonal(f0, 4).value, lifted)
+            is_eikonal = _grid_decider(f0, r0, lifted)
             for ks in product(_GRID_NUMERATORS, repeat=len(basis)):
                 if basis:
                     examined += 1

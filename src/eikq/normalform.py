@@ -444,20 +444,12 @@ def _require_quartic(f: Polynomial) -> None:
         raise ValueError("f must be a nonzero homogeneous quartic")
 
 
-def _rotation_problem(rotation: RationalMatrix, n: int) -> str | None:
-    """Why `rotation` is not an exactly orthogonal n x n matrix, or None."""
-    if not rotation.is_square or rotation.n_rows != n:
-        return f"rotation must be {n} x {n}"
-    if not rotation.is_orthogonal():
-        return "rotation must be exactly orthogonal"
-    return None
-
-
 def _require_orthogonal(rotation: RationalMatrix, n: int) -> None:
     """ValueError unless `rotation` is an exactly orthogonal n x n matrix."""
-    problem = _rotation_problem(rotation, n)
-    if problem is not None:
-        raise ValueError(problem)
+    if not rotation.is_square or rotation.n_rows != n:
+        raise ValueError(f"rotation must be {n} x {n}")
+    if not rotation.is_orthogonal():
+        raise ValueError("rotation must be exactly orthogonal")
 
 
 def rotate_if_eikonal(
@@ -471,12 +463,16 @@ def rotate_if_eikonal(
     so this zero test decides whether f is exactly eikonal.  It is cheap
     because f(R x) is sparse when R exposes a normal form, and the caller
     passes it on to `exact_normal_form`.  A nonzero residual is left to be
-    measured on f, and an invalid rotation to be refused after that.
+    measured on f, and an invalid rotation to be refused after that.  R's
+    orthogonality is checked here only once the zero test has passed: when
+    it fails, the caller checks R once, after the gate on f.
     """
-    if rotation is None or _rotation_problem(rotation, f.dimension) is not None:
+    if rotation is None or not rotation.is_square or rotation.n_rows != f.dimension:
         return None
     rotated = substitute_linear(f, rotation)
-    return rotated if check_eikonal(rotated, 4).is_zero else None
+    if not check_eikonal(rotated, 4).is_zero or not rotation.is_orthogonal():
+        return None
+    return rotated
 
 
 def exact_normal_form(

@@ -32,7 +32,12 @@ from eikq.constructors import (
     make_primitive,
 )
 from eikq.matrices import RationalMatrix, random_rational_orthogonal
-from eikq.normalform import NotEikonalEvidence, extract_normal_form, rotate_if_eikonal
+from eikq.normalform import (
+    NotEikonalEvidence,
+    extract_normal_form,
+    obtain_normal_form,
+    rotate_if_eikonal,
+)
 from eikq.pencils import tau_polynomials
 from eikq.polyring import (
     Polynomial,
@@ -393,6 +398,32 @@ class TestRotatedEikonalGate:
         iso = data.corpus()[9]
         with pytest.raises(ValueError, match="^rotation must be 6 x 6$"):
             classify(iso, RationalMatrix.identity(4))
+
+    @pytest.mark.parametrize("exponent", [None, 12, 3], ids=["exact", "within_tol", "far"])
+    def test_rotation_checked_once(self, monkeypatch, exponent):
+        checked = []
+        real = RationalMatrix.is_orthogonal
+
+        def counting(matrix):
+            checked.append(matrix)
+            return real(matrix)
+
+        f = make_canonical_quartic(4, 1)
+        if exponent is not None:
+            f = _perturbed(f, exponent)
+        u = random_rational_orthogonal(4, 5)
+        g, back = substitute_linear(f, u), u.transpose()
+        monkeypatch.setattr(RationalMatrix, "is_orthogonal", counting)
+        classify(g, back)
+        # once, by the zero test on f(R x) or after the gate on f; never past the gate
+        expected = [] if exponent == 3 else [back]
+        assert checked == expected
+        checked.clear()
+        try:
+            obtain_normal_form(g, back, allow_float=True, tol=1e-9)
+        except NotEikonalEvidence:
+            assert exponent == 3
+        assert checked == expected
 
     def test_one_substitution_per_exact_rotated_call(self, monkeypatch):
         substituted, checked = [], []

@@ -459,3 +459,111 @@ class TestGridDecision:
             assert verdict[0] == verdict[1]
             outcomes.append(verdict[1])
         assert outcomes == [True, True, False, True]
+
+
+def _block_diagonal(*blocks: RationalMatrix) -> RationalMatrix:
+    size = sum(b.n_rows for b in blocks)
+    entries = [[rational(0)] * size for _ in range(size)]
+    start = 0
+    for block in blocks:
+        for i, row in enumerate(block.entries):
+            entries[start + i][start:start + len(row)] = row
+        start += block.n_rows
+    return RationalMatrix(entries)
+
+
+class TestOrbitRule:
+    """The theta_3 = 0 quartic of (C^T A_sigma(i) C)_i is the seed set's
+    composed with diag(C, P_sigma, 1), with a theta_3 basis of the same length."""
+
+    @staticmethod
+    def quartic(p, pencil):
+        q = len(pencil)
+        return assemble_from_normal_form(NormalFormData(p, q, pencil, Polynomial.zero(p + q)))
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_conjugated_pencil_is_the_seed_quartic_rotated(self, p):
+        one = RationalMatrix.identity(1)
+        swap = RationalMatrix([[0, 1], [1, 0]])
+        for nu in range(1, p // 2 + 1):
+            seeds = constructors._seed_matrices(p, nu)
+            # every seed, then one seed pair in both orders, sigma and P_sigma
+            cases = [((a,), (0,), one) for a in seeds]
+            cases += [(tuple(seeds[:2]), (0, 1), RationalMatrix.identity(2)),
+                      (tuple(seeds[:2]), (1, 0), swap)]
+            for raw, order, perm in cases:
+                f_raw = self.quartic(p, raw)
+                basis_length = len(theta3_basis(raw, p))
+                for conj in constructors._conjugations(p):
+                    pencil = tuple(conj.transpose() @ raw[i] @ conj for i in order)
+                    rotation = _block_diagonal(conj, perm, one)
+                    assert self.quartic(p, pencil) == substitute_linear(f_raw, rotation)
+                    assert len(theta3_basis(pencil, p)) == basis_length
+
+
+def _reference_search(p: int, q: int, nu: int, budget: int) -> list[NormalFormData]:
+    """The search without the orbit rule: every enumerated (pencil, grid point)
+    screened by `check_pencil` on the pencil itself, assembled and run
+    through `check_eikonal`, counted against `budget` as the search counts."""
+    seeds = constructors._seed_matrices(p, nu)
+    examined, hits, seen = 0, [], set()
+    for conj in constructors._conjugations(p):
+        conjugated = [conj.transpose() @ a @ conj for a in seeds]
+        for idx in product(range(len(seeds)), repeat=q):
+            if nu > 0 and q > 1 and len(set(idx)) != q:
+                continue
+            pencil = tuple(conjugated[i] for i in idx)
+            key = tuple(m.entries for m in pencil)
+            if key in seen:
+                continue
+            seen.add(key)
+            examined += 1
+            if examined > budget:
+                return hits
+            if pencil and not analysis.check_pencil(pencil, p).passed:
+                continue
+            basis = theta3_basis(pencil, p)
+            for coeffs in product(constructors._THETA3_COEFFICIENTS, repeat=len(basis)):
+                if basis:
+                    examined += 1
+                    if examined > budget:
+                        return hits
+                theta3 = Polynomial.zero(p + q)
+                for c, b in zip(coeffs, basis):
+                    theta3 = theta3 + 8 * c * b
+                candidate = NormalFormData(p, q, pencil, theta3)
+                if check_eikonal(assemble_from_normal_form(candidate), 4).is_zero:
+                    hits.append(candidate)
+    return hits
+
+
+@pytest.mark.parametrize(
+    "case", [(2, 1, 1, 10 ** 6), (4, 1, 2, 10 ** 6), (3, 2, 1, 195), (6, 1, 3, 150)],
+    ids=["2_1_1", "4_1_2_full", "3_2_1_budget_195", "6_1_3_budget_150"],
+)
+def test_search_matches_the_reference_loop(case):
+    hits = search_isoparametric_pencil(*case)
+    assert hits
+    assert hits == _reference_search(*case)
+
+
+def test_empty_basis_miss_is_decided_by_the_seed_residual(monkeypatch):
+    """Every admissible pencil with an empty theta_3 basis that the search
+    enumerates is eikonal; with the screen passing all, diag(1, 0) (empty
+    basis, not eikonal) shows that such a pencil is decided by its residual."""
+    real = constructors._seed_matrices
+    plain = search_isoparametric_pencil(2, 1, 1)
+
+    class Passed:
+        passed = True
+
+    monkeypatch.setattr(analysis, "check_pencil", lambda pencil, p: Passed)
+    monkeypatch.setattr(
+        constructors, "_seed_matrices",
+        lambda p, nu: real(p, nu) + [RationalMatrix.diagonal([1, 0])],
+    )
+    assert theta3_basis((RationalMatrix.diagonal([1, 0]),), 2) == []
+    hits = search_isoparametric_pencil(2, 1, 1)
+    assert hits == _reference_search(2, 1, 1, 10 ** 6)
+    # the extra seed comes last and none of its conjugates is a hit
+    assert hits == plain
