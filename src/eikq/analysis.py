@@ -49,6 +49,7 @@ from .pencils import (
 from .polyring import (
     Polynomial,
     block_radial,
+    eikonal_residual,
     gradient_inner,
     gradient_norm_sq,
     laplacian,
@@ -146,11 +147,14 @@ class ResidualSet:
 
 
 def check_eikonal(f: Polynomial, g: int) -> Residual:
-    """Residual of |grad f|^2 - g^2 |x|^(2g-2)."""
+    """Residual of |grad f|^2 - g^2 |x|^(2g-2).
+
+    `polyring.eikonal_residual` computes it in Python ints over one common
+    denominator; when the residual is zero no rational is made.
+    """
     if not isinstance(g, int) or g < 1:
         raise ValueError("degree g must be a positive integer")
-    target = g * g * radial_power(f.dimension, g - 1)
-    return Residual("eikonal", gradient_norm_sq(f) - target)
+    return Residual("eikonal", eikonal_residual(f, g))
 
 
 def check_munzner_second(f: Polynomial, g: int, m_sum: int | None = None, tol: float = 0):

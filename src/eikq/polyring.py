@@ -14,10 +14,11 @@ tuple.  ``poly_to_text`` and ``poly_from_text`` implement the line-based
 wire format used by the command line tools (one term per line: n exponent
 integers followed by the coefficient as ``p`` or ``p/q``).
 
-The one rational scalar type is ``fractions.Fraction``.  Products and
-``substitute_linear`` run in Python ints on packed monomials over one
-common denominator (``_pack``), with one rational division per output
-term (``_unpack``); their terms come out grlex-descending.
+The one rational scalar type is ``fractions.Fraction``.  Products,
+``substitute_linear`` and the eikonal residual ``eikonal_residual`` run in
+Python ints on packed monomials over one common denominator (``_pack``),
+with one rational division per output term (``_unpack``); their terms come
+out grlex-descending.  A zero eikonal residual makes no rational at all.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import re
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial, lcm, prod
+from math import factorial, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Monomial = tuple[int, ...]
@@ -286,10 +287,17 @@ def _unpack(n: int, packed: Mapping[int, int], base: int, dividers: Sequence[int
     return _raw(n, terms)
 
 
-def _sum_of_products(n: int, pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
-    """Sum of a * b over the pairs: the one product loop, in Python ints."""
+def _sum_of_products(
+    pairs: Iterable[tuple[Polynomial, Polynomial]], min_base: int = 1
+) -> tuple[dict[int, int], int, int]:
+    """Sum of a * b over the pairs: the one product loop, in Python ints.
+
+    Returns the packed integer numerators, the ``_pack`` base (at least
+    ``min_base``) and the common denominator; ``_unpack`` with that base and
+    denominator makes the polynomial.
+    """
     pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
-    base = max((a.total_degree() + b.total_degree() for a, b in pairs), default=0) + 1
+    base = max([min_base] + [a.total_degree() + b.total_degree() + 1 for a, b in pairs])
     packs = []
     for a, b in pairs:
         pa = _pack(a, base)
@@ -302,13 +310,14 @@ def _sum_of_products(n: int, pairs: Iterable[tuple[Polynomial, Polynomial]]) -> 
             c1 *= scale
             for k2, c2 in pb:
                 out[k1 + k2] += c1 * c2
-    return _unpack(n, out, base, [denom] * base)
+    return out, base, denom
 
 
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     """Exact product of two polynomials in the same ring."""
     a._require_same_ring(b)
-    return _sum_of_products(a.dimension, [(a, b)])
+    out, base, denom = _sum_of_products([(a, b)])
+    return _unpack(a.dimension, out, base, [denom] * base)
 
 
 def poly_square(a: Polynomial) -> Polynomial:
@@ -341,7 +350,32 @@ def gradient_inner(a: Polynomial, b: Polynomial, indices: Iterable[int] | None =
     for i in range(a.dimension) if indices is None else indices:
         da = partial_derivative(a, i)
         pairs.append((da, da if b is a else partial_derivative(b, i)))
-    return _sum_of_products(a.dimension, pairs)
+    out, base, denom = _sum_of_products(pairs)
+    return _unpack(a.dimension, out, base, [denom] * base)
+
+
+def eikonal_residual(f: Polynomial, g: int) -> Polynomial:
+    """|grad f|^2 - g^2 |x|^(2g-2), in one pass of Python ints.
+
+    The squared partials are summed by the packed product loop over their
+    common denominator D, and g^2 D times each multinomial coefficient of
+    |x|^(2g-2) is subtracted at its packed key.  The base,
+    max(2 deg f - 2, 2g - 2) + 1, keeps the packing injective for any f
+    (zero, constant, or of degree other than g).  A zero residual makes no
+    rational; otherwise one ``_unpack`` gives its terms grlex-descending.
+    """
+    n = f.dimension
+    squares = [(d, d) for d in (partial_derivative(f, i) for i in range(n))]
+    out, base, denom = _sum_of_products(squares, 2 * g - 1)
+    scale = g * g * denom
+    for mono, coeff in _radial_terms(n, range(n), g - 1):
+        key = 2 * g - 2
+        for e in mono:
+            key = key * base + e
+        out[key] -= scale * coeff
+    if not any(out.values()):
+        return _raw(n, {})
+    return _unpack(n, out, base, [denom] * base)
 
 
 def extend_dimension(f: Polynomial, new_dimension: int) -> Polynomial:
@@ -475,14 +509,23 @@ def block_radial(dimension: int, indices: Iterable[int], power: int = 1) -> Poly
     """
     if power < 0:
         raise ValueError("exponent must be nonnegative")
+    return _raw(dimension, {
+        mono: Fraction(coeff) for mono, coeff in _radial_terms(dimension, indices, power)
+    })
+
+
+def _radial_terms(
+    dimension: int, indices: Iterable[int], power: int
+) -> Iterator[tuple[Monomial, int]]:
+    """(monomial, integer coefficient) of each term of ``block_radial``."""
     top = factorial(power)
-    terms: dict[Monomial, object] = {}
     for chosen in combinations_with_replacement(sorted(indices), power):
         mono = [0] * dimension
+        divisor = 1  # prod_i a_i!, built up one factor per chosen index
         for i in chosen:
             mono[i] += 2
-        terms[tuple(mono)] = Fraction(top // prod(factorial(e // 2) for e in mono))
-    return _raw(dimension, terms)
+            divisor *= mono[i] >> 1
+        yield tuple(mono), top // divisor
 
 
 def radial_power(dimension: int, exponent: int) -> Polynomial:

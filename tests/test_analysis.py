@@ -39,7 +39,13 @@ from eikq.pencils import (
     theta2_from_pencil,
     theta4_from_pencil,
 )
-from eikq.polyring import Polynomial, rational, substitute_linear
+from eikq.polyring import (
+    Polynomial,
+    gradient_norm_sq,
+    radial_power,
+    rational,
+    substitute_linear,
+)
 
 
 def system_parts(d: NormalFormData):
@@ -56,6 +62,44 @@ def system_parts(d: NormalFormData):
     return phi, psi, theta
 
 
+def fraction_eikonal_residual(f: Polynomial, g: int) -> Polynomial:
+    """The residual as `Fraction` polynomial arithmetic writes it."""
+    return gradient_norm_sq(f) - g * g * radial_power(f.dimension, g - 1)
+
+
+_COEFFICIENTS = st.builds(
+    Fraction,
+    st.one_of(st.integers(-9, 9), st.sampled_from([10 ** 400, -(10 ** 400)])),
+    st.sampled_from([1, 2, 3, 4, 7, 12]),
+)
+
+
+@st.composite
+def _eikonal_cases(draw):
+    """(f, g, planted) with n = 0..5 and g = 1..6.
+
+    Either a planted solution `make_primitive(g, n, d)` under a Cayley
+    rotation, sometimes perturbed by one monomial, or a random f of degree
+    0..g+1 with mixed denominators and sometimes a 10^400 numerator: the
+    zero polynomial, constants and non-homogeneous f included.
+    """
+    n = draw(st.integers(0, 5))
+    g = draw(st.integers(1, 6))
+    if n >= 1 and draw(st.booleans()):
+        dimh = 1 if g % 2 else draw(st.integers(0, n))
+        rotation = random_rational_orthogonal(n, draw(st.integers(0, 10 ** 4)))
+        f = substitute_linear(make_primitive(g, n, dimh), rotation)
+        if not draw(st.booleans()):
+            return f, g, True
+        exponents = draw(st.lists(st.integers(0, g), min_size=n, max_size=n))
+        return f + Polynomial.monomial(n, exponents, draw(_COEFFICIENTS)), g, False
+    monomials = st.lists(st.integers(0, g + 1), min_size=n, max_size=n).filter(
+        lambda m: sum(m) <= g + 1
+    )
+    terms = draw(st.lists(st.tuples(monomials, _COEFFICIENTS), max_size=6))
+    return Polynomial(n, {tuple(m): c for m, c in terms}), g, False
+
+
 class TestCheckEikonal:
     def test_zero_on_solutions(self):
         for f in data.corpus():
@@ -68,9 +112,26 @@ class TestCheckEikonal:
         assert res.magnitude == 48.0
 
     def test_residual_matches_sympy(self):
-        for f in (make_canonical_quartic(3, 1), Polynomial.monomial(2, (4, 0))):
-            ours = oracles.to_sympy(check_eikonal(f, 4).value)
-            assert ours == oracles.eikonal_residual(f, 4)
+        sextic = substitute_linear(make_primitive(6, 3, 2), random_rational_orthogonal(3, 5))
+        assert check_eikonal(sextic, 6).is_zero
+        perturbed = sextic + Polynomial.monomial(3, (3, 0, 0), Fraction(-2, 7))
+        for f, g in ((make_canonical_quartic(3, 1), 4), (Polynomial.monomial(2, (4, 0)), 4),
+                     (sextic, 6), (perturbed, 6)):
+            ours = oracles.to_sympy(check_eikonal(f, g).value)
+            assert ours == oracles.eikonal_residual(f, g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_eikonal_cases())
+    def test_integer_residual_matches_fraction_reference(self, case):
+        f, g, planted = case
+        residual = check_eikonal(f, g)
+        reference = fraction_eikonal_residual(f, g)
+        assert residual.value.dimension == f.dimension
+        assert residual.value.terms == reference.terms
+        assert residual.is_zero == reference.is_zero
+        assert list(residual.value.terms) == [m for m, _ in residual.value.sorted_terms()]
+        if planted:
+            assert residual.is_zero
 
     def test_degree_validation(self):
         with pytest.raises(ValueError):
