@@ -23,10 +23,10 @@ equation), labeled by its multiplicities m1, m2 >= 1, m1 + m2 = n/2 - 1.
     isoparametric                    Muenzner's equation on f itself,
                                      within tol (n even, n >= 6)
     primitive, exact                 for an exactly eikonal f, the exact
-                                     normal form of f or of -f at a given
-                                     rotation (read off the f(R x) of the
-                                     zero test) or at the identity
-                                     (`normalform.exact_normal_form`): a
+                                     normal form of -f if g(e_n) = -1, else
+                                     of f, for g = f(R x) at a given R (the
+                                     zero test's) or f at the identity, if
+                                     g(e_n) = +-1 (`exact_normal_form`): a
                                      zero pencil, or for q = 1 an involution
     primitive, inconclusive_float    for any other f, the float certificate:
                                      f = h_d or -h_d exactly when f + |x|^4
@@ -66,6 +66,7 @@ from .normalform import (
     REJECT_TOL,
     NormalForm,
     _require_orthogonal,
+    _require_quartic,
     exact_normal_form,
     rotate_if_eikonal,
     zero_one_derivatives,
@@ -155,8 +156,7 @@ def laplacian_signature(f: Polynomial, rotation: RationalMatrix | None = None):
     `matrices.symmetric_eigen` (cyclic Jacobi, the same bits on every host)
     are grouped to 1e-6.
     """
-    if f.is_zero or not f.is_homogeneous(4):
-        raise ValueError("f must be a nonzero homogeneous quartic")
+    _require_quartic(f)
     g = substitute_linear(f, rotation) if rotation is not None else f
     n = g.dimension
     lap = laplacian(g)
@@ -202,8 +202,7 @@ def classify(
     float primitive certificate (`_certify`), unless `allow_float` is off
     (ValueError).
     """
-    if f.is_zero or not f.is_homogeneous(4):
-        raise ValueError("f must be a nonzero homogeneous quartic")
+    _require_quartic(f)
     n = f.dimension
     rotated = rotate_if_eikonal(f, rotation)
     deviation = Fraction(0)

@@ -413,10 +413,9 @@ def search_isoparametric_pencil(
             lifted = [extend_dimension(8 * b, p + q + 1) for b in basis]
             is_eikonal = _grid_decider(f0, r0, lifted)
             for ks in product(_GRID_NUMERATORS, repeat=len(basis)):
-                if basis:
-                    examined += 1
-                    if examined > budget:
-                        return hits
+                examined += 1
+                if examined > budget:
+                    return hits
                 if not is_eikonal(ks):
                     continue
                 theta3 = zero3

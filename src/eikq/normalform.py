@@ -29,11 +29,13 @@ accumulated, exactly, into `extraction_residual`, judged against REJECT_TOL.
 
 `obtain_normal_form`, behind `eikq normalform`, decides which rotation
 and which sign (f or -f; congruence includes the sign) the normal form is
-read from, exact routes (`exact_normal_form`, shared with `classify`: f,
-then -f, at the given rotation or the identity) first.  With a valid
-rotation R, `rotate_if_eikonal` makes the exact zero test on the sparse
-f(R x) instead of on f, and hands the same f(R x) to the extraction; a
-nonzero residual is still measured on f.  The float route,
+read from, exact routes (`exact_normal_form`, shared with `classify`)
+first.  Their sign is read off g(e_n), the x_n^4 coefficient of g = f(R x)
+at a given rotation R or of f at the identity: -f when it is -1, else f,
+and at the identity nothing is read unless it is 1 or -1.  With a valid R,
+`rotate_if_eikonal` makes the exact zero test on the sparse f(R x) instead
+of on f, and hands the same f(R x) to the extraction; a nonzero residual
+is still measured on f.  The float route,
 `sphere_maximize` included, serves only `eikq normalform`: `classify`
 decides the remaining inputs by a closed-form certificate instead, which
 reads f at the same 0/1 points (`zero_one_derivatives`).
@@ -481,24 +483,24 @@ def exact_normal_form(
     """The normal form of f, or of -f (flag True), on an exact route: at the
     given `rotation`, read off `rotated` = f(rotation x) as
     `rotate_if_eikonal` returned it, or, without a rotation (and `rotated`
-    None), at the identity.  f is tried first, and only a ValueError moves
-    on to -f.  When both fail, f's ValueError is raised at a given rotation,
-    and None is returned at the identity.  The identity route is meant for
-    an exactly eikonal f, on which every route is exact.
+    None), at the identity.  The normal form needs g(e_n) = 1 for g =
+    `rotated` or f, so the sign is read first: -f when g(e_n) = -1, else f.
+    At a rotation that one extraction raises its ValueError; at the identity
+    it is made only when g(e_n) = +-1, and a failure returns None.  The
+    identity route is meant for an exactly eikonal f.
     """
     _require_quartic(f)
-    failures = []
-    for negated in (False, True):
-        try:
-            if rotation is None:
-                identity = RationalMatrix.identity(f.dimension)
-                return extract_normal_form(-f if negated else f, identity), negated
-            return _extract(-rotated if negated else rotated, rotation, 0), negated
-        except ValueError as failure:
-            failures.append(failure)
-    if rotation is None:
+    g = f if rotation is None else rotated
+    lead = g.coefficient((0,) * (f.dimension - 1) + (4,))
+    negated = lead == -1
+    if rotation is not None:
+        return _extract(-g if negated else g, rotation, 0), negated
+    if lead not in (1, -1):
         return None
-    raise failures[0]
+    try:
+        return extract_normal_form(-f if negated else f, RationalMatrix.identity(f.dimension)), negated
+    except ValueError:
+        return None
 
 
 def obtain_normal_form(
@@ -506,8 +508,8 @@ def obtain_normal_form(
     *, allow_float: bool, tol: float,
 ) -> tuple[NormalForm, bool]:
     """The normal form of f, or of -f (flag True), by the first route that
-    applies: for an exactly eikonal f, `exact_normal_form` (f, then -f) at
-    the given `rotation` (the zero test made on f(rotation x),
+    applies: for an exactly eikonal f, `exact_normal_form` (the sign read
+    off g(e_n)) at the given `rotation` (the zero test made on f(rotation x),
     `rotate_if_eikonal`) or, without one, at the identity; then, unless
     `allow_float` is off (ValueError), the float route on f, then on -f.  An eikonal residual of
     f above REJECT_TOL raises NotEikonalEvidence before the float route,

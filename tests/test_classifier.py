@@ -453,6 +453,64 @@ class TestRotatedEikonalGate:
             assert checked == [f]
 
 
+class TestSignReadOffTheLastAxis:
+    """The exact routes read the sign off g(e_n), g = f(R x) or f at the
+    identity: one extraction of -g when it is -1, of g otherwise, and none at
+    the identity when it is neither 1 nor -1."""
+
+    @staticmethod
+    def count_extractions(monkeypatch):
+        calls = []
+        real = normalform_module._extract
+
+        def counting(g, rotation, tol):
+            calls.append(tol)
+            return real(g, rotation, tol)
+
+        monkeypatch.setattr(normalform_module, "_extract", counting)
+        return calls
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["h", "minus_h"])
+    @pytest.mark.parametrize("n,d", [(4, 1), (5, 2)])
+    def test_rotated_input_without_a_rotation(self, monkeypatch, sign, n, d):
+        g = substitute_linear(sign * make_canonical_quartic(n, d), random_rational_orthogonal(n, 3))
+        assert g.coefficient((0,) * (n - 1) + (4,)) not in (1, -1)
+        calls = self.count_extractions(monkeypatch)
+        report = classify(g)
+        assert (report.verdict, report.arithmetic, report.dim_h) == (VERDICT_PRIMITIVE, "float", min(d, n - d))
+        with pytest.raises(ValueError, match="--exact needs f in normal-form position"):
+            obtain_normal_form(g, None, allow_float=False, tol=1e-9)
+        assert calls == []
+
+    @pytest.mark.parametrize("rotated", [False, True], ids=["normal_position", "rotated"])
+    def test_negated_input_is_extracted_once(self, monkeypatch, rotated):
+        f = -make_canonical_quartic(5, 2)
+        rotation = None
+        if rotated:
+            u = random_rational_orthogonal(5, 3)
+            f, rotation = substitute_linear(f, u), u.transpose()
+        calls = self.count_extractions(monkeypatch)
+        report = classify(f, rotation)
+        assert (report.verdict, report.arithmetic, report.dim_h) == (VERDICT_PRIMITIVE, "exact", 2)
+        assert calls == [0]
+        calls.clear()
+        nf, negated = obtain_normal_form(f, rotation, allow_float=False, tol=1e-9)
+        assert (nf.arithmetic, negated) == ("exact", True)
+        assert calls == [0]
+
+    def test_negated_failure_names_its_own_reason(self):
+        # -h_2(R x) is -1 at e_n, so -f(R x) = h_2(diag(W, 1) x) is read, and its
+        # x_n^2 coefficient has no rational orthonormal eigenbasis
+        w = random_rational_orthogonal(5, 1)
+        rotation = RationalMatrix(
+            [list(w.row(i)) + [rational(0)] for i in range(5)] + [[rational(0)] * 5 + [rational(1)]]
+        )
+        f = -make_canonical_quartic(6, 2)
+        for decide in (classify, lambda f, r: obtain_normal_form(f, r, allow_float=True, tol=1e-9)):
+            with pytest.raises(ValueError, match="^no rational orthonormal eigenbasis"):
+                decide(f, rotation)
+
+
 class TestClassifyNumeric:
     def test_blunt_rejection(self):
         report = classify(Polynomial.monomial(2, (4, 0)))

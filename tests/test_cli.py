@@ -461,6 +461,20 @@ class TestNormalform:
         else:
             assert (payload["verdict"], payload["dim_h"]) == ("primitive", 2)
 
+    @pytest.mark.parametrize("verb", ["classify", "normalform"])
+    def test_negated_failure_at_a_rotation(self, tmp_path, verb):
+        # -h_2(R x) is -1 at the last basis vector, so -f is read at R, and the
+        # error is -f's own: R = diag(W, 1) leaves phi without a rational eigenbasis
+        from eikq.matrices import random_rational_orthogonal
+
+        w = random_rational_orthogonal(5, 1)
+        rows = [[*w.row(i), 0] for i in range(5)] + [[0] * 5 + [1]]
+        rpath = write(tmp_path, "rot.txt", "6\n" + "\n".join(" ".join(map(str, row)) for row in rows) + "\n")
+        fpath = write(tmp_path, "f.txt", poly_to_text(-make_canonical_quartic(6, 2)))
+        result = run_cli(verb, fpath, "--rotation", rpath)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: no rational orthonormal eigenbasis")
+
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
     def test_rotation_with_an_inexact_input(self, tmp_path, as_json):
         # f(R x) is not exactly eikonal, so the normal form is read as
