@@ -149,8 +149,10 @@ class ResidualSet:
 def check_eikonal(f: Polynomial, g: int) -> Residual:
     """Residual of |grad f|^2 - g^2 |x|^(2g-2).
 
-    `polyring.eikonal_residual` computes it in Python ints over one common
-    denominator; when the residual is zero no rational is made.
+    `polyring.eikonal_residual` computes it in one packed pass of Python
+    ints over one common denominator: the partials are read off the
+    packed keys of f and each square is summed over unordered pairs of
+    terms.  When the residual is zero no rational is made.
     """
     if not isinstance(g, int) or g < 1:
         raise ValueError("degree g must be a positive integer")

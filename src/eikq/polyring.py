@@ -15,10 +15,14 @@ wire format used by the command line tools (one term per line: n exponent
 integers followed by the coefficient as ``p`` or ``p/q``).
 
 The one rational scalar type is ``fractions.Fraction``.  Products,
-``substitute_linear`` and the eikonal residual ``eikonal_residual`` run in
-Python ints on packed monomials over one common denominator (``_pack``),
-with one rational division per output term (``_unpack``); their terms come
-out grlex-descending.  A zero eikonal residual makes no rational at all.
+gradient inner products, ``substitute_linear`` and the eikonal residual
+``eikonal_residual`` run in Python ints on packed monomials over one
+common denominator (``_pack``), with one rational division per output term
+(``_unpack``); their terms come out grlex-descending.  A partial
+derivative inside them is read off the packed keys, with no rational
+made, and ``_sum_of_products`` is the one product loop: it squares a
+packed list by unordered pairs of terms.  A zero eikonal residual makes no
+rational at all.
 """
 
 from __future__ import annotations
@@ -287,41 +291,61 @@ def _unpack(n: int, packed: Mapping[int, int], base: int, dividers: Sequence[int
     return _raw(n, terms)
 
 
-def _sum_of_products(
-    pairs: Iterable[tuple[Polynomial, Polynomial]], min_base: int = 1
-) -> tuple[dict[int, int], int, int]:
-    """Sum of a * b over the pairs: the one product loop, in Python ints.
+def _packed_gradient(
+    f: Polynomial, base: int, indices: Sequence[int]
+) -> tuple[list[list[tuple[int, int]]], int]:
+    """The packed partials of f by each x_i, i in ``indices``, and ``_pack``'s denominator.
 
-    Returns the packed integer numerators, the ``_pack`` base (at least
-    ``min_base``) and the common denominator; ``_unpack`` with that base and
-    denominator makes the polynomial.
+    The term c x^a of f, packed to (key, numerator), has the partial by x_i
+    packed to (key - base^n - base^(n-1-i), numerator * a_i): read off the
+    packed keys, with no rational made.
     """
-    pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
-    base = max([min_base] + [a.total_degree() + b.total_degree() + 1 for a, b in pairs])
-    packs = []
-    for a, b in pairs:
-        pa = _pack(a, base)
-        packs.append((pa, pa if b is a else _pack(b, base)))
-    denom = lcm(*(da * db for (_, da), (_, db) in packs))
+    n = f.dimension
+    for i in indices:
+        if not 0 <= i < n:
+            raise ValueError(f"variable index {i} out of range for dimension {n}")
+    packed, denom = _pack(f, base)
+    grad = []
+    for i in indices:
+        step = base**n + base ** (n - 1 - i)
+        grad.append([(key - step, c * m[i]) for m, (key, c) in zip(f.terms, packed) if m[i]])
+    return grad, denom
+
+
+def _sum_of_products(pairs: Iterable[tuple[list, list]]) -> dict[int, int]:
+    """Sum of a * b over pairs of packed lists: the one product loop, in Python ints.
+
+    Keys add and numerators multiply; the caller unpacks the sum over the
+    product of the two denominators.  A list paired with itself is squared
+    by unordered pairs, c_u^2 at 2 k_u and 2 c_u c_v at k_u + k_v for u < v:
+    half the products of the general loop.
+    """
     out: dict[int, int] = defaultdict(int)
-    for (pa, da), (pb, db) in packs:
-        scale = denom // (da * db)
-        for k1, c1 in pa:
-            c1 *= scale
-            for k2, c2 in pb:
-                out[k1 + k2] += c1 * c2
-    return out, base, denom
+    for pa, pb in pairs:
+        if pa is pb:
+            for u, (k1, c1) in enumerate(pa, 1):
+                out[k1 + k1] += c1 * c1
+                c1 *= 2
+                for k2, c2 in pa[u:]:
+                    out[k1 + k2] += c1 * c2
+        else:
+            for k1, c1 in pa:
+                for k2, c2 in pb:
+                    out[k1 + k2] += c1 * c2
+    return out
 
 
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     """Exact product of two polynomials in the same ring."""
     a._require_same_ring(b)
-    out, base, denom = _sum_of_products([(a, b)])
-    return _unpack(a.dimension, out, base, [denom] * base)
+    base = (a.total_degree() or 0) + (b.total_degree() or 0) + 1
+    pa, da = _pack(a, base)
+    pb, db = (pa, da) if b is a else _pack(b, base)
+    return _unpack(a.dimension, _sum_of_products([(pa, pb)]), base, [da * db] * base)
 
 
 def poly_square(a: Polynomial) -> Polynomial:
-    """a*a."""
+    """a*a, by unordered pairs of terms."""
     return poly_mul(a, a)
 
 
@@ -339,39 +363,51 @@ def partial_derivative(f: Polynomial, index: int) -> Polynomial:
 
 
 def gradient_norm_sq(f: Polynomial) -> Polynomial:
-    """|grad f|^2 as an exact polynomial."""
+    """|grad f|^2 as an exact polynomial, each square by unordered pairs."""
     return gradient_inner(f, f)
 
 
 def gradient_inner(a: Polynomial, b: Polynomial, indices: Iterable[int] | None = None) -> Polynomial:
-    """<grad a, grad b>, optionally restricted to a subset of variables."""
+    """<grad a, grad b>, optionally restricted to a subset of variables.
+
+    The partials are read off the packed keys of a and b and summed by the
+    one product loop; with b a itself, each square is by unordered pairs.
+    """
     a._require_same_ring(b)
-    pairs = []
-    for i in range(a.dimension) if indices is None else indices:
-        da = partial_derivative(a, i)
-        pairs.append((da, da if b is a else partial_derivative(b, i)))
-    out, base, denom = _sum_of_products(pairs)
-    return _unpack(a.dimension, out, base, [denom] * base)
+    indices = range(a.dimension) if indices is None else list(indices)
+    deg_a, deg_b = a.total_degree() or 0, b.total_degree() or 0
+    base = max(deg_a + deg_b - 2, deg_a, deg_b) + 1
+    ga, da = _packed_gradient(a, base, indices)
+    gb, db = (ga, da) if b is a else _packed_gradient(b, base, indices)
+    return _unpack(a.dimension, _sum_of_products(zip(ga, gb)), base, [da * db] * base)
 
 
 def eikonal_residual(f: Polynomial, g: int) -> Polynomial:
-    """|grad f|^2 - g^2 |x|^(2g-2), in one pass of Python ints.
+    """|grad f|^2 - g^2 |x|^(2g-2), in one packed pass of Python ints.
 
-    The squared partials are summed by the packed product loop over their
-    common denominator D, and g^2 D times each multinomial coefficient of
-    |x|^(2g-2) is subtracted at its packed key.  The base,
-    max(2 deg f - 2, 2g - 2) + 1, keeps the packing injective for any f
-    (zero, constant, or of degree other than g).  A zero residual makes no
-    rational; otherwise one ``_unpack`` gives its terms grlex-descending.
+    f is packed once over its common denominator D, each partial is read
+    off the packed keys, and the squares are summed by the one product loop
+    over unordered pairs of terms.  g^2 D^2 times each multinomial
+    coefficient of |x|^(2g-2) is subtracted at its packed key, a running
+    sum of key steps, with no monomial made.  The base,
+    max(2 deg f - 2, 2g - 2, deg f) + 1, keeps the packing injective for
+    any f (zero, constant, linear, or of degree other than g).  A zero
+    residual makes no rational; otherwise one ``_unpack`` gives its terms
+    grlex-descending.
     """
     n = f.dimension
-    squares = [(d, d) for d in (partial_derivative(f, i) for i in range(n))]
-    out, base, denom = _sum_of_products(squares, 2 * g - 1)
+    deg = f.total_degree() or 0
+    base = max(2 * deg - 2, 2 * g - 2, deg) + 1
+    grad, denom = _packed_gradient(f, base, range(n))
+    out = _sum_of_products((d, d) for d in grad)
+    denom *= denom
     scale = g * g * denom
-    for mono, coeff in _radial_terms(n, range(n), g - 1):
-        key = 2 * g - 2
-        for e in mono:
-            key = key * base + e
+    steps = [2 * base ** (n - 1 - i) for i in range(n)]  # the keys of x_0^2 .. x_{n-1}^2
+    start = (2 * g - 2) * base**n
+    for chosen, coeff in _multinomials(range(n), g - 1):
+        key = start
+        for i in chosen:
+            key += steps[i]
         out[key] -= scale * coeff
     if not any(out.values()):
         return _raw(n, {})
@@ -509,23 +545,28 @@ def block_radial(dimension: int, indices: Iterable[int], power: int = 1) -> Poly
     """
     if power < 0:
         raise ValueError("exponent must be nonnegative")
-    return _raw(dimension, {
-        mono: Fraction(coeff) for mono, coeff in _radial_terms(dimension, indices, power)
-    })
-
-
-def _radial_terms(
-    dimension: int, indices: Iterable[int], power: int
-) -> Iterator[tuple[Monomial, int]]:
-    """(monomial, integer coefficient) of each term of ``block_radial``."""
-    top = factorial(power)
-    for chosen in combinations_with_replacement(sorted(indices), power):
+    terms = {}
+    for chosen, coeff in _multinomials(indices, power):
         mono = [0] * dimension
-        divisor = 1  # prod_i a_i!, built up one factor per chosen index
         for i in chosen:
             mono[i] += 2
-            divisor *= mono[i] >> 1
-        yield tuple(mono), top // divisor
+        terms[tuple(mono)] = Fraction(coeff)
+    return _raw(dimension, terms)
+
+
+def _multinomials(indices: Iterable[int], power: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(multiset, power! / prod_i a_i!) per sorted multiset of ``power`` indices.
+
+    a_i is the multiplicity of index i in the multiset.
+    """
+    top = factorial(power)
+    for chosen in combinations_with_replacement(sorted(indices), power):
+        divisor, run, previous = 1, 0, None  # prod_i a_i!, one factor per chosen index
+        for i in chosen:
+            run = run + 1 if i == previous else 1
+            divisor *= run
+            previous = i
+        yield chosen, top // divisor
 
 
 def radial_power(dimension: int, exponent: int) -> Polynomial:

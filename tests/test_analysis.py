@@ -7,11 +7,12 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _data as data
 import _oracles as oracles
+from eikq import polyring
 from test_pencils import ref_eta_residual
 from eikq.analysis import (
     Residual,
@@ -41,8 +42,6 @@ from eikq.pencils import (
 )
 from eikq.polyring import (
     Polynomial,
-    gradient_norm_sq,
-    radial_power,
     rational,
     substitute_linear,
 )
@@ -62,9 +61,34 @@ def system_parts(d: NormalFormData):
     return phi, psi, theta
 
 
-def fraction_eikonal_residual(f: Polynomial, g: int) -> Polynomial:
-    """The residual as `Fraction` polynomial arithmetic writes it."""
-    return gradient_norm_sq(f) - g * g * radial_power(f.dimension, g - 1)
+def fraction_eikonal_residual(f: Polynomial, g: int) -> dict:
+    """The residual as {exponents: Fraction}, term by term in plain `Fraction`s.
+
+    A double loop over the terms of each partial of f, less g^2 times
+    |x|^(2g-2) expanded one factor |x|^2 at a time; nothing of `polyring`
+    beyond the terms of f is used.
+    """
+    n = f.dimension
+    out: dict = {}
+    for i in range(n):
+        partial = [
+            (m[:i] + (m[i] - 1,) + m[i + 1:], c * m[i]) for m, c in f.terms.items() if m[i]
+        ]
+        for m1, c1 in partial:
+            for m2, c2 in partial:
+                m = tuple(x + y for x, y in zip(m1, m2))
+                out[m] = out.get(m, 0) + c1 * c2
+    radial = {(0,) * n: Fraction(1)}
+    for _ in range(g - 1):
+        step: dict = {}
+        for m, c in radial.items():
+            for i in range(n):
+                raised = m[:i] + (m[i] + 2,) + m[i + 1:]
+                step[raised] = step.get(raised, 0) + c
+        radial = step
+    for m, c in radial.items():
+        out[m] = out.get(m, 0) - g * g * c
+    return {m: c for m, c in out.items() if c}
 
 
 _COEFFICIENTS = st.builds(
@@ -122,16 +146,38 @@ class TestCheckEikonal:
 
     @settings(max_examples=150, deadline=None)
     @given(case=_eikonal_cases())
+    @example(case=(Polynomial.variable(1, 0), 1, True))
+    @example(case=(-Polynomial.variable(1, 0), 1, True))
+    @example(case=(Polynomial(2, {(1, 0): 3, (0, 1): 1}), 1, False))
+    @example(case=(Polynomial.variable(1, 0), 2, False))
     def test_integer_residual_matches_fraction_reference(self, case):
         f, g, planted = case
         residual = check_eikonal(f, g)
         reference = fraction_eikonal_residual(f, g)
         assert residual.value.dimension == f.dimension
-        assert residual.value.terms == reference.terms
-        assert residual.is_zero == reference.is_zero
+        assert residual.value.terms == reference
+        assert residual.is_zero == (not reference)
         assert list(residual.value.terms) == [m for m, _ in residual.value.sorted_terms()]
         if planted:
             assert residual.is_zero
+
+    def test_one_packed_pass(self, monkeypatch):
+        # the partials are read off packed keys, and only a nonzero residual is unpacked
+        planted = substitute_linear(make_primitive(4, 6, 2), random_rational_orthogonal(6, 3))
+        perturbed = planted + Polynomial.monomial(6, (1, 1, 1, 1, 0, 0), Fraction(1, 3))
+        calls = {"partial_derivative": 0, "_unpack": 0}
+        for name in calls:
+            original = getattr(polyring, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(polyring, name, counting)
+        assert check_eikonal(planted, 4).is_zero
+        assert calls == {"partial_derivative": 0, "_unpack": 0}
+        assert not check_eikonal(perturbed, 4).is_zero
+        assert calls == {"partial_derivative": 0, "_unpack": 1}
 
     def test_degree_validation(self):
         with pytest.raises(ValueError):

@@ -338,10 +338,10 @@ def assert_substitution_correct(f: Polynomial, matrix) -> Polynomial:
 _SMALL_RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=12)
 
 
-def polys(n: int):
+def polys(n: int, coefficients=_SMALL_RATIONALS):
     # degrees are mixed, so most drawn polynomials are not homogeneous
     monos = st.tuples(*[st.integers(0, 3)] * n)
-    return st.dictionaries(monos, _SMALL_RATIONALS, max_size=6).map(
+    return st.dictionaries(monos, coefficients, max_size=6).map(
         lambda terms: Polynomial(n, terms)
     )
 
@@ -448,6 +448,26 @@ def assert_products_correct(a: Polynomial, b: Polynomial) -> None:
 @settings(max_examples=80, deadline=None)
 def test_products_match_term_by_term_expansion(pair):
     assert_products_correct(*pair)
+
+
+_WIDE_RATIONALS = st.builds(
+    Fraction,
+    st.one_of(st.integers(-9, 9), st.sampled_from([10 ** 400, -(10 ** 400)])),
+    st.sampled_from([1, 2, 3, 4, 7, 12]),
+)
+
+
+@given(st.integers(0, 5).flatmap(lambda n: polys(n, _WIDE_RATIONALS)))
+@settings(max_examples=80, deadline=None)
+def test_square_branch_matches_general_product(a):
+    # b equals a but is another object, so poly_mul and gradient_inner take
+    # the general loop over ordered pairs where a with itself takes unordered ones
+    b = Polynomial(a.dimension, dict(a.terms))
+    assert b is not a and b == a
+    for square, general in ((poly_square(a), poly_mul(a, b)),
+                            (gradient_norm_sq(a), gradient_inner(a, b))):
+        assert square == general
+        assert list(square.terms) == list(general.terms)
 
 
 def test_products_small_and_degenerate_cases():
