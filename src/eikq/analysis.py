@@ -3,7 +3,10 @@
 Everything here is a verifier: it takes candidate data and returns residual
 polynomials that are zero exactly when a defining identity holds.  Residuals
 are kept as polynomials (never booleans) so callers can inspect magnitudes,
-report them, or apply numeric thresholds to rationalized float data.
+report them, or apply numeric thresholds to rationalized float data.  The
+eikonal residual and the Laplacian stay packed integers over one common
+denominator (`polyring.PackedPolynomial`), so a zero test makes no rational
+and a magnitude makes one.
 
 The checks stack in three layers:
 
@@ -30,8 +33,9 @@ The checks stack in three layers:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from typing import TYPE_CHECKING, Iterator, Optional
 
@@ -47,12 +51,13 @@ from .pencils import (
     validate_pencil,
 )
 from .polyring import (
+    PackedPolynomial,
     Polynomial,
     block_radial,
-    eikonal_residual,
     gradient_inner,
     gradient_norm_sq,
-    laplacian,
+    packed_eikonal_residual,
+    packed_laplacian,
     poly_mul,
     poly_square,
     radial_power,
@@ -94,29 +99,40 @@ def scientific(value: Fraction | float) -> str:
 class Residual:
     """A named polynomial that should be zero.
 
-    Rationalized float data still produces exact arithmetic, but its tiny
-    residuals are judged by thresholds rather than by emptiness
-    (`is_zero`): the exact `value.max_abs_coefficient()` is compared with
-    the tolerance, and `magnitude` is its float image for reports.
+    `data` is the polynomial, or a `PackedPolynomial` left packed, as
+    `check_eikonal` leaves it.  Rationalized float data still produces
+    exact arithmetic, but its tiny residuals are judged by thresholds
+    rather than by emptiness (`is_zero`): the exact `max_coeff` is compared
+    with the tolerance, and `magnitude` is its float image for reports.  On
+    packed data the zero test is one pass over the integer numerators, made
+    with the residual; `max_coeff` is one rational, and `value` unpacks the
+    polynomial on its first access only.
     """
 
     name: str
-    value: Polynomial
+    data: Polynomial | PackedPolynomial
+    is_zero: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.value.is_zero
+    def __post_init__(self):
+        object.__setattr__(self, "is_zero", self.data.is_zero)
+
+    @cached_property
+    def value(self) -> Polynomial:
+        data = self.data
+        return data if isinstance(data, Polynomial) else data.unpack()
+
+    @cached_property
+    def max_coeff(self) -> Fraction:
+        """The largest |coefficient|, exactly; 0 for a zero residual."""
+        return Fraction(0) if self.is_zero else self.data.max_abs_coefficient()
 
     @property
     def magnitude(self) -> float:
         """The largest coefficient as a float; inf past the float range."""
-        return float_image(self.value.max_abs_coefficient())
+        return float_image(self.max_coeff)
 
     def to_json_dict(self) -> dict:
-        return {
-            "zero": self.is_zero,
-            "max_coeff": "0" if self.is_zero else str(self.value.max_abs_coefficient()),
-        }
+        return {"zero": self.is_zero, "max_coeff": str(self.max_coeff)}
 
 
 @dataclass(frozen=True)
@@ -147,16 +163,17 @@ class ResidualSet:
 
 
 def check_eikonal(f: Polynomial, g: int) -> Residual:
-    """Residual of |grad f|^2 - g^2 |x|^(2g-2).
+    """Residual of |grad f|^2 - g^2 |x|^(2g-2), left packed.
 
-    `polyring.eikonal_residual` computes it in one packed pass of Python
-    ints over one common denominator: the partials are read off the
+    `polyring.packed_eikonal_residual` computes it in one packed pass of
+    Python ints over one common denominator: the partials are read off the
     packed keys of f and each square is summed over unordered pairs of
-    terms.  When the residual is zero no rational is made.
+    terms.  The zero test makes no rational, `max_coeff` makes one, and the
+    residual polynomial is unpacked only when `value` is read.
     """
     if not isinstance(g, int) or g < 1:
         raise ValueError("degree g must be a positive integer")
-    return Residual("eikonal", eikonal_residual(f, g))
+    return Residual("eikonal", packed_eikonal_residual(f, g))
 
 
 def check_munzner_second(f: Polynomial, g: int, m_sum: int | None = None, tol: float = 0):
@@ -170,21 +187,22 @@ def check_munzner_second(f: Polynomial, g: int, m_sum: int | None = None, tol: f
 
     With tol > 0 the Laplacian need only lie within tol of c |x|^(g-2),
     coefficient by coefficient, as for rationalized float data.  c is read
-    at one coefficient; when `m_sum` is supplied it is first moved to the
-    nearest constant with integer multiplicities, and the deviation is
-    measured from that one.
+    at one coefficient, that of x_0^(g-2); when `m_sum` is supplied it is
+    first moved to the nearest constant with integer multiplicities, and
+    the deviation is measured from that one.  The Laplacian stays packed
+    (`polyring.packed_laplacian`): c |x|^(g-2) is subtracted from its
+    integer numerators, and the deviation is one rational.
     """
     if not isinstance(g, int) or g < 1:
         raise ValueError("degree g must be a positive integer")
-    lap = laplacian(f)
-    constant, target = rational(0), Polynomial.zero(f.dimension)
-    if g % 2 == 0:
-        target = radial_power(f.dimension, (g - 2) // 2)
-        constant = lap.coefficient(next(iter(target.terms)))
+    lap = packed_laplacian(f, g)
+    constant = rational(0)
+    if g % 2 == 0:  # at n = 0 this reads the constant term of the zero Laplacian
+        constant = lap.coefficient(tuple(g - 2 if i == 0 else 0 for i in range(f.dimension)))
         if m_sum is not None and tol > 0:
             m2 = round((m_sum + 2 * constant / (g * g)) / 2)
             constant = rational(g * g * (2 * m2 - m_sum), 2)
-    if (lap - constant * target).max_abs_coefficient() > tol:
+    if lap.minus_radial(constant, (g - 2) // 2).max_abs_coefficient() > tol:
         return None
     if m_sum is None:
         return constant

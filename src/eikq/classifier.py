@@ -72,7 +72,14 @@ from .normalform import (
     zero_one_derivatives,
 )
 from .pencils import quadratic_form_matrix
-from .polyring import Polynomial, laplacian, radial_power, rational, substitute_linear
+from .polyring import (
+    Polynomial,
+    laplacian,
+    packed_laplacian,
+    radial_power,
+    rational,
+    substitute_linear,
+)
 
 VERDICT_PRIMITIVE = "primitive"
 VERDICT_ISOPARAMETRIC = "isoparametric"
@@ -207,7 +214,7 @@ def classify(
     rotated = rotate_if_eikonal(f, rotation)
     deviation = Fraction(0)
     if rotated is None:
-        deviation = check_eikonal(f, 4).value.max_abs_coefficient()
+        deviation = check_eikonal(f, 4).max_coeff
         if deviation > REJECT_TOL:
             return ClassificationReport(
                 VERDICT_NOT_EIKONAL, n, "exact", deviation, detail=FAR_FROM_EIKONAL
@@ -254,7 +261,8 @@ def _isoparametric(
     m1, m2 = pair
     constant = rational(8 * (m2 - m1))
     if tol:  # on the exact route the Laplacian's deviation is 0
-        deviation = max(deviation, (laplacian(f) - constant * radial_power(n, 1)).max_abs_coefficient())
+        remainder = packed_laplacian(f, 4).minus_radial(constant, 1)
+        deviation = max(deviation, remainder.max_abs_coefficient())
     p = n - 2 - m1  # f's own normal form: q = m1 + 1, nu = m2
     return ClassificationReport(
         VERDICT_ISOPARAMETRIC, n, "float" if tol else "exact", deviation,

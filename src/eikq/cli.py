@@ -138,7 +138,7 @@ def _cmd_construct(args) -> _Answer:
 def _cmd_verify(args) -> _Answer:
     f = poly_from_text(_read_text(args.file))
     residual = check_eikonal(f, args.g)
-    deviation = residual.value.max_abs_coefficient()
+    deviation = residual.max_coeff
     ok = deviation <= args.tol
     if residual.is_zero:
         verdict = "eikonal (residual exactly zero)"

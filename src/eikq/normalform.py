@@ -522,7 +522,7 @@ def obtain_normal_form(
     rotated = rotate_if_eikonal(f, rotation)
     if rotated is not None:
         return exact_normal_form(f, rotation, rotated)
-    deviation = check_eikonal(f, 4).value.max_abs_coefficient()
+    deviation = check_eikonal(f, 4).max_coeff
     if deviation > REJECT_TOL:
         raise NotEikonalEvidence(FAR_FROM_EIKONAL)
     if rotation is not None:

@@ -15,14 +15,15 @@ wire format used by the command line tools (one term per line: n exponent
 integers followed by the coefficient as ``p`` or ``p/q``).
 
 The one rational scalar type is ``fractions.Fraction``.  Products,
-gradient inner products, ``substitute_linear`` and the eikonal residual
-``eikonal_residual`` run in Python ints on packed monomials over one
-common denominator (``_pack``), with one rational division per output term
+gradient inner products, ``substitute_linear``, the Laplacian and the
+eikonal residual run in Python ints on packed monomials over one common
+denominator (``_pack``), with one rational division per output term
 (``_unpack``); their terms come out grlex-descending.  A partial
 derivative inside them is read off the packed keys, with no rational
 made, and ``_sum_of_products`` is the one product loop: it squares a
-packed list by unordered pairs of terms.  A zero eikonal residual makes no
-rational at all.
+packed list by unordered pairs of terms.  The eikonal residual and the
+Laplacian can also stay packed (``PackedPolynomial``): then a zero test
+makes no rational and the largest |coefficient| makes one.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial, lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 Monomial = tuple[int, ...]
 
@@ -291,6 +292,65 @@ def _unpack(n: int, packed: Mapping[int, int], base: int, dividers: Sequence[int
     return _raw(n, terms)
 
 
+class PackedPolynomial(NamedTuple):
+    """A polynomial left packed: integer numerators at ``_pack``'s keys over one denominator.
+
+    The zero test reads the integers and makes no rational; the largest
+    |coefficient| is one rational, max |numerator| / denominator; ``unpack``
+    makes one per term, grlex-descending.  The base exceeds every degree.
+    """
+
+    dimension: int
+    numerators: Mapping[int, int]
+    base: int
+    denominator: int
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(self.numerators.values())
+
+    def max_abs_coefficient(self) -> Fraction:
+        """Largest coefficient magnitude as an exact rational (0 for zero)."""
+        return Fraction(max(map(abs, self.numerators.values()), default=0), self.denominator)
+
+    def coefficient(self, monomial: Sequence[int]) -> Fraction:
+        """The coefficient of a monomial of degree below the base, one rational."""
+        key = sum(monomial)
+        for e in monomial:
+            key = key * self.base + e
+        return Fraction(self.numerators.get(key, 0), self.denominator)
+
+    def minus_radial(self, constant: Fraction, power: int) -> "PackedPolynomial":
+        """self - constant |x|^(2 power), over denominator D * constant.denominator.
+
+        The base must exceed 2 power.  A zero constant returns self.
+        """
+        if not constant:
+            return self
+        numerator, scale = constant.numerator, constant.denominator
+        out = {key: c * scale for key, c in self.numerators.items()}
+        _subtract_radial(out, self.dimension, self.base, power, numerator * self.denominator)
+        return PackedPolynomial(self.dimension, out, self.base, self.denominator * scale)
+
+    def unpack(self) -> Polynomial:
+        return _unpack(self.dimension, self.numerators, self.base, [self.denominator] * self.base)
+
+
+def _subtract_radial(out: dict[int, int], n: int, base: int, power: int, scale: int) -> None:
+    """Subtract scale times each multinomial coefficient of |x|^(2 power) at its packed key.
+
+    Each key is a running sum of key steps, with no monomial made; the base
+    must exceed 2 power.
+    """
+    steps = [2 * base ** (n - 1 - i) for i in range(n)]  # the keys of x_0^2 .. x_{n-1}^2
+    start = 2 * power * base**n
+    for chosen, coeff in _multinomials(range(n), power):
+        key = start
+        for i in chosen:
+            key += steps[i]
+        out[key] = out.get(key, 0) - scale * coeff
+
+
 def _packed_gradient(
     f: Polynomial, base: int, indices: Sequence[int]
 ) -> tuple[list[list[tuple[int, int]]], int]:
@@ -382,18 +442,16 @@ def gradient_inner(a: Polynomial, b: Polynomial, indices: Iterable[int] | None =
     return _unpack(a.dimension, _sum_of_products(zip(ga, gb)), base, [da * db] * base)
 
 
-def eikonal_residual(f: Polynomial, g: int) -> Polynomial:
-    """|grad f|^2 - g^2 |x|^(2g-2), in one packed pass of Python ints.
+def packed_eikonal_residual(f: Polynomial, g: int) -> PackedPolynomial:
+    """|grad f|^2 - g^2 |x|^(2g-2), in one packed pass of Python ints, left packed.
 
     f is packed once over its common denominator D, each partial is read
     off the packed keys, and the squares are summed by the one product loop
     over unordered pairs of terms.  g^2 D^2 times each multinomial
-    coefficient of |x|^(2g-2) is subtracted at its packed key, a running
-    sum of key steps, with no monomial made.  The base,
-    max(2 deg f - 2, 2g - 2, deg f) + 1, keeps the packing injective for
-    any f (zero, constant, linear, or of degree other than g).  A zero
-    residual makes no rational; otherwise one ``_unpack`` gives its terms
-    grlex-descending.
+    coefficient of |x|^(2g-2) is subtracted at its packed key
+    (``_subtract_radial``).  The base, max(2 deg f - 2, 2g - 2, deg f) + 1,
+    keeps the packing injective for any f (zero, constant, linear, or of
+    degree other than g).  The numerators are over D^2.
     """
     n = f.dimension
     deg = f.total_degree() or 0
@@ -401,17 +459,13 @@ def eikonal_residual(f: Polynomial, g: int) -> Polynomial:
     grad, denom = _packed_gradient(f, base, range(n))
     out = _sum_of_products((d, d) for d in grad)
     denom *= denom
-    scale = g * g * denom
-    steps = [2 * base ** (n - 1 - i) for i in range(n)]  # the keys of x_0^2 .. x_{n-1}^2
-    start = (2 * g - 2) * base**n
-    for chosen, coeff in _multinomials(range(n), g - 1):
-        key = start
-        for i in chosen:
-            key += steps[i]
-        out[key] -= scale * coeff
-    if not any(out.values()):
-        return _raw(n, {})
-    return _unpack(n, out, base, [denom] * base)
+    _subtract_radial(out, n, base, g - 1, g * g * denom)
+    return PackedPolynomial(n, out, base, denom)
+
+
+def eikonal_residual(f: Polynomial, g: int) -> Polynomial:
+    """|grad f|^2 - g^2 |x|^(2g-2): ``packed_eikonal_residual`` and one ``_unpack``."""
+    return packed_eikonal_residual(f, g).unpack()
 
 
 def extend_dimension(f: Polynomial, new_dimension: int) -> Polynomial:
@@ -422,15 +476,29 @@ def extend_dimension(f: Polynomial, new_dimension: int) -> Polynomial:
     return _raw(new_dimension, {mono + pad: c for mono, c in f.terms.items()})
 
 
+def packed_laplacian(f: Polynomial, degree: int = 0) -> PackedPolynomial:
+    """Sum of second partials, in Python ints on packed keys, left packed.
+
+    f is packed once at base max(deg f, degree) + 1, so that monomials up
+    to `degree` pack as well (``PackedPolynomial.minus_radial``).  The term
+    c x^a, packed to (key, numerator), gives at each i with a_i >= 2 the
+    key - 2 base^n - 2 base^(n-1-i) with numerator * a_i (a_i - 1).
+    """
+    n = f.dimension
+    base = max(f.total_degree() or 0, degree) + 1
+    packed, denom = _pack(f, base)
+    steps = [2 * base**n + 2 * base ** (n - 1 - i) for i in range(n)]
+    out: dict[int, int] = defaultdict(int)
+    for mono, (key, c) in zip(f.terms, packed):
+        for e, step in zip(mono, steps):
+            if e >= 2:
+                out[key - step] += c * (e * (e - 1))
+    return PackedPolynomial(n, out, base, denom)
+
+
 def laplacian(f: Polynomial) -> Polynomial:
-    """Sum of second partials, exactly."""
-    items = (
-        (mono[:i] + (e - 2,) + mono[i + 1:], coeff * (e * (e - 1)))
-        for mono, coeff in f.terms.items()
-        for i, e in enumerate(mono)
-        if e >= 2
-    )
-    return _raw(f.dimension, _add_terms({}, items))
+    """Sum of second partials, exactly: one rational per output term, grlex-descending."""
+    return packed_laplacian(f).unpack()
 
 
 def evaluate(f: Polynomial, point: Sequence):

@@ -161,8 +161,26 @@ class TestCheckEikonal:
         if planted:
             assert residual.is_zero
 
+    @settings(max_examples=150, deadline=None)
+    @given(case=_eikonal_cases())
+    @example(case=(Polynomial.zero(3), 4, False))
+    @example(case=(Polynomial(2, {(4, 0): 10 ** 400, (0, 4): 1}), 4, False))
+    @example(case=(Polynomial(2, {(3, 0): Fraction(1, 3), (0, 2): Fraction(-5, 12)}), 4, False))
+    def test_max_coeff_reads_packed_numerators(self, case):
+        # max |numerator| / D, one rational, is the largest |coefficient| of
+        # the unpacked residual, and the zero test agrees with it
+        f, g, _ = case
+        residual = check_eikonal(f, g)
+        expected = polyring.eikonal_residual(f, g).max_abs_coefficient()
+        assert residual.max_coeff == expected
+        assert type(residual.max_coeff) is Fraction
+        assert residual.is_zero == (expected == 0)
+        assert residual.to_json_dict() == {"zero": expected == 0, "max_coeff": str(expected)}
+
     def test_one_packed_pass(self, monkeypatch):
-        # the partials are read off packed keys, and only a nonzero residual is unpacked
+        # the partials are read off packed keys; the zero test, the magnitude
+        # and the report read the packed numerators, and only `value` unpacks,
+        # once
         planted = substitute_linear(make_primitive(4, 6, 2), random_rational_orthogonal(6, 3))
         perturbed = planted + Polynomial.monomial(6, (1, 1, 1, 1, 0, 0), Fraction(1, 3))
         calls = {"partial_derivative": 0, "_unpack": 0}
@@ -176,7 +194,15 @@ class TestCheckEikonal:
             monkeypatch.setattr(polyring, name, counting)
         assert check_eikonal(planted, 4).is_zero
         assert calls == {"partial_derivative": 0, "_unpack": 0}
-        assert not check_eikonal(perturbed, 4).is_zero
+        residual = check_eikonal(perturbed, 4)
+        assert not residual.is_zero
+        assert residual.magnitude > 0
+        assert residual.to_json_dict()["zero"] is False
+        assert calls == {"partial_derivative": 0, "_unpack": 0}
+        value = residual.value
+        assert not value.is_zero
+        assert calls == {"partial_derivative": 0, "_unpack": 1}
+        assert residual.value is value
         assert calls == {"partial_derivative": 0, "_unpack": 1}
 
     def test_degree_validation(self):

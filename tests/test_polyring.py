@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracles
@@ -18,6 +18,7 @@ from eikq.polyring import (
     gradient_norm_sq,
     homogeneous_split,
     laplacian,
+    packed_laplacian,
     partial_derivative,
     poly_from_text,
     poly_mul,
@@ -468,6 +469,30 @@ def test_square_branch_matches_general_product(a):
                             (gradient_norm_sq(a), gradient_inner(a, b))):
         assert square == general
         assert list(square.terms) == list(general.terms)
+
+
+def laplacian_reference(f: Polynomial) -> dict:
+    """The Laplacian of f as {exponents: Fraction}: a double loop over terms and axes."""
+    out: dict = {}
+    for m, c in f.terms.items():
+        for i, e in enumerate(m):
+            if e >= 2:
+                lowered = m[:i] + (e - 2,) + m[i + 1:]
+                out[lowered] = out.get(lowered, 0) + c * e * (e - 1)
+    return {m: c for m, c in out.items() if c}
+
+
+@given(st.integers(0, 5).flatmap(lambda n: polys(n, _WIDE_RATIONALS)))
+@example(Polynomial(2, {(2, 0): 1, (0, 2): -1}))  # 2 - 2: the only term cancels
+@example(Polynomial(3, {(2, 1, 0): Fraction(1, 6), (0, 3, 0): Fraction(-3, 4), (1, 0, 0): 5}))
+@settings(max_examples=80, deadline=None)
+def test_packed_laplacian_matches_fraction_reference(f):
+    # keys drop by 2 base^n + 2 base^(n-1-i) and numerators take e (e - 1);
+    # the terms come out grlex-descending, one Fraction each
+    assert_canonical(laplacian(f), laplacian_reference(f))
+    packed = packed_laplacian(f)
+    assert packed.max_abs_coefficient() == laplacian(f).max_abs_coefficient()
+    assert packed.is_zero == (not laplacian_reference(f))
 
 
 def test_products_small_and_degenerate_cases():
