@@ -3,10 +3,12 @@
 Everything here is a verifier: it takes candidate data and returns residual
 polynomials that are zero exactly when a defining identity holds.  Residuals
 are kept as polynomials (never booleans) so callers can inspect magnitudes,
-report them, or apply numeric thresholds to rationalized float data.  The
-eikonal residual and the Laplacian stay packed integers over one common
-denominator (`polyring.PackedPolynomial`), so a zero test makes no rational
-and a magnitude makes one.
+report them, or apply numeric thresholds to rationalized float data.  Every
+residual set stays packed: the eikonal residual, the Laplacian and each
+residual of `check_system` and `check_structure_identities` are integers
+over one common denominator (`polyring.PackedPolynomial`), so a zero test
+makes no rational, a magnitude makes one, and the polynomial is unpacked
+only when a residual's `value` is read.
 
 The checks stack in three layers:
 
@@ -43,24 +45,21 @@ from .matrices import _int_matmul, _integer_entries
 from .pencils import (
     Pencil,
     _identity_coefficients,
-    eta_identity_residual,
-    psi_from_pencil,
-    theta0_poly,
-    theta2_from_pencil,
-    theta4_from_pencil,
+    _packed_eta_identity,
+    _packed_psi,
+    _packed_theta2,
+    _packed_theta4,
     validate_pencil,
 )
 from .polyring import (
     PackedPolynomial,
     Polynomial,
-    block_radial,
-    gradient_inner,
-    gradient_norm_sq,
+    _linear_combination,
+    _pack,
+    _packed_partials,
+    _radial_terms,
     packed_eikonal_residual,
     packed_laplacian,
-    poly_mul,
-    poly_square,
-    radial_power,
     rational,
 )
 
@@ -100,7 +99,7 @@ class Residual:
     """A named polynomial that should be zero.
 
     `data` is the polynomial, or a `PackedPolynomial` left packed, as
-    `check_eikonal` leaves it.  Rationalized float data still produces
+    every check in this module leaves it.  Rationalized float data still produces
     exact arithmetic, but its tiny residuals are judged by thresholds
     rather than by emptiness (`is_zero`): the exact `max_coeff` is compared
     with the tolerance, and `magnitude` is its float image for reports.  On
@@ -227,24 +226,37 @@ def check_system(phi: Polynomial, psi: Polynomial, theta: Polynomial) -> Residua
         eq3:  4 phi^2 + <grad phi, grad theta> + 16 |grad psi|^2 = 12 r^4
         eq4:  <grad psi, grad theta>          = -4 phi psi
         eq5:  64 psi^2 + |grad theta|^2       = 16 r^6
+
+    phi, psi and theta are each packed once, at a base above twice their
+    largest degree and above 6; their partials are read off the packed
+    keys.  Each residual is one `polyring._linear_combination` of packed
+    lists, packed products and radial powers, and stays packed: the zero
+    test makes no rational and `max_coeff` makes one.
     """
     if not phi.dimension == psi.dimension == theta.dimension:
         raise ValueError("phi, psi, theta must share one ring")
     m = phi.dimension
-    eq1 = 8 * phi + gradient_norm_sq(phi) - 12 * radial_power(m, 1)
-    eq2 = gradient_inner(phi, psi) + 2 * psi
-    eq3 = (
-        4 * poly_square(phi)
-        + gradient_inner(phi, theta)
-        + 16 * gradient_norm_sq(psi)
-        - 12 * radial_power(m, 2)
-    )
-    eq4 = gradient_inner(psi, theta) + 4 * poly_mul(phi, psi)
-    eq5 = 64 * poly_square(psi) + gradient_norm_sq(theta) - 16 * radial_power(m, 3)
-    return ResidualSet(
-        tuple(Residual(name, value) for name, value in
-              (("eq1", eq1), ("eq2", eq2), ("eq3", eq3), ("eq4", eq4), ("eq5", eq5)))
-    )
+    base = 2 * max(phi.total_degree() or 0, psi.total_degree() or 0,
+                   theta.total_degree() or 0, 3) + 1
+    (f, df), (s, ds), (t, dt) = (_pack(poly, base) for poly in (phi, psi, theta))
+    every = range(m)
+    gf, gs, gt = (_packed_partials(terms, m, base, every, poly.terms)
+                  for terms, poly in ((f, phi), (s, psi), (t, theta)))
+
+    def combine(*parts) -> PackedPolynomial:
+        return _linear_combination(m, base, parts)
+
+    def radial(power: int) -> list:
+        return [(_radial_terms(m, base, every, power), None)]
+
+    return _residual_set({
+        "eq1": combine((8, df, [(f, None)]), (1, df * df, _squares(gf)), (-12, 1, radial(1))),
+        "eq2": combine((1, df * ds, zip(gf, gs)), (2, ds, [(s, None)])),
+        "eq3": combine((4, df * df, [(f, f)]), (1, df * dt, zip(gf, gt)),
+                       (16, ds * ds, _squares(gs)), (-12, 1, radial(2))),
+        "eq4": combine((1, ds * dt, zip(gs, gt)), (4, df * ds, [(f, s)])),
+        "eq5": combine((64, ds * ds, [(s, s)]), (1, dt * dt, _squares(gt)), (-16, 1, radial(3))),
+    })
 
 
 def check_structure_identities(nf: NormalFormData) -> ResidualSet:
@@ -254,42 +266,61 @@ def check_structure_identities(nf: NormalFormData) -> ResidualSet:
     pencil, an assembled quartic is eikonal exactly when these seven
     residuals all vanish (the `check_system` identities eq1-eq3 hold for
     every assembled normal form, eq4 is er1 + er2 + eta, eq5 is es1-es4).
+
+    psi, theta_4, theta_2 and the eta identity are laid out packed from the
+    integer pencil of `matrices._integer_entries`, with no polynomial in
+    between; theta_3 is packed once.  Every gradient is read off packed
+    keys and restricted to the xi or the eta block, and each residual is
+    one `polyring._linear_combination` left packed, like `check_system`'s.
     """
     p, q = nf.p, nf.q
     pencil = validate_pencil(nf.pencil, p)
-    dim = p + q
-    xi = range(p)
-    eta = range(p, dim)
-    theta4 = theta4_from_pencil(pencil, p)
-    theta3 = nf.theta3
-    theta2 = theta2_from_pencil(pencil, p)
-    theta0 = theta0_poly(p, q)
-    psi = psi_from_pencil(pencil, p)
+    n = p + q
+    base = 7  # every residual has degree 6, the eta identity 5
+    mats, den = _integer_entries(pencil)
+    psi = _packed_psi(mats, den, p, base)
+    theta4 = _packed_theta4(mats, den, p, base)
+    theta2 = _packed_theta2(mats, den, p, base)
+    theta3, d3 = _pack(nf.theta3, base)
+    s, ds = list(psi.numerators.items()), psi.denominator
+    d4, d2 = theta4.denominator, theta2.denominator
+    xi, eta = range(p), range(p, n)
+
+    def combine(*parts) -> PackedPolynomial:
+        return _linear_combination(n, base, parts)
+
+    def grad(terms, block: range, monomials=None) -> list:
+        return _packed_partials(terms, n, base, block, monomials)
+
+    s_xi, s_eta = grad(s, xi), grad(s, eta)
+    t3_xi, t3_eta = grad(theta3, xi, nf.theta3.terms), grad(theta3, eta, nf.theta3.terms)
+    t2_xi, t2_eta = grad(theta2.numerators.items(), xi), grad(theta2.numerators.items(), eta)
+    t4_xi = grad(theta4.numerators.items(), xi)
+    t0_eta = grad(_radial_terms(n, base, eta, 2), eta)
+    xi2, eta1 = _radial_terms(n, base, xi, 2), list(_radial_terms(n, base, eta, 1))
 
     # d psi / d eta_i = tau_i and d psi / d xi_j = 2 (A_eta xi)_j
-    er1 = gradient_inner(psi, theta3, eta)
-    er2 = rational(1, 2) * gradient_inner(psi, theta3, xi)
-    eta_res = eta_identity_residual(pencil, p)
+    return _residual_set({
+        "er1": combine((1, ds * d3, zip(s_eta, t3_eta))),
+        "er2": combine((1, 2 * ds * d3, zip(s_xi, t3_xi))),
+        "eta": _packed_eta_identity(mats, den, p, base),
+        "es1": combine((1, d4 * d4, _squares(t4_xi)), (1, d3 * d3, _squares(t3_eta)),
+                       (-16, 1, [(_radial_terms(n, base, xi, 3), None)])),
+        "es2": combine((1, d4 * d3, zip(t4_xi, t3_xi)), (1, d3 * d2, zip(t3_eta, t2_eta))),
+        "es3": combine((64, ds * ds, [(s, s)]), (2, d4 * d2, zip(t4_xi, t2_xi)),
+                       (1, d2 * d2, _squares(t2_eta)), (1, d3 * d3, _squares(t3_xi)),
+                       (-48, 1, [(xi2, eta1)])),
+        "es4": combine((1, d3 * d2, zip(t3_xi, t2_xi)), (1, d3, zip(t3_eta, t0_eta))),
+    })
 
-    es1 = (
-        gradient_inner(theta4, theta4, xi)
-        + gradient_inner(theta3, theta3, eta)
-        - 16 * block_radial(dim, xi, 3)
-    )
-    es2 = gradient_inner(theta4, theta3, xi) + gradient_inner(theta3, theta2, eta)
-    es3 = (
-        64 * poly_square(psi)
-        + 2 * gradient_inner(theta4, theta2, xi)
-        + gradient_inner(theta2, theta2, eta)
-        + gradient_inner(theta3, theta3, xi)
-        - 48 * poly_mul(block_radial(dim, xi, 2), block_radial(dim, eta))
-    )
-    es4 = gradient_inner(theta3, theta2, xi) + gradient_inner(theta3, theta0, eta)
-    return ResidualSet(
-        tuple(Residual(name, value) for name, value in
-              (("er1", er1), ("er2", er2), ("eta", eta_res),
-               ("es1", es1), ("es2", es2), ("es3", es3), ("es4", es4)))
-    )
+
+def _squares(grad: list) -> list:
+    """The pairs of |grad|^2 for `polyring._sum_of_products`, each by unordered pairs."""
+    return [(d, d) for d in grad]
+
+
+def _residual_set(residuals: dict[str, PackedPolynomial]) -> ResidualSet:
+    return ResidualSet(tuple(Residual(name, data) for name, data in residuals.items()))
 
 
 @dataclass(frozen=True)

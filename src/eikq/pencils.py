@@ -18,11 +18,17 @@ forms tau_i = xi^T A_i xi, scalarize the cubic matrix identity
 A_eta^3 = |eta|^2 A_eta, and enumerate the trilinear monomial basis that any
 admissible theta_3 must come from (one factor from each eigenspace of A_i).
 
-One private writer, `_pencil_forms`, lays out every polynomial of the form
+Everything is laid out in integers from `matrices._integer_entries`, the
+B_i = D A_i over one denominator D, with no polynomial in between.  One
+private writer, `_packed_forms`, lays out every polynomial of the form
 sum_alpha eta^alpha xi^T M_alpha xi (tau_i, psi, the A_eta^2 part of
-theta_2, the identity residual) as one term dict; `eikq.normalform` reads
-them back with `polyring.homogeneous_split`.  The sums of squares |xi|^2,
-|eta|^2 and their powers are `polyring.block_radial`.
+theta_2, the identity residual) at `polyring._pack`'s keys; the sums of
+squares |xi|^2, |eta|^2 and their powers go at their multinomial keys
+(`polyring._radial_terms`), and theta_4 and theta_2 are each one
+`polyring._linear_combination`.  The `_packed_*` pieces stay packed for
+`analysis.check_structure_identities`; the public builders unpack them
+once, and `eikq.normalform` reads them back with
+`polyring.homogeneous_split`.  theta_0 is `polyring.block_radial`.
 The identity is expanded once, in integers, by `_identity_coefficients`:
 `analysis.check_pencil` tests its coefficient matrices for zero and
 `eta_identity_residual` writes them out as a polynomial.
@@ -30,12 +36,20 @@ The identity is expanded once, in integers, by `_identity_coefficients`:
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections import defaultdict
 from itertools import combinations, permutations
 from typing import Iterator, Sequence
 
 from .matrices import RationalMatrix, _int_matmul, _integer_entries
-from .polyring import Polynomial, _add_terms, _raw, block_radial, poly_mul, poly_square, rational
+from .polyring import (
+    PackedPolynomial,
+    Polynomial,
+    _linear_combination,
+    _radial_terms,
+    block_radial,
+    poly_mul,
+    rational,
+)
 
 Pencil = tuple[RationalMatrix, ...]
 
@@ -51,35 +65,38 @@ def validate_pencil(pencil: Sequence[RationalMatrix], p: int) -> Pencil:
     return out
 
 
-def _pencil_forms(dimension: int, p: int, items) -> Polynomial:
-    """sum_alpha eta^alpha xi^T M_alpha xi, written as one term dict.
+def _packed_forms(n: int, p: int, base: int, items) -> dict[int, int]:
+    """sum_alpha eta^alpha xi^T M_alpha xi at `polyring._pack`'s keys, in integers.
 
     `items` yields (alpha, M_alpha): alpha a tuple of eta indices (repeats
     allowed, eta_i being variable p + i) and M_alpha the rows of a p x p
-    matrix, not necessarily symmetric.  This is the one place that lays out
+    integer matrix, not necessarily symmetric.  The ring has n variables and
+    the base exceeds len(alpha) + 2.  This is the one place that lays out
     (xi, eta) monomials of pencil data.
     """
-    terms: dict[tuple[int, ...], object] = {}
+    top = base**n
+    place = [base ** (n - 1 - v) for v in range(n)]
+    out: dict[int, int] = defaultdict(int)
     for alpha, rows in items:
-        base = [0] * dimension
-        for i in alpha:
-            base[p + i] += 1
+        start = (len(alpha) + 2) * top + sum(place[p + i] for i in alpha)
         for j in range(p):
-            for k in range(j, p):
-                coeff = rows[j][k] if j == k else rows[j][k] + rows[k][j]
-                if coeff:  # most pencil entries are 0
-                    mono = base.copy()
-                    mono[j] += 1
-                    mono[k] += 1
-                    _add_terms(terms, [(tuple(mono), coeff)])
-    return _raw(dimension, terms)
+            row = rows[j]
+            if row[j]:  # most pencil entries are 0
+                out[start + 2 * place[j]] += row[j]
+            for k in range(j + 1, p):
+                coeff = row[k] + rows[k][j]
+                if coeff:
+                    out[start + place[j] + place[k]] += coeff
+    return out
 
 
 def quadratic_form_poly(matrix: RationalMatrix, dimension: int) -> Polynomial:
     """x^T M x with x occupying the first p variables of the ring."""
     if matrix.n_rows > dimension:
         raise ValueError("quadratic form does not fit in the ring")
-    return _pencil_forms(dimension, matrix.n_rows, [((), matrix.entries)])
+    (rows,), den = _integer_entries((matrix,))
+    forms = _packed_forms(dimension, matrix.n_rows, 3, [((), rows)])
+    return PackedPolynomial(dimension, forms, 3, den).unpack()
 
 
 def quadratic_form_matrix(f: Polynomial, indices: Sequence[int]) -> RationalMatrix:
@@ -116,25 +133,17 @@ def tau_polynomials(pencil: Pencil, p: int, dimension: int | None = None) -> tup
 
 def psi_from_pencil(pencil: Pencil, p: int) -> Polynomial:
     """psi = xi^T A_eta xi in the (p + q)-variable ring."""
-    return _pencil_forms(p + len(pencil), p, (((i,), a.entries) for i, a in enumerate(pencil)))
+    return _packed_psi(*_integer_entries(pencil), p, 4).unpack()
 
 
 def theta4_from_pencil(pencil: Pencil, p: int) -> Polynomial:
     """theta_4 = |xi|^4 - 2 sum_i tau_i^2 in the (p + q)-variable ring."""
-    dim = p + len(pencil)
-    out = block_radial(dim, range(p), 2)
-    for tau in tau_polynomials(pencil, p, dim):
-        out = out - 2 * poly_square(tau)
-    return out
+    return _packed_theta4(*_integer_entries(pencil), p, 5).unpack()
 
 
 def theta2_from_pencil(pencil: Pencil, p: int) -> Polynomial:
     """theta_2 = 8 xi^T A_eta^2 xi - 6 |xi|^2 |eta|^2."""
-    dim = p + len(pencil)
-    pairs = (((i, l), (a @ b).entries) for i, a in enumerate(pencil) for l, b in enumerate(pencil))
-    squares = _pencil_forms(dim, p, pairs)
-    cross = poly_mul(block_radial(dim, range(p)), block_radial(dim, range(p, dim)))
-    return 8 * squares - 6 * cross
+    return _packed_theta2(*_integer_entries(pencil), p, 5).unpack()
 
 
 def theta0_poly(p: int, q: int) -> Polynomial:
@@ -148,10 +157,48 @@ def eta_identity_residual(pencil: Pencil, p: int) -> Polynomial:
     Zero exactly when the cubic pencil identity holds for every eta: the
     matrices of `_identity_coefficients`, laid out in integers over D^3.
     """
-    mats, den = _integer_entries(pencil)
+    return _packed_eta_identity(*_integer_entries(pencil), p, 6).unpack()
+
+
+# The packed pieces below take the B_i = D A_i and D of
+# `matrices._integer_entries(pencil)` and a base above their degree.
+
+
+def _packed_psi(mats, den: int, p: int, base: int) -> PackedPolynomial:
+    """psi = sum_i eta_i xi^T B_i xi / D."""
+    n = p + len(mats)
+    return PackedPolynomial(n, _packed_forms(n, p, base, (((i,), b) for i, b in enumerate(mats))),
+                            base, den)
+
+
+def _packed_theta4(mats, den: int, p: int, base: int) -> PackedPolynomial:
+    """theta_4 = |xi|^4 - 2 sum_i (xi^T B_i xi)^2 / D^2, each square by unordered pairs."""
+    n = p + len(mats)
+    taus = [list(_packed_forms(n, p, base, [((), b)]).items()) for b in mats]
+    return _linear_combination(n, base, [
+        (1, 1, [(_radial_terms(n, base, range(p), 2), None)]),
+        (-2, den * den, [(tau, tau) for tau in taus]),
+    ])
+
+
+def _packed_theta2(mats, den: int, p: int, base: int) -> PackedPolynomial:
+    """theta_2 = 8 sum_{i, l} eta_i eta_l xi^T B_i B_l xi / D^2 - 6 |xi|^2 |eta|^2."""
+    n = p + len(mats)
+    items = (((i, l), _int_matmul(a, b)) for i, a in enumerate(mats) for l, b in enumerate(mats))
+    xi = _radial_terms(n, base, range(p), 1)
+    eta = list(_radial_terms(n, base, range(p, n), 1))
+    return _linear_combination(n, base, [
+        (8, den * den, [(_packed_forms(n, p, base, items).items(), None)]),
+        (-6, 1, [(xi, eta)]),
+    ])
+
+
+def _packed_eta_identity(mats, den: int, p: int, base: int) -> PackedPolynomial:
+    """The forms of `_identity_coefficients` over D^3."""
+    n = p + len(mats)
     squares = [_int_matmul(b, b) for b in mats]
-    forms = _pencil_forms(p + len(pencil), p, _identity_coefficients(mats, squares, den))
-    return forms * Fraction(1, den ** 3)
+    forms = _packed_forms(n, p, base, _identity_coefficients(mats, squares, den))
+    return PackedPolynomial(n, forms, base, den**3)
 
 
 def _identity_coefficients(mats, squares, den: int) -> Iterator[tuple]:

@@ -21,9 +21,13 @@ denominator (``_pack``), with one rational division per output term
 (``_unpack``); their terms come out grlex-descending.  A partial
 derivative inside them is read off the packed keys, with no rational
 made, and ``_sum_of_products`` is the one product loop: it squares a
-packed list by unordered pairs of terms.  The eikonal residual and the
-Laplacian can also stay packed (``PackedPolynomial``): then a zero test
-makes no rational and the largest |coefficient| makes one.
+packed list by unordered pairs of terms.  ``_linear_combination`` sums
+integer weights times packed lists and packed products over the lcm of
+their denominators; radial powers enter it at their multinomial keys
+(``_radial_terms``).  A result can stay packed (``PackedPolynomial``):
+then a zero test makes no rational and the largest |coefficient| makes
+one.  The public operators of ``Polynomial``, ``partial_derivative`` and
+the text parser still make one ``Fraction`` per term.
 """
 
 from __future__ import annotations
@@ -321,78 +325,121 @@ class PackedPolynomial(NamedTuple):
         return Fraction(self.numerators.get(key, 0), self.denominator)
 
     def minus_radial(self, constant: Fraction, power: int) -> "PackedPolynomial":
-        """self - constant |x|^(2 power), over denominator D * constant.denominator.
+        """self - constant |x|^(2 power), one ``_linear_combination``.
 
         The base must exceed 2 power.  A zero constant returns self.
         """
         if not constant:
             return self
-        numerator, scale = constant.numerator, constant.denominator
-        out = {key: c * scale for key, c in self.numerators.items()}
-        _subtract_radial(out, self.dimension, self.base, power, numerator * self.denominator)
-        return PackedPolynomial(self.dimension, out, self.base, self.denominator * scale)
+        radial = _radial_terms(self.dimension, self.base, range(self.dimension), power)
+        return _linear_combination(self.dimension, self.base, [
+            (1, self.denominator, [(self.numerators.items(), None)]),
+            (-constant.numerator, constant.denominator, [(radial, None)]),
+        ])
 
     def unpack(self) -> Polynomial:
         return _unpack(self.dimension, self.numerators, self.base, [self.denominator] * self.base)
 
 
-def _subtract_radial(out: dict[int, int], n: int, base: int, power: int, scale: int) -> None:
-    """Subtract scale times each multinomial coefficient of |x|^(2 power) at its packed key.
+def _radial_terms(n: int, base: int, indices: Iterable[int], power: int) -> Iterator[tuple[int, int]]:
+    """(packed key, multinomial coefficient) per term of (sum of x_i^2, i in indices)^power.
 
-    Each key is a running sum of key steps, with no monomial made; the base
-    must exceed 2 power.
+    Each key is a running sum of key steps over a multiset of
+    ``_multinomials``, with no monomial made; the base must exceed 2 power.
     """
     steps = [2 * base ** (n - 1 - i) for i in range(n)]  # the keys of x_0^2 .. x_{n-1}^2
     start = 2 * power * base**n
-    for chosen, coeff in _multinomials(range(n), power):
+    for chosen, coeff in _multinomials(indices, power):
         key = start
         for i in chosen:
             key += steps[i]
-        out[key] = out.get(key, 0) - scale * coeff
+        yield key, coeff
+
+
+def _packed_partials(
+    packed: Iterable[tuple[int, int]],
+    n: int,
+    base: int,
+    indices: Sequence[int],
+    monomials: Iterable[Monomial] | None = None,
+) -> list[list[tuple[int, int]]]:
+    """The packed partials by each x_i, i in ``indices``, of packed (key, numerator) terms.
+
+    The term with exponent a_i has the partial by x_i packed to
+    (key - base^n - base^(n-1-i), numerator * a_i): read off the packed
+    keys, with no monomial or rational made.  a_i is read off ``monomials``,
+    the exponent tuples of the terms in order, when they are given, and
+    otherwise off the key's base-``base`` digit at base^(n-1-i); then zero
+    numerators are skipped.
+    """
+    for i in indices:
+        if not 0 <= i < n:
+            raise ValueError(f"variable index {i} out of range for dimension {n}")
+    packed = list(packed)
+    if monomials is not None:
+        monomials = list(monomials)
+    grad = []
+    for i in indices:
+        place = base ** (n - 1 - i)
+        step = base**n + place
+        if monomials is None:
+            grad.append([(key - step, c * e) for key, c in packed if c and (e := key // place % base)])
+        else:
+            grad.append([(key - step, c * m[i]) for m, (key, c) in zip(monomials, packed) if m[i]])
+    return grad
 
 
 def _packed_gradient(
     f: Polynomial, base: int, indices: Sequence[int]
 ) -> tuple[list[list[tuple[int, int]]], int]:
-    """The packed partials of f by each x_i, i in ``indices``, and ``_pack``'s denominator.
-
-    The term c x^a of f, packed to (key, numerator), has the partial by x_i
-    packed to (key - base^n - base^(n-1-i), numerator * a_i): read off the
-    packed keys, with no rational made.
-    """
-    n = f.dimension
-    for i in indices:
-        if not 0 <= i < n:
-            raise ValueError(f"variable index {i} out of range for dimension {n}")
+    """The packed partials of f by each x_i, i in ``indices``, and ``_pack``'s denominator."""
     packed, denom = _pack(f, base)
-    grad = []
-    for i in indices:
-        step = base**n + base ** (n - 1 - i)
-        grad.append([(key - step, c * m[i]) for m, (key, c) in zip(f.terms, packed) if m[i]])
-    return grad, denom
+    return _packed_partials(packed, f.dimension, base, indices, f.terms), denom
 
 
-def _sum_of_products(pairs: Iterable[tuple[list, list]]) -> dict[int, int]:
-    """Sum of a * b over pairs of packed lists: the one product loop, in Python ints.
+def _sum_of_products(pairs: Iterable[tuple], out: dict[int, int], scale: int = 1) -> None:
+    """Add scale times each a * b of ``pairs`` into ``out``: the one product loop, in Python ints.
 
-    Keys add and numerators multiply; the caller unpacks the sum over the
-    product of the two denominators.  A list paired with itself is squared
-    by unordered pairs, c_u^2 at 2 k_u and 2 c_u c_v at k_u + k_v for u < v:
-    half the products of the general loop.
+    a and b are packed (key, numerator) lists: keys add and numerators
+    multiply.  A pair (a, None) adds a itself.  A list paired with itself
+    is squared by unordered pairs, c_u^2 at 2 k_u and 2 c_u c_v at
+    k_u + k_v for u < v: half the products of the general loop.
     """
-    out: dict[int, int] = defaultdict(int)
     for pa, pb in pairs:
-        if pa is pb:
+        if pb is None:
+            for k1, c1 in pa:
+                out[k1] += scale * c1
+        elif pa is pb:
             for u, (k1, c1) in enumerate(pa, 1):
-                out[k1 + k1] += c1 * c1
-                c1 *= 2
+                s1 = scale * c1
+                out[k1 + k1] += s1 * c1
+                s1 *= 2
                 for k2, c2 in pa[u:]:
-                    out[k1 + k2] += c1 * c2
+                    out[k1 + k2] += s1 * c2
         else:
             for k1, c1 in pa:
+                c1 *= scale
                 for k2, c2 in pb:
                     out[k1 + k2] += c1 * c2
-    return out
+
+
+def _linear_combination(n: int, base: int, parts: Iterable[tuple]) -> PackedPolynomial:
+    """sum of weight / denominator * (sum of a * b over pairs), left packed.
+
+    Each part is (integer weight, positive denominator, pairs), and the
+    pairs are packed lists for ``_sum_of_products``: (a, b) for a product,
+    (a, None) for a itself.  The numerators of a part are over its
+    denominator; the sum is over the lcm L of the denominators, so a part
+    is scaled by weight * L / denominator once per outer term of the
+    product loop.  The base must exceed every degree of the sum.
+    """
+    parts = list(parts)
+    denom = lcm(*(d for _, d, _ in parts))
+    out: dict[int, int] = defaultdict(int)
+    for weight, d, pairs in parts:
+        if weight:
+            _sum_of_products(pairs, out, weight * (denom // d))
+    return PackedPolynomial(n, out, base, denom)
 
 
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -401,7 +448,7 @@ def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     base = (a.total_degree() or 0) + (b.total_degree() or 0) + 1
     pa, da = _pack(a, base)
     pb, db = (pa, da) if b is a else _pack(b, base)
-    return _unpack(a.dimension, _sum_of_products([(pa, pb)]), base, [da * db] * base)
+    return _linear_combination(a.dimension, base, [(1, da * db, [(pa, pb)])]).unpack()
 
 
 def poly_square(a: Polynomial) -> Polynomial:
@@ -439,17 +486,16 @@ def gradient_inner(a: Polynomial, b: Polynomial, indices: Iterable[int] | None =
     base = max(deg_a + deg_b - 2, deg_a, deg_b) + 1
     ga, da = _packed_gradient(a, base, indices)
     gb, db = (ga, da) if b is a else _packed_gradient(b, base, indices)
-    return _unpack(a.dimension, _sum_of_products(zip(ga, gb)), base, [da * db] * base)
+    return _linear_combination(a.dimension, base, [(1, da * db, zip(ga, gb))]).unpack()
 
 
 def packed_eikonal_residual(f: Polynomial, g: int) -> PackedPolynomial:
     """|grad f|^2 - g^2 |x|^(2g-2), in one packed pass of Python ints, left packed.
 
     f is packed once over its common denominator D, each partial is read
-    off the packed keys, and the squares are summed by the one product loop
-    over unordered pairs of terms.  g^2 D^2 times each multinomial
-    coefficient of |x|^(2g-2) is subtracted at its packed key
-    (``_subtract_radial``).  The base, max(2 deg f - 2, 2g - 2, deg f) + 1,
+    off the packed keys, and one ``_linear_combination`` sums the squares
+    over unordered pairs of terms and takes g^2 times |x|^(2g-2) off at its
+    ``_radial_terms`` keys.  The base, max(2 deg f - 2, 2g - 2, deg f) + 1,
     keeps the packing injective for any f (zero, constant, linear, or of
     degree other than g).  The numerators are over D^2.
     """
@@ -457,10 +503,10 @@ def packed_eikonal_residual(f: Polynomial, g: int) -> PackedPolynomial:
     deg = f.total_degree() or 0
     base = max(2 * deg - 2, 2 * g - 2, deg) + 1
     grad, denom = _packed_gradient(f, base, range(n))
-    out = _sum_of_products((d, d) for d in grad)
-    denom *= denom
-    _subtract_radial(out, n, base, g - 1, g * g * denom)
-    return PackedPolynomial(n, out, base, denom)
+    return _linear_combination(n, base, [
+        (1, denom * denom, [(d, d) for d in grad]),
+        (-g * g, 1, [(_radial_terms(n, base, range(n), g - 1), None)]),
+    ])
 
 
 def eikonal_residual(f: Polynomial, g: int) -> Polynomial:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import _data as data
 import _oracles as oracles
 from eikq import polyring
-from test_pencils import ref_eta_residual
+from test_pencils import ref_eta_residual, ref_psi, ref_theta2, ref_theta4
 from eikq.analysis import (
     Residual,
     check_eikonal,
@@ -42,6 +42,10 @@ from eikq.pencils import (
 )
 from eikq.polyring import (
     Polynomial,
+    gradient_inner,
+    gradient_norm_sq,
+    poly_mul,
+    radial_power,
     rational,
     substitute_linear,
 )
@@ -432,6 +436,143 @@ def _rational_pencils(draw):
                     rows[i][j] = rows[j][i] = draw(_ENTRIES)
             pencil.append(RationalMatrix(rows))
     return tuple(pencil), p
+
+
+def ref_check_system(phi: Polynomial, psi: Polynomial, theta: Polynomial) -> dict:
+    """check_system's residuals by `Polynomial` sums, scalar multiples and products."""
+    m = phi.dimension
+    return {
+        "eq1": 8 * phi + gradient_norm_sq(phi) - 12 * radial_power(m, 1),
+        "eq2": gradient_inner(phi, psi) + 2 * psi,
+        "eq3": (4 * poly_mul(phi, phi) + gradient_inner(phi, theta)
+                + 16 * gradient_norm_sq(psi) - 12 * radial_power(m, 2)),
+        "eq4": gradient_inner(psi, theta) + 4 * poly_mul(phi, psi),
+        "eq5": 64 * poly_mul(psi, psi) + gradient_norm_sq(theta) - 16 * radial_power(m, 3),
+    }
+
+
+def ref_check_structure_identities(nf: NormalFormData) -> dict:
+    """check_structure_identities' residuals the same way, on the pencil pieces
+    of the reference loops in test_pencils."""
+    p, dim = nf.p, nf.dimension
+    xi, eta = range(p), range(p, dim)
+    psi, theta3 = ref_psi(nf.pencil, p), nf.theta3
+    theta4, theta2 = ref_theta4(nf.pencil, p), ref_theta2(nf.pencil, p)
+    theta0 = block_radial(dim, eta, 2)
+    return {
+        "er1": gradient_inner(psi, theta3, eta),
+        "er2": rational(1, 2) * gradient_inner(psi, theta3, xi),
+        "eta": ref_eta_residual(nf.pencil, p),
+        "es1": (gradient_inner(theta4, theta4, xi) + gradient_inner(theta3, theta3, eta)
+                - 16 * block_radial(dim, xi, 3)),
+        "es2": gradient_inner(theta4, theta3, xi) + gradient_inner(theta3, theta2, eta),
+        "es3": (64 * poly_mul(psi, psi) + 2 * gradient_inner(theta4, theta2, xi)
+                + gradient_inner(theta2, theta2, eta) + gradient_inner(theta3, theta3, xi)
+                - 48 * poly_mul(block_radial(dim, xi, 2), block_radial(dim, eta))),
+        "es4": gradient_inner(theta3, theta2, xi) + gradient_inner(theta3, theta0, eta),
+    }
+
+
+def assert_same_residuals(got, want: dict) -> None:
+    """Same names in order, and per residual the same polynomial, zero test and magnitude."""
+    assert [r.name for r in got] == list(want)
+    for residual in got:
+        reference = want[residual.name]
+        assert residual.value == reference
+        assert residual.is_zero == reference.is_zero
+        assert residual.max_coeff == reference.max_abs_coefficient()
+
+
+@st.composite
+def _system_cases(draw):
+    """(phi, psi, theta) in m = 0..4 variables, each up to 5 terms of degree
+    0..6 with mixed denominators and sometimes a 10^400 numerator, so that
+    the packing base grows past its floor of 7."""
+    m = draw(st.integers(0, 4))
+    monomials = st.lists(st.integers(0, 6), min_size=m, max_size=m).filter(
+        lambda e: sum(e) <= 6
+    )
+
+    def poly() -> Polynomial:
+        terms = draw(st.lists(st.tuples(monomials, _COEFFICIENTS), max_size=5))
+        return Polynomial(m, {tuple(e): c for e, c in terms})
+
+    return poly(), poly(), poly()
+
+
+@st.composite
+def _structure_cases(draw):
+    """A rational pencil of `_rational_pencils` with a random theta_3 of
+    bidegree (3, 1): up to 4 terms, mixed denominators, 10^400 numerators."""
+    pencil, p = draw(_rational_pencils())
+    q = len(pencil)
+    theta3 = {}
+    for _ in range(draw(st.integers(0, 4))):
+        exponents = [0] * (p + q)
+        for i in draw(st.lists(st.integers(0, p - 1), min_size=3, max_size=3)):
+            exponents[i] += 1
+        exponents[p + draw(st.integers(0, q - 1))] += 1
+        theta3[tuple(exponents)] = draw(_COEFFICIENTS)
+    return NormalFormData(p, q, pencil, Polynomial(p + q, theta3))
+
+
+def _doubled_theta3(d: NormalFormData) -> NormalFormData:
+    return NormalFormData(d.p, d.q, d.pencil, 2 * d.theta3)
+
+
+_PLANTED = (data.involution_data(), data.zero_pencil_data(), data.isoparametric_data())
+
+
+class TestPackedResidualSets:
+    """check_system and check_structure_identities against the `Polynomial`
+    formulas of `ref_check_system` and `ref_check_structure_identities`."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(parts=_system_cases())
+    @example(parts=system_parts(_PLANTED[0]))
+    @example(parts=system_parts(_PLANTED[1]))
+    @example(parts=system_parts(_PLANTED[2]))
+    @example(parts=system_parts(_doubled_theta3(_PLANTED[2])))
+    @example(parts=(Polynomial.zero(0), Polynomial.zero(0), Polynomial.zero(0)))
+    def test_check_system_matches_polynomial_formulas(self, parts):
+        assert_same_residuals(check_system(*parts), ref_check_system(*parts))
+
+    @settings(max_examples=60, deadline=None)
+    @given(nf=_structure_cases())
+    @example(nf=_PLANTED[0])
+    @example(nf=_PLANTED[1])
+    @example(nf=_PLANTED[2])
+    @example(nf=_doubled_theta3(_PLANTED[2]))
+    def test_structure_identities_match_polynomial_formulas(self, nf):
+        assert_same_residuals(check_structure_identities(nf), ref_check_structure_identities(nf))
+
+    def test_planted_records_unpack_nothing(self, monkeypatch):
+        # every residual is left packed: the zero tests, the magnitudes and
+        # the report read integers, and only `value` unpacks, once per residual
+        parts = [system_parts(d) for d in _PLANTED + (_doubled_theta3(_PLANTED[2]),)]
+        calls = []
+        original = polyring._unpack
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(polyring, "_unpack", counting)
+        for d, system in zip(_PLANTED, parts):
+            assert check_system(*system).all_zero
+            assert check_structure_identities(d).all_zero
+        assert not calls
+        system = check_system(*parts[-1])
+        structure = check_structure_identities(_doubled_theta3(_PLANTED[2]))
+        assert not system.all_zero and not structure.all_zero
+        assert system.max_magnitude > 0 and structure.max_magnitude > 0
+        assert system.to_json_dict() and structure.to_json_dict()
+        assert not calls
+        residuals = list(system) + list(structure)
+        values = [r.value for r in residuals]
+        assert len(calls) == len(values) == 12
+        assert all(r.value is value for r, value in zip(residuals, values))
+        assert len(calls) == 12
 
 
 class TestCheckPencil:

@@ -116,16 +116,24 @@ class TestMakePrimitive:
             assert oracles.to_sympy(laplacian(h)) == expected
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            make_primitive(0, 3, 1)
-        with pytest.raises(ValueError):
-            make_primitive(4, 0, 0)
-        with pytest.raises(ValueError):
-            make_primitive(4, 3, 4)
-        with pytest.raises(ValueError):
-            make_primitive(4, 3, -1)
-        with pytest.raises(ValueError):
-            make_primitive(3, 4, 2)  # odd degree needs dim H = 1
+        # each argument is checked in turn, with its own message: g, n, dimh,
+        # then odd g against dimh
+        g_message = "^degree g must be a positive integer$"
+        n_message = "^ambient dimension n must be a positive integer$"
+        dimh_message = "^dimh must lie between 0 and n$"
+        for args, message in (
+            ((0, 3, 1), g_message),
+            ((0, 0, 9), g_message),
+            ((2.0, 3, 1), g_message),
+            ((4, 0, 0), n_message),
+            ((2, 0, 9), n_message),
+            ((4, 3, 4), dimh_message),
+            ((4, 3, -1), dimh_message),
+            ((3, 2, 9), dimh_message),
+            ((3, 4, 2), "^odd degree requires dimh == 1$"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                make_primitive(*args)
 
     @settings(max_examples=30, deadline=None)
     @given(

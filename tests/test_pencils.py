@@ -1,7 +1,7 @@
 """Oracle tests for the normal-form polynomial writers and readers.
 
 The pencil builders (`quadratic_form_poly`, `psi_from_pencil`,
-`theta2_from_pencil`, `eta_identity_residual`), the structure identities
+`theta2_from_pencil`, `theta4_from_pencil`, `eta_identity_residual`), the structure identities
 er1/er2, the extraction readers (`_extract_psi_pencil`,
 `_theta_components`) and `block_radial` are compared with reference loops
 kept here.  The references write each monomial by hand and multiply it in
@@ -28,6 +28,7 @@ from eikq.pencils import (
     quadratic_form_poly,
     tau_polynomials,
     theta2_from_pencil,
+    theta4_from_pencil,
 )
 from eikq.polyring import Polynomial, partial_derivative, poly_mul, radial_power, rational
 
@@ -86,6 +87,15 @@ def ref_theta2(pencil, p: int) -> Polynomial:
             out = out + poly_mul(form, ref_eta_monomial(dim, p, [i, l], 8))
     cross = poly_mul(ref_block_radial(dim, range(p), 1), ref_block_radial(dim, range(p, dim), 1))
     return out - 6 * cross
+
+
+def ref_theta4(pencil, p: int) -> Polynomial:
+    dim = p + len(pencil)
+    out = ref_block_radial(dim, range(p), 2)
+    for a in pencil:
+        tau = ref_quadratic_form(a, dim)
+        out = out - 2 * poly_mul(tau, tau)
+    return out
 
 
 def ref_eta_residual(pencil, p: int) -> Polynomial:
@@ -195,6 +205,7 @@ def test_pencil_builders_match_reference_loops():
         assert tau_polynomials(pencil, p, dim) == tuple(ref_quadratic_form(a, dim) for a in pencil)
         assert psi_from_pencil(pencil, p) == ref_psi(pencil, p)
         assert theta2_from_pencil(pencil, p) == ref_theta2(pencil, p)
+        assert theta4_from_pencil(pencil, p) == ref_theta4(pencil, p)
         assert eta_identity_residual(pencil, p) == ref_eta_residual(pencil, p)
 
 
