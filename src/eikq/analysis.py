@@ -240,8 +240,7 @@ def check_system(phi: Polynomial, psi: Polynomial, theta: Polynomial) -> Residua
                    theta.total_degree() or 0, 3) + 1
     (f, df), (s, ds), (t, dt) = (_pack(poly, base) for poly in (phi, psi, theta))
     every = range(m)
-    gf, gs, gt = (_packed_partials(terms, m, base, every, poly.terms)
-                  for terms, poly in ((f, phi), (s, psi), (t, theta)))
+    gf, gs, gt = (_packed_partials(terms, m, base, every) for terms in (f, s, t))
 
     def combine(*parts) -> PackedPolynomial:
         return _linear_combination(m, base, parts)
@@ -289,11 +288,11 @@ def check_structure_identities(nf: NormalFormData) -> ResidualSet:
     def combine(*parts) -> PackedPolynomial:
         return _linear_combination(n, base, parts)
 
-    def grad(terms, block: range, monomials=None) -> list:
-        return _packed_partials(terms, n, base, block, monomials)
+    def grad(terms, block: range) -> list:
+        return _packed_partials(terms, n, base, block)
 
     s_xi, s_eta = grad(s, xi), grad(s, eta)
-    t3_xi, t3_eta = grad(theta3, xi, nf.theta3.terms), grad(theta3, eta, nf.theta3.terms)
+    t3_xi, t3_eta = grad(theta3, xi), grad(theta3, eta)
     t2_xi, t2_eta = grad(theta2.numerators.items(), xi), grad(theta2.numerators.items(), eta)
     t4_xi = grad(theta4.numerators.items(), xi)
     t0_eta = grad(_radial_terms(n, base, eta, 2), eta)

@@ -357,35 +357,24 @@ def _radial_terms(n: int, base: int, indices: Iterable[int], power: int) -> Iter
 
 
 def _packed_partials(
-    packed: Iterable[tuple[int, int]],
-    n: int,
-    base: int,
-    indices: Sequence[int],
-    monomials: Iterable[Monomial] | None = None,
+    packed: Iterable[tuple[int, int]], n: int, base: int, indices: Sequence[int]
 ) -> list[list[tuple[int, int]]]:
     """The packed partials by each x_i, i in ``indices``, of packed (key, numerator) terms.
 
-    The term with exponent a_i has the partial by x_i packed to
+    The term with exponent a_i, the key's base-``base`` digit at
+    base^(n-1-i), has the partial by x_i packed to
     (key - base^n - base^(n-1-i), numerator * a_i): read off the packed
-    keys, with no monomial or rational made.  a_i is read off ``monomials``,
-    the exponent tuples of the terms in order, when they are given, and
-    otherwise off the key's base-``base`` digit at base^(n-1-i); then zero
-    numerators are skipped.
+    keys, with no monomial or rational made.  Zero numerators are skipped.
     """
     for i in indices:
         if not 0 <= i < n:
             raise ValueError(f"variable index {i} out of range for dimension {n}")
     packed = list(packed)
-    if monomials is not None:
-        monomials = list(monomials)
     grad = []
     for i in indices:
         place = base ** (n - 1 - i)
         step = base**n + place
-        if monomials is None:
-            grad.append([(key - step, c * e) for key, c in packed if c and (e := key // place % base)])
-        else:
-            grad.append([(key - step, c * m[i]) for m, (key, c) in zip(monomials, packed) if m[i]])
+        grad.append([(key - step, c * e) for key, c in packed if c and (e := key // place % base)])
     return grad
 
 
@@ -394,7 +383,7 @@ def _packed_gradient(
 ) -> tuple[list[list[tuple[int, int]]], int]:
     """The packed partials of f by each x_i, i in ``indices``, and ``_pack``'s denominator."""
     packed, denom = _pack(f, base)
-    return _packed_partials(packed, f.dimension, base, indices, f.terms), denom
+    return _packed_partials(packed, f.dimension, base, indices), denom
 
 
 def _sum_of_products(pairs: Iterable[tuple], out: dict[int, int], scale: int = 1) -> None:

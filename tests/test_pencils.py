@@ -5,9 +5,9 @@ The pencil builders (`quadratic_form_poly`, `psi_from_pencil`,
 er1/er2, the extraction readers (`_extract_psi_pencil`,
 `_theta_components`) and `block_radial` are compared with reference loops
 kept here.  The references write each monomial by hand and multiply it in
-with `poly_mul`, the way the library once did, so a change to the layout
-of (xi, eta) in one place has a second, independent statement to agree
-with.
+with `ref_mul`, a schoolbook double loop over the terms, so that neither
+the (xi, eta) layout nor the library's packed product loop is its own
+reference.
 """
 
 from __future__ import annotations
@@ -30,12 +30,22 @@ from eikq.pencils import (
     theta2_from_pencil,
     theta4_from_pencil,
 )
-from eikq.polyring import Polynomial, partial_derivative, poly_mul, radial_power, rational
+from eikq.polyring import Polynomial, partial_derivative, radial_power, rational
 
 ENTRIES = tuple(Fraction(v) for v in ("0", "0", "1", "-1", "2", "-1/2", "1/3"))
 
 
 # -- reference loops ------------------------------------------------------------
+
+
+def ref_mul(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a b by the schoolbook double loop over the terms, one Fraction per product."""
+    terms: dict = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            mono = tuple(x + y for x, y in zip(ma, mb))
+            terms[mono] = terms.get(mono, 0) + ca * cb
+    return Polynomial(a.dimension, terms)
 
 
 def ref_quadratic_form(matrix: RationalMatrix, dim: int) -> Polynomial:
@@ -65,7 +75,7 @@ def ref_block_radial(dim: int, indices, power: int) -> Polynomial:
         base = base + Polynomial.monomial(dim, [2 if j == i else 0 for j in range(dim)])
     out = Polynomial.constant(dim, 1)
     for _ in range(power):
-        out = poly_mul(out, base)
+        out = ref_mul(out, base)
     return out
 
 
@@ -73,7 +83,7 @@ def ref_psi(pencil, p: int) -> Polynomial:
     dim = p + len(pencil)
     out = Polynomial.zero(dim)
     for i, a in enumerate(pencil):
-        out = out + poly_mul(ref_quadratic_form(a, dim), ref_eta_monomial(dim, p, [i]))
+        out = out + ref_mul(ref_quadratic_form(a, dim), ref_eta_monomial(dim, p, [i]))
     return out
 
 
@@ -84,8 +94,8 @@ def ref_theta2(pencil, p: int) -> Polynomial:
     for i in range(q):
         for l in range(q):
             form = ref_quadratic_form(pencil[i] @ pencil[l], dim)
-            out = out + poly_mul(form, ref_eta_monomial(dim, p, [i, l], 8))
-    cross = poly_mul(ref_block_radial(dim, range(p), 1), ref_block_radial(dim, range(p, dim), 1))
+            out = out + ref_mul(form, ref_eta_monomial(dim, p, [i, l], 8))
+    cross = ref_mul(ref_block_radial(dim, range(p), 1), ref_block_radial(dim, range(p, dim), 1))
     return out - 6 * cross
 
 
@@ -94,7 +104,7 @@ def ref_theta4(pencil, p: int) -> Polynomial:
     out = ref_block_radial(dim, range(p), 2)
     for a in pencil:
         tau = ref_quadratic_form(a, dim)
-        out = out - 2 * poly_mul(tau, tau)
+        out = out - 2 * ref_mul(tau, tau)
     return out
 
 
@@ -106,11 +116,11 @@ def ref_eta_residual(pencil, p: int) -> Polynomial:
         for j in range(q):
             for k in range(q):
                 form = ref_quadratic_form(pencil[i] @ pencil[j] @ pencil[k], dim)
-                out = out + poly_mul(form, ref_eta_monomial(dim, p, [i, j, k]))
+                out = out + ref_mul(form, ref_eta_monomial(dim, p, [i, j, k]))
     eta_sq = ref_block_radial(dim, range(p, dim), 1)
     for i in range(q):
         eta = ref_eta_monomial(dim, p, [i])
-        out = out - poly_mul(poly_mul(eta_sq, eta), ref_quadratic_form(pencil[i], dim))
+        out = out - ref_mul(ref_mul(eta_sq, eta), ref_quadratic_form(pencil[i], dim))
     return out
 
 
@@ -120,7 +130,7 @@ def ref_er1_er2(pencil, p: int, theta3: Polynomial) -> tuple[Polynomial, Polynom
     dim = p + q
     er1 = Polynomial.zero(dim)
     for i, a in enumerate(pencil):
-        er1 = er1 + poly_mul(ref_quadratic_form(a, dim), partial_derivative(theta3, p + i))
+        er1 = er1 + ref_mul(ref_quadratic_form(a, dim), partial_derivative(theta3, p + i))
     er2 = Polynomial.zero(dim)
     for j in range(p):
         terms: dict = {}
@@ -131,7 +141,7 @@ def ref_er1_er2(pencil, p: int, theta3: Polynomial) -> tuple[Polynomial, Polynom
                     mono[k] += 1
                     mono[p + i] += 1
                     terms[tuple(mono)] = terms.get(tuple(mono), 0) + pencil[i][j, k]
-        er2 = er2 + poly_mul(Polynomial(dim, terms), partial_derivative(theta3, j))
+        er2 = er2 + ref_mul(Polynomial(dim, terms), partial_derivative(theta3, j))
     return er1, er2
 
 
