@@ -58,6 +58,7 @@ from .polyring import (
     _pack,
     _packed_partials,
     _radial_terms,
+    _squares,
     packed_eikonal_residual,
     packed_laplacian,
     rational,
@@ -311,11 +312,6 @@ def check_structure_identities(nf: NormalFormData) -> ResidualSet:
                        (-48, 1, [(xi2, eta1)])),
         "es4": combine((1, d3 * d2, zip(t3_xi, t2_xi)), (1, d3, zip(t3_eta, t0_eta))),
     })
-
-
-def _squares(grad: list) -> list:
-    """The pairs of |grad|^2 for `polyring._sum_of_products`, each by unordered pairs."""
-    return [(d, d) for d in grad]
 
 
 def _residual_set(residuals: dict[str, PackedPolynomial]) -> ResidualSet:

@@ -161,12 +161,14 @@ def laplacian_signature(f: Polynomial, rotation: RationalMatrix | None = None):
     signature a congruence test.  Exact eigenvalues are reported when the
     form is diagonal; otherwise the float eigenvalues of
     `matrices.symmetric_eigen` (cyclic Jacobi, the same bits on every host)
-    are grouped to 1e-6.
+    are grouped to 1e-6.  A matrix other than an n x n rotation is refused.
     """
     _require_quartic(f)
-    g = substitute_linear(f, rotation) if rotation is not None else f
-    n = g.dimension
-    lap = laplacian(g)
+    if rotation is not None:
+        _require_orthogonal(rotation, f.dimension)
+        f = substitute_linear(f, rotation)
+    n = f.dimension
+    lap = laplacian(f)
     if lap.is_zero:
         return ((rational(0), n),)
     matrix = quadratic_form_matrix(lap, range(n))

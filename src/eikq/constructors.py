@@ -26,7 +26,8 @@ Three construction routes live here:
   map, so it is eikonal exactly when the seed set's is, and its theta_3
   basis has the same length.  A pencil with an empty basis is therefore
   decided by its seed set alone.  Otherwise the eikonal residual is
-  quadratic in theta_3, so it is expanded once per pencil and every grid
+  quadratic in theta_3, so it is expanded once per pencil, on the packed
+  partials of the theta_3 = 0 quartic and of the basis, and every grid
   point is decided in integer arithmetic, without assembling its quartic.
 """
 
@@ -51,12 +52,14 @@ from .pencils import (
 from .polyring import (
     PolyTextError,
     Polynomial,
+    _linear_combination,
     _meaningful_lines,
+    _packed_gradient,
     _poly_from_lines,
+    _radial_terms,
+    _squares,
     block_radial,
     extend_dimension,
-    gradient_inner,
-    grlex_key,
     homogeneous_split,
     poly_mul,
     poly_to_text,
@@ -274,38 +277,44 @@ def _conjugations(p: int) -> tuple[RationalMatrix, ...]:
     return tuple(out)
 
 
-def _grid_decider(f0: Polynomial, r0: Polynomial, lifted: list[Polynomial]):
+def _grid_decider(f0: Polynomial, lifted: list[Polynomial], eikonal0: bool):
     """Exact test of the grid points of f0 + sum_i c_i B_i, from one expansion.
 
-    r0 is f0's eikonal residual and B_i the lifted 8 b_i.  The residual of
-    the grid point c_i = k_i / D (D = _GRID_DENOMINATOR) is quadratic in c,
-    and D^2 times it is
+    B_i is the lifted 8 b_i.  The eikonal residual of the grid point
+    c_i = k_i / D (D = _GRID_DENOMINATOR) is quadratic in c, and D^2 times
+    it is
 
         D^2 R0 + D sum_i k_i L_i + sum_{i <= j} k_i k_j Q'_ij,
 
-    with L_i = 2 <grad f0, grad B_i>, Q'_ii = |grad B_i|^2 and
-    Q'_ij = 2 <grad B_i, grad B_j> for i < j.  Each residual monomial gives
-    one integer row, its coefficients in these polynomials over one common
-    denominator.  The returned function takes the integer numerators k and
-    is True exactly when every row's dot product with
+    with R0 f0's eikonal residual, L_i = 2 <grad f0, grad B_i>,
+    Q'_ii = |grad B_i|^2 and Q'_ij = 2 <grad B_i, grad B_j> for i < j.
+    f0 and each B_i are packed once, and each of these polynomials is one
+    `polyring._linear_combination` of their packed partials; with
+    `eikonal0` (R0 = 0) the D^2 R0 column is left empty.  Each packed key
+    gives one integer row, over the lcm of the columns' denominators.  The
+    returned function takes the integer numerators k and is True exactly
+    when every row's dot product with
     (1, k_1, .., k_b, k_1 k_1, k_1 k_2, .., k_b k_b) is zero, checking the
-    rows in grlex-descending order of their monomials and stopping at the
+    rows in descending key order, which is grlex order, and stopping at the
     first nonzero one.
     """
-    d = _GRID_DENOMINATOR
-    parts = [d * d * r0]
-    parts.extend(2 * d * gradient_inner(f0, b) for b in lifted)
+    n, base, d = f0.dimension, 7, _GRID_DENOMINATOR  # the residual has degree 6
+    (g0, d0), *grads = (_packed_gradient(f, base) for f in (f0, *lifted))
     pairs = list(combinations_with_replacement(range(len(lifted)), 2))
+    columns = [[] if eikonal0 else [
+        (d * d, d0 * d0, _squares(g0)),
+        (-16 * d * d, 1, [(_radial_terms(n, base, range(n), 3), None)]),
+    ]]
+    columns += [[(2 * d, d0 * db, zip(g0, gb))] for gb, db in grads]
     for i, j in pairs:
-        inner = gradient_inner(lifted[i], lifted[j])
-        parts.append(inner if i == j else 2 * inner)
-    denom = lcm(*(c.denominator for part in parts for c in part.terms.values()))
-    columns = [
-        {m: int(c.numerator * (denom // c.denominator)) for m, c in part.terms.items()}
-        for part in parts
-    ]
-    monomials = sorted({m for part in parts for m in part.terms}, key=grlex_key, reverse=True)
-    rows = [tuple(column.get(m, 0) for column in columns) for m in monomials]
+        (gi, di), (gj, dj) = grads[i], grads[j]
+        columns.append([(1 if i == j else 2, di * dj, zip(gi, gj))])
+    packed = [_linear_combination(n, base, column) for column in columns]
+    scale = lcm(*(c.denominator for c in packed))
+    rows = []
+    for key in sorted(set().union(*(c.numerators for c in packed)), reverse=True):
+        if any(row := tuple(c.numerators.get(key, 0) * (scale // c.denominator) for c in packed)):
+            rows.append(row)
 
     def is_eikonal(ks: tuple[int, ...]) -> bool:
         point = (1, *ks, *[ks[i] * ks[j] for i, j in pairs])
@@ -339,13 +348,13 @@ def search_isoparametric_pencil(
     the theta_3 basis, do not change under conjugation either.  So a
     pencil with an empty basis is a hit exactly when its seed set's f0 is
     eikonal, and no quartic is assembled for it; a pencil with a nonempty
-    basis takes its f0 residual as zero in that case and computes it
-    otherwise.  The eikonal residual of the assembled quartic
-    f0 + sum_i c_i B_i (B_i the lifted 8 b_i) is quadratic in the c_i, so
-    for each such pencil it is expanded once, into integer rows
-    (`_grid_decider`), and each theta_3 grid point is decided exactly by
-    integer dot products with those rows; theta_3 and the normal-form data
-    are built only for hits.  Pencils and
+    basis leaves f0's residual out in that case and expands it otherwise.
+    The eikonal residual of the assembled quartic f0 + sum_i c_i B_i (B_i
+    the lifted 8 b_i) is quadratic in the c_i, so for each such pencil it
+    is expanded once, on the packed partials of f0 and the B_i, into
+    integer rows (`_grid_decider`), and each theta_3 grid point is decided
+    exactly by integer dot products with those rows; theta_3 and the
+    normal-form data are built only for hits.  Pencils and
     grid points both count as examined candidates, and the search stops
     once `budget` of them have been examined.  The result order is
     deterministic.
@@ -409,9 +418,8 @@ def search_isoparametric_pencil(
                 continue
             basis = theta3_basis(pencil, p)
             f0 = assemble_from_normal_form(NormalFormData(p, q, pencil, zero3))
-            r0 = Polynomial.zero(p + q + 1) if eikonal0 else check_eikonal(f0, 4).value
             lifted = [extend_dimension(8 * b, p + q + 1) for b in basis]
-            is_eikonal = _grid_decider(f0, r0, lifted)
+            is_eikonal = _grid_decider(f0, lifted, eikonal0)
             for ks in product(_GRID_NUMERATORS, repeat=len(basis)):
                 examined += 1
                 if examined > budget:

@@ -22,8 +22,9 @@ Everything is laid out in integers from `matrices._integer_entries`, the
 B_i = D A_i over one denominator D, with no polynomial in between.  One
 private writer, `_packed_forms`, lays out every polynomial of the form
 sum_alpha eta^alpha xi^T M_alpha xi (tau_i, psi, the A_eta^2 part of
-theta_2, the identity residual) at `polyring._pack`'s keys; the sums of
-squares |xi|^2, |eta|^2 and their powers go at their multinomial keys
+theta_2, the identity residual), each monomial at the sum of its
+variables' keys (`polyring._variable_keys`); the sums of squares |xi|^2,
+|eta|^2 and their powers go at their multinomial keys
 (`polyring._radial_terms`), and theta_4 and theta_2 are each one
 `polyring._linear_combination`.  The `_packed_*` pieces stay packed for
 `analysis.check_structure_identities`; the public builders unpack them
@@ -46,6 +47,7 @@ from .polyring import (
     Polynomial,
     _linear_combination,
     _radial_terms,
+    _variable_keys,
     block_radial,
     poly_mul,
     rational,
@@ -72,21 +74,20 @@ def _packed_forms(n: int, p: int, base: int, items) -> dict[int, int]:
     allowed, eta_i being variable p + i) and M_alpha the rows of a p x p
     integer matrix, not necessarily symmetric.  The ring has n variables and
     the base exceeds len(alpha) + 2.  This is the one place that lays out
-    (xi, eta) monomials of pencil data.
+    (xi, eta) monomials of pencil data, by `polyring`'s key rule.
     """
-    top = base**n
-    place = [base ** (n - 1 - v) for v in range(n)]
+    keys = _variable_keys(n, base)
     out: dict[int, int] = defaultdict(int)
     for alpha, rows in items:
-        start = (len(alpha) + 2) * top + sum(place[p + i] for i in alpha)
+        start = sum(keys[p + i] for i in alpha)
         for j in range(p):
             row = rows[j]
             if row[j]:  # most pencil entries are 0
-                out[start + 2 * place[j]] += row[j]
+                out[start + 2 * keys[j]] += row[j]
             for k in range(j + 1, p):
                 coeff = row[k] + rows[k][j]
                 if coeff:
-                    out[start + place[j] + place[k]] += coeff
+                    out[start + keys[j] + keys[k]] += coeff
     return out
 
 

@@ -18,12 +18,16 @@ The one rational scalar type is ``fractions.Fraction``.  Products,
 gradient inner products, ``substitute_linear``, the Laplacian and the
 eikonal residual run in Python ints on packed monomials over one common
 denominator (``_pack``), with one rational division per output term
-(``_unpack``); their terms come out grlex-descending.  A partial
-derivative inside them is read off the packed keys, with no rational
-made, and ``_sum_of_products`` is the one product loop: it squares a
-packed list by unordered pairs of terms.  ``_linear_combination`` sums
-integer weights times packed lists and packed products over the lcm of
-their denominators; radial powers enter it at their multinomial keys
+(``_unpack``); their terms come out grlex-descending.  Only this module
+knows the packed layout, and its one key rule (``_variable_keys``) is
+key(x_v) = base^n + base^(n-1-v): x^a packs to sum_v a_v key(x_v), so
+multiplying monomials adds keys, and while degrees stay below the base,
+packing is injective and key order is grlex order.  A partial derivative
+is read off the packed keys, with no rational made, and
+``_sum_of_products`` is the one product loop: it squares a packed list by
+unordered pairs of terms.  ``_linear_combination`` sums integer weights
+times packed lists and packed products over the lcm of their
+denominators; radial powers enter it at their multinomial keys
 (``_radial_terms``).  A result can stay packed (``PackedPolynomial``):
 then a zero test makes no rational and the largest |coefficient| makes
 one.  The public operators of ``Polynomial``, ``partial_derivative`` and
@@ -35,8 +39,10 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement
 from math import factorial, lcm
+from operator import mul
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 Monomial = tuple[int, ...]
@@ -260,22 +266,20 @@ def _add_terms(terms: dict, items: Iterable[tuple[Monomial, object]]) -> dict:
 # -- ring operations ----------------------------------------------------------
 
 
-def _pack(f: Polynomial, base: int) -> tuple[list[tuple[int, int]], int]:
-    """(key, integer numerator) per term of f, in f's term order, and the denominator.
+@cache
+def _variable_keys(n: int, base: int) -> tuple[int, ...]:
+    """(key(x_0), .., key(x_{n-1})) by the key rule of the module docstring."""
+    return tuple(base**n + base ** (n - 1 - v) for v in range(n))
 
-    The denominator is the lcm of f's coefficient denominators.  A monomial
-    x^a of degree d packs to the key d * base^n + sum_j a_j * base^(n-1-j).
-    While degrees stay below ``base``, packing is injective, multiplying
-    monomials is adding keys, and key order is grlex order.
-    """
+
+def _pack(f: Polynomial, base: int) -> tuple[list[tuple[int, int]], int]:
+    """(key, integer numerator) per term of f, in its order, and the lcm of its denominators."""
     denom = lcm(*(c.denominator for c in f.terms.values()))
-    packed = []
-    for mono, coeff in f.terms.items():
-        key = sum(mono)
-        for e in mono:
-            key = key * base + e
-        packed.append((key, coeff.numerator * (denom // coeff.denominator)))
-    return packed, denom
+    keys = _variable_keys(f.dimension, base)
+    return [
+        (sum(map(mul, mono, keys)), coeff.numerator * (denom // coeff.denominator))
+        for mono, coeff in f.terms.items()
+    ], denom
 
 
 def _unpack(n: int, packed: Mapping[int, int], base: int, dividers: Sequence[int]) -> Polynomial:
@@ -319,9 +323,7 @@ class PackedPolynomial(NamedTuple):
 
     def coefficient(self, monomial: Sequence[int]) -> Fraction:
         """The coefficient of a monomial of degree below the base, one rational."""
-        key = sum(monomial)
-        for e in monomial:
-            key = key * self.base + e
+        key = sum(map(mul, monomial, _variable_keys(self.dimension, self.base)))
         return Fraction(self.numerators.get(key, 0), self.denominator)
 
     def minus_radial(self, constant: Fraction, power: int) -> "PackedPolynomial":
@@ -344,13 +346,12 @@ class PackedPolynomial(NamedTuple):
 def _radial_terms(n: int, base: int, indices: Iterable[int], power: int) -> Iterator[tuple[int, int]]:
     """(packed key, multinomial coefficient) per term of (sum of x_i^2, i in indices)^power.
 
-    Each key is a running sum of key steps over a multiset of
+    Each key is a running sum of the keys of x_i^2 over a multiset of
     ``_multinomials``, with no monomial made; the base must exceed 2 power.
     """
-    steps = [2 * base ** (n - 1 - i) for i in range(n)]  # the keys of x_0^2 .. x_{n-1}^2
-    start = 2 * power * base**n
+    steps = [2 * key for key in _variable_keys(n, base)]
     for chosen, coeff in _multinomials(indices, power):
-        key = start
+        key = 0
         for i in chosen:
             key += steps[i]
         yield key, coeff
@@ -362,28 +363,23 @@ def _packed_partials(
     """The packed partials by each x_i, i in ``indices``, of packed (key, numerator) terms.
 
     The term with exponent a_i, the key's base-``base`` digit at
-    base^(n-1-i), has the partial by x_i packed to
-    (key - base^n - base^(n-1-i), numerator * a_i): read off the packed
-    keys, with no monomial or rational made.  Zero numerators are skipped.
+    base^(n-1-i), has the partial by x_i packed to (key - key(x_i),
+    numerator * a_i): read off the packed keys, with no monomial or
+    rational made.  Zero numerators are skipped.
     """
-    for i in indices:
-        if not 0 <= i < n:
-            raise ValueError(f"variable index {i} out of range for dimension {n}")
     packed = list(packed)
+    keys = _variable_keys(n, base)
     grad = []
     for i in indices:
-        place = base ** (n - 1 - i)
-        step = base**n + place
+        step, place = keys[i], base ** (n - 1 - i)
         grad.append([(key - step, c * e) for key, c in packed if c and (e := key // place % base)])
     return grad
 
 
-def _packed_gradient(
-    f: Polynomial, base: int, indices: Sequence[int]
-) -> tuple[list[list[tuple[int, int]]], int]:
-    """The packed partials of f by each x_i, i in ``indices``, and ``_pack``'s denominator."""
+def _packed_gradient(f: Polynomial, base: int) -> tuple[list[list[tuple[int, int]]], int]:
+    """The packed partials of f by every variable, and ``_pack``'s denominator."""
     packed, denom = _pack(f, base)
-    return _packed_partials(packed, f.dimension, base, indices), denom
+    return _packed_partials(packed, f.dimension, base, range(f.dimension)), denom
 
 
 def _sum_of_products(pairs: Iterable[tuple], out: dict[int, int], scale: int = 1) -> None:
@@ -407,9 +403,15 @@ def _sum_of_products(pairs: Iterable[tuple], out: dict[int, int], scale: int = 1
                     out[k1 + k2] += s1 * c2
         else:
             for k1, c1 in pa:
-                c1 *= scale
+                if scale != 1:  # substitute_linear's big c1 times 1 is still a copy
+                    c1 *= scale
                 for k2, c2 in pb:
                     out[k1 + k2] += c1 * c2
+
+
+def _squares(grad: list) -> list:
+    """The pairs of |grad|^2 for ``_sum_of_products``, each by unordered pairs."""
+    return [(d, d) for d in grad]
 
 
 def _linear_combination(n: int, base: int, parts: Iterable[tuple]) -> PackedPolynomial:
@@ -463,18 +465,17 @@ def gradient_norm_sq(f: Polynomial) -> Polynomial:
     return gradient_inner(f, f)
 
 
-def gradient_inner(a: Polynomial, b: Polynomial, indices: Iterable[int] | None = None) -> Polynomial:
-    """<grad a, grad b>, optionally restricted to a subset of variables.
+def gradient_inner(a: Polynomial, b: Polynomial) -> Polynomial:
+    """<grad a, grad b>.
 
     The partials are read off the packed keys of a and b and summed by the
     one product loop; with b a itself, each square is by unordered pairs.
     """
     a._require_same_ring(b)
-    indices = range(a.dimension) if indices is None else list(indices)
     deg_a, deg_b = a.total_degree() or 0, b.total_degree() or 0
     base = max(deg_a + deg_b - 2, deg_a, deg_b) + 1
-    ga, da = _packed_gradient(a, base, indices)
-    gb, db = (ga, da) if b is a else _packed_gradient(b, base, indices)
+    ga, da = _packed_gradient(a, base)
+    gb, db = (ga, da) if b is a else _packed_gradient(b, base)
     return _linear_combination(a.dimension, base, [(1, da * db, zip(ga, gb))]).unpack()
 
 
@@ -491,16 +492,11 @@ def packed_eikonal_residual(f: Polynomial, g: int) -> PackedPolynomial:
     n = f.dimension
     deg = f.total_degree() or 0
     base = max(2 * deg - 2, 2 * g - 2, deg) + 1
-    grad, denom = _packed_gradient(f, base, range(n))
+    grad, denom = _packed_gradient(f, base)
     return _linear_combination(n, base, [
-        (1, denom * denom, [(d, d) for d in grad]),
+        (1, denom * denom, _squares(grad)),
         (-g * g, 1, [(_radial_terms(n, base, range(n), g - 1), None)]),
     ])
-
-
-def eikonal_residual(f: Polynomial, g: int) -> Polynomial:
-    """|grad f|^2 - g^2 |x|^(2g-2): ``packed_eikonal_residual`` and one ``_unpack``."""
-    return packed_eikonal_residual(f, g).unpack()
 
 
 def extend_dimension(f: Polynomial, new_dimension: int) -> Polynomial:
@@ -517,12 +513,12 @@ def packed_laplacian(f: Polynomial, degree: int = 0) -> PackedPolynomial:
     f is packed once at base max(deg f, degree) + 1, so that monomials up
     to `degree` pack as well (``PackedPolynomial.minus_radial``).  The term
     c x^a, packed to (key, numerator), gives at each i with a_i >= 2 the
-    key - 2 base^n - 2 base^(n-1-i) with numerator * a_i (a_i - 1).
+    key - 2 key(x_i) with numerator * a_i (a_i - 1).
     """
     n = f.dimension
     base = max(f.total_degree() or 0, degree) + 1
     packed, denom = _pack(f, base)
-    steps = [2 * base**n + 2 * base ** (n - 1 - i) for i in range(n)]
+    steps = [2 * key for key in _variable_keys(n, base)]
     out: dict[int, int] = defaultdict(int)
     for mono, (key, c) in zip(f.terms, packed):
         for e, step in zip(mono, steps):
@@ -564,9 +560,9 @@ def substitute_linear(f: Polynomial, matrix) -> Polynomial:
     with a linear form of at most n terms.  The recursion runs in Python
     integers on ``_pack``'s packed monomials: the matrix is multiplied by
     the lcm of its denominators (``scale``), f is taken over the lcm of its
-    coefficient denominators (``denom``), and multiplying by x_j is one
-    integer addition.  The degree-d part is divided by denom * scale^d
-    once at the end, one rational per output term.
+    coefficient denominators (``denom``), and each L_i is packed, so each
+    product is one pass of the one product loop.  The degree-d part is
+    divided by denom * scale^d once at the end, one rational per output term.
 
     The terms of the result are in canonical graded-lex descending order
     (the order of ``sorted_terms``), so iterating over them does not depend
@@ -582,9 +578,9 @@ def substitute_linear(f: Polynomial, matrix) -> Polynomial:
     scale = lcm(*(c.denominator for row in entries for c in row))
     base = f.total_degree() + 1
     packed, denom = _pack(f, base)
-    steps = [base**n + base ** (n - 1 - j) for j in range(n)]  # the keys of x_0 .. x_{n-1}
+    keys = _variable_keys(n, base)
     forms = [
-        [(steps[j], c.numerator * (scale // c.denominator)) for j, c in enumerate(row) if c]
+        [(keys[j], c.numerator * (scale // c.denominator)) for j, c in enumerate(row) if c]
         for row in entries
     ]
 
@@ -598,11 +594,7 @@ def substitute_linear(f: Polynomial, matrix) -> Polynomial:
             else:
                 children.setdefault(sequence[depth], []).append((sequence, coeff))
         for i, child_items in children.items():
-            form = forms[i]
-            for mono, coeff in horner(child_items, depth + 1).items():
-                if coeff:
-                    for step, a in form:
-                        out[mono + step] += coeff * a
+            _sum_of_products([(horner(child_items, depth + 1).items(), forms[i])], out)
         return out
 
     items = [

@@ -635,6 +635,16 @@ class TestLaplacianSignature:
         for (got, _), (want, _) in zip(rotated, exact):
             assert abs(float(got) - float(want)) < 1e-6
 
+    def test_refuses_a_non_rotation(self):
+        # a scaled identity would scale the spectrum: ((-384, 1), (128, 3))
+        # against f's ((-24, 1), (8, 3)); the refusals are extract_normal_form's
+        f = make_canonical_quartic(4, 1)
+        assert laplacian_signature(f) == ((-24, 1), (8, 3))
+        with pytest.raises(ValueError, match="^rotation must be exactly orthogonal$"):
+            laplacian_signature(f, RationalMatrix.identity(4).scale(2))
+        with pytest.raises(ValueError, match="^rotation must be 4 x 4$"):
+            laplacian_signature(f, RationalMatrix.identity(3))
+
     def test_matches_sympy_laplacian(self):
         f = make_canonical_quartic(4, 1)
         lap = oracles.laplacian_sympy(f)

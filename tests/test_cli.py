@@ -168,11 +168,22 @@ class TestClassify:
         assert result.returncode == 0
         assert "dim H = 2" in result.stdout
 
-    def test_bad_rotation_file(self, tmp_path):
+    def test_bad_rotation_file(self, tmp_path, capsys):
         fpath = write(tmp_path, "f.txt", poly_to_text(data.corpus()[7]))
         rpath = write(tmp_path, "rot.txt", "4\n1 0 0\n")
         result = run_cli("classify", fpath, "--rotation", rpath)
         assert result.returncode == 2
+        for rotation, message in [
+            ("4\n1 0 0\n", "rotation file must hold n followed by n^2 entries, n = 4"),
+            ("# no entries\n", "rotation file is empty"),
+            ("four\n1 0 0 0\n", "rotation file must start with the dimension"),
+            ("2\n1 0\n0 one\n", "rotation entries must be rationals"),
+            ("2\n1 0\n0 1/0\n", "rotation entries must be rationals"),
+        ]:
+            rpath = write(tmp_path, "rot.txt", rotation)
+            for verb in ("classify", "normalform"):
+                assert _in_process([verb, fpath, "--rotation", rpath], capsys) == (
+                    2, "", f"error: {message}\n")
 
     def test_far_input_with_an_invalid_rotation(self, tmp_path):
         # not eikonal is the verdict whatever the rotation; it is refused
@@ -416,6 +427,29 @@ class TestNormalform:
         result = run_cli("normalform", path)
         assert result.returncode == 1
         assert "not eikonal" in result.stdout
+
+    def test_identity_route_falls_back_without_a_rational_eigenbasis(self, tmp_path, capsys):
+        # f = h_2 composed with diag(W, 1) is exactly eikonal with f(e_6) = 1,
+        # but Gram-Schmidt finds no rational orthonormal eigenbasis of phi, so
+        # the identity route returns None and the float route answers
+        from eikq.analysis import check_eikonal
+        from eikq.matrices import RationalMatrix, random_rational_orthogonal
+        from eikq.normalform import exact_normal_form
+        from eikq.polyring import substitute_linear
+
+        w = random_rational_orthogonal(5, 1)
+        rows = [list(w.row(i)) + [0] for i in range(5)] + [[0] * 5 + [1]]
+        f = substitute_linear(make_canonical_quartic(6, 2), RationalMatrix(rows))
+        assert check_eikonal(f, 4).is_zero
+        assert f.coefficient((0,) * 5 + (4,)) == 1
+        assert exact_normal_form(f, None, None) is None
+        path = write(tmp_path, "f.txt", poly_to_text(f))
+        code, out, _ = _in_process(["classify", path, "--json"], capsys)
+        report = json.loads(out)
+        assert (code, report["verdict"], report["dim_h"]) == (0, "primitive", 2)
+        assert _in_process(["normalform", path], capsys)[0] == 0
+        for verb in ("classify", "normalform"):
+            assert _in_process([verb, path, "--exact"], capsys)[0] == 2
 
     def test_exact_flag_in_position(self, tmp_path):
         path = write(tmp_path, "f.txt", poly_to_text(data.corpus()[7]))
@@ -736,7 +770,7 @@ class TestUsage:
 
     @pytest.mark.parametrize("verb, tol", [
         ("verify", "inf"), ("verify", "-1"), ("classify", "-1"), ("classify", "nan"),
-        ("normalform", "nan"), ("normalform", "-1"),
+        ("normalform", "nan"), ("normalform", "-1"), ("classify", "abc"), ("verify", "abc"),
     ])
     def test_tol_must_be_finite_and_nonnegative(self, tmp_path, capsys, verb, tol):
         # x0^4 is not eikonal and make_canonical_quartic(3, 1) is exactly eikonal:

@@ -268,9 +268,18 @@ class TestSerialization:
             normal_form_data_from_text("# only a comment\n")
 
     def test_bad_header_line_number(self):
-        with pytest.raises(PolyTextError, match="line 2") as err:
-            normal_form_data_from_text("# title\n2\n")
-        assert err.value.line_number == 2
+        for text, message in [
+            ("# title\n2\n", "header must be 'p q'"),
+            ("# title\n2 x\n", "header must hold two integers"),
+            ("# title\n2 -1\n", "p and q must be nonnegative"),
+            ("# title\n-2 1\n", "p and q must be nonnegative"),
+            # found once the data is built, and reported at the header line
+            ("# title\n2 1\n1 2\n0 1\nn 3\n", "pencil matrix 0 is not symmetric"),
+        ]:
+            with pytest.raises(PolyTextError) as err:
+                normal_form_data_from_text(text)
+            assert str(err.value) == f"line 2: {message}"
+            assert err.value.line_number == 2
 
     def test_theta3_error_keeps_input_line_number(self):
         text = "# normal form\n1 1\n\n# matrix\n1\n\n# theta3\nn 2\n1 x 1\n"
@@ -423,7 +432,7 @@ def _grid_verdicts(p: int, pencil) -> list[tuple[bool, bool]]:
     zero3 = Polynomial.zero(p + q)
     f0 = assemble_from_normal_form(NormalFormData(p, q, pencil, zero3))
     lifted = [extend_dimension(8 * b, p + q + 1) for b in basis]
-    decide = constructors._grid_decider(f0, check_eikonal(f0, 4).value, lifted)
+    decide = constructors._grid_decider(f0, lifted, check_eikonal(f0, 4).is_zero)
     verdicts = []
     for coeffs in product(constructors._THETA3_COEFFICIENTS, repeat=len(basis)):
         ks = tuple(int(c * constructors._GRID_DENOMINATOR) for c in coeffs)

@@ -10,9 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracles
+from eikq import polyring
 from eikq.polyring import (
     Polynomial,
     PolyTextError,
+    block_radial,
     evaluate,
     gradient_inner,
     gradient_norm_sq,
@@ -482,17 +484,62 @@ def laplacian_reference(f: Polynomial) -> dict:
     return {m: c for m, c in out.items() if c}
 
 
-@given(st.integers(0, 5).flatmap(lambda n: polys(n, _WIDE_RATIONALS)))
-@example(Polynomial(2, {(2, 0): 1, (0, 2): -1}))  # 2 - 2: the only term cancels
-@example(Polynomial(3, {(2, 1, 0): Fraction(1, 6), (0, 3, 0): Fraction(-3, 4), (1, 0, 0): 5}))
+@given(st.integers(0, 5).flatmap(lambda n: polys(n, _WIDE_RATIONALS)), st.integers(1, 4),
+       _WIDE_RATIONALS)
+@example(Polynomial(2, {(2, 0): 1, (0, 2): -1}), 1, Fraction(0))  # 2 - 2: the only term cancels
+@example(Polynomial(3, {(2, 1, 0): Fraction(1, 6), (0, 3, 0): Fraction(-3, 4), (1, 0, 0): 5}),
+         2, Fraction(7, 12))
+@example(radial_power(3, 2), 1, Fraction(20))  # Laplacian 20 |x|^2 minus itself
 @settings(max_examples=80, deadline=None)
-def test_packed_laplacian_matches_fraction_reference(f):
-    # keys drop by 2 base^n + 2 base^(n-1-i) and numerators take e (e - 1);
-    # the terms come out grlex-descending, one Fraction each
+def test_packed_laplacian_matches_fraction_reference(f, extra, constant):
+    # keys drop by 2 key(x_i) and numerators take e (e - 1); the terms come
+    # out grlex-descending, one Fraction each
     assert_canonical(laplacian(f), laplacian_reference(f))
     packed = packed_laplacian(f)
     assert packed.max_abs_coefficient() == laplacian(f).max_abs_coefficient()
     assert packed.is_zero == (not laplacian_reference(f))
+    # as Muenzner's test packs it at degree g: a base above deg f + 1, less
+    # constant |x|^(g - 2)
+    degree = (f.total_degree() or 0) + extra
+    wide = packed_laplacian(f, degree)
+    assert wide.base == degree + 1
+    assert_canonical(wide.unpack(), laplacian_reference(f))
+    assert wide.is_zero == packed.is_zero
+    power = max(degree - 2, 0) // 2
+    expected = laplacian(f) - constant * radial_power(f.dimension, power)
+    remainder = wide.minus_radial(constant, power)
+    assert remainder.unpack() == expected
+    assert remainder.max_abs_coefficient() == expected.max_abs_coefficient()
+    assert remainder.is_zero == expected.is_zero
+
+
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+    polys(n, _WIDE_RATIONALS), st.integers(1, 3), st.sets(st.integers(0, max(n - 1, 0)), max_size=n),
+    st.integers(0, 3),
+)))
+@example((Polynomial(2, {(3, 0): 1, (0, 3): -1, (1, 2): Fraction(1, 2)}), 1, {0, 1}, 1))
+@example((Polynomial.zero(0), 1, set(), 2))
+@settings(max_examples=120, deadline=None)
+def test_key_rule_round_trip(case):
+    # x^a packs to sum_v a_v key(x_v) with key(x_v) = base^n + base^(n-1-v),
+    # written out here apart from the module's rule
+    f, extra, indices, power = case
+    n = f.dimension
+    base = max(f.total_degree() or 0, 2 * power) + extra
+    assert polyring._variable_keys(n, base) == tuple(base ** n + base ** (n - 1 - v) for v in range(n))
+    packed, denom = polyring._pack(f, base)
+    assert len(packed) == len(f.terms)
+    for (mono, coeff), (key, numerator) in zip(f.terms.items(), packed):
+        assert key == sum(a * (base ** n + base ** (n - 1 - v)) for v, a in enumerate(mono))
+        assert Fraction(numerator, denom) == coeff
+    numerators = dict(packed)
+    assert_canonical(polyring._unpack(n, numerators, base, [denom] * base), f.terms)
+    kept = polyring.PackedPolynomial(n, numerators, base, denom)
+    for mono, coeff in f.terms.items():
+        assert kept.coefficient(mono) == coeff
+    radial, one = polyring._pack(block_radial(n, indices, power), base)
+    assert one == 1
+    assert list(polyring._radial_terms(n, base, indices, power)) == radial
 
 
 def test_products_small_and_degenerate_cases():
