@@ -18,16 +18,23 @@ equation), labeled by its multiplicities m1, m2 >= 1, m1 + m2 = n/2 - 1.
     not_eikonal, inconclusive_float  f's eikonal residual against
                                      REJECT_TOL and tol; with a valid
                                      rotation R the exact zero test runs
-                                     on the sparse f(R x), and a nonzero
+                                     on the sparse g = f(R x), and a nonzero
                                      residual is still measured on f
     isoparametric                    Muenzner's equation on f itself,
                                      within tol (n even, n >= 6)
-    primitive, exact                 for an exactly eikonal f, the exact
-                                     normal form of -f if g(e_n) = -1, else
-                                     of f, for g = f(R x) at a given R (the
-                                     zero test's) or f at the identity, if
-                                     g(e_n) = +-1 (`exact_normal_form`): a
-                                     zero pencil, or for q = 1 an involution
+    primitive, exact (at R)          the square-root certificate on g, if
+                                     g(e_n) = +-1 (`_root_certificate`):
+                                     g = h_d or -h_d in an orthonormal
+                                     frame exactly when
+                                     (+-g + |x|^4)/2 = lam G^2 for a quadric
+                                     G = x^T Gamma x with lam Gamma^2 = I,
+                                     and then dim_h = (n - |tr Q|)/2 with
+                                     Q = sqrt(lam) Gamma
+    primitive, exact (no R)          the exact normal form of -f if
+                                     f(e_n) = -1, else of f, if
+                                     f(e_n) = +-1 (`exact_normal_form`):
+                                     a zero pencil, or for q = 1 an
+                                     involution (`_judge`)
     primitive, inconclusive_float    for any other f, the float certificate:
                                      f = h_d or -h_d exactly when f + |x|^4
                                      or -f + |x|^4 is 8 (x^T S x)^2 with
@@ -36,17 +43,20 @@ equation), labeled by its multiplicities m1, m2 >= 1, m1 + m2 = n/2 - 1.
 An isoparametric report describes f: (m1, m2), `laplacian_constant`, and
 the numbers of f's own normal form, q = m1 + 1, nu = m2, p = n - 1 - q and
 mu = p - 2 nu; a `rotation` is validated but not needed.  An exact
-primitive report carries the p and q of the normal form that was read,
-which may be that of -f; a float one reads no normal form, and its p and q
-are null.  On the exact route every fact is a rational identity, and an
-exactly eikonal f that is neither primitive nor isoparametric raises
-RuntimeError (exit 5 in the CLI): it contradicts the structure theory.  On
-the float route a residual above `tol` but below the rejection threshold
-comes back as verdict "inconclusive_float", and a larger one as
-"not_eikonal".  An f eikonal within `tol` that neither sign of the
-certificate accepts is "inconclusive_float" too.  A `rotation` given with
-an f that is not exactly eikonal is validated, after the eikonal gate, but
-not used.
+primitive report carries the p and q of the normal form at e_n, which may
+be that of -f: the certificate reads them off Gamma, and the identity
+route off the normal form it extracts.  A float one reads no normal form,
+and its p and q are null.  On the exact route every fact is a rational
+identity, and an exactly eikonal f that is neither primitive nor
+isoparametric raises RuntimeError (exit 5 in the CLI): it contradicts the
+structure theory.  At the identity a normal form that has no rational
+orthonormal eigenbasis falls through to the float certificate, or, with
+`allow_float` off, raises that ValueError.  On the float route a residual
+above `tol` but below the rejection threshold comes back as verdict
+"inconclusive_float", and a larger one as "not_eikonal".  An f eikonal
+within `tol` that neither sign of the certificate accepts is
+"inconclusive_float" too.  A `rotation` given with an f that is not exactly
+eikonal is validated, after the eikonal gate, but not used.
 `sphere_maximize` and the float normal form serve only `eikq normalform`.
 """
 
@@ -58,7 +68,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .analysis import check_eikonal, check_munzner_second, float_image, scientific
-from .matrices import RationalMatrix, symmetric_eigen
+from .matrices import RationalMatrix, _int_matmul, symmetric_eigen
 from .normalform import (
     EXACT_NEEDS_EIKONAL,
     EXACT_NEEDS_POSITION,
@@ -77,6 +87,7 @@ from .polyring import (
     laplacian,
     packed_laplacian,
     radial_power,
+    radial_square_root,
     rational,
     substitute_linear,
 )
@@ -202,14 +213,15 @@ def classify(
     (unless `allow_float` is off); between `tol` and `REJECT_TOL` the
     verdict is "inconclusive_float"; above it "not_eikonal".  With an
     exactly orthogonal `rotation` R the zero test is made on the sparse
-    f(R x) instead (`normalform.rotate_if_eikonal`), which the exact
-    extraction then reads; a nonzero residual is still measured on f, and
-    an invalid rotation is refused (ValueError) only after that gate.  Then
-    Muenzner's equation on f decides "isoparametric".  An exactly eikonal f
-    is next read through its exact normal form, at R or at the identity,
-    and `_judge` decides on it.  Every f that is still undecided gets the
-    float primitive certificate (`_certify`), unless `allow_float` is off
-    (ValueError).
+    g = f(R x) instead (`normalform.rotate_if_eikonal`); a nonzero residual
+    is still measured on f, and an invalid rotation is refused (ValueError)
+    only after that gate.  Then Muenzner's equation on f decides
+    "isoparametric".  An exactly eikonal f is next decided at R by the
+    square-root certificate on g (`_root_certificate`), which reads no
+    normal form, and without a rotation through its exact normal form at
+    the identity, which `_judge` decides on.  Every f that is still
+    undecided gets the float primitive certificate (`_certify`), unless
+    `allow_float` is off (ValueError).
     """
     _require_quartic(f)
     n = f.dimension
@@ -234,8 +246,10 @@ def classify(
         report = _isoparametric(f, deviation, 0 if exact else tol)
         if report is not None:
             return report
+    if rotated is not None:
+        return _root_certificate(rotated)
     if exact:
-        found = exact_normal_form(f, rotation, rotated)
+        found = exact_normal_form(f, allow_float=allow_float)
         if found is not None:
             return _judge(found[0])
     if not allow_float:
@@ -300,6 +314,64 @@ def _judge(nf: NormalForm) -> ClassificationReport:
         )
     return ClassificationReport(
         VERDICT_PRIMITIVE, n, "exact", 0.0, p=p, q=q, dim_h=min(dim_raw, n - dim_raw)
+    )
+
+
+def _root_certificate(g: Polynomial) -> ClassificationReport:
+    """The exact primitive verdict on g = f(R x), for an exactly eikonal f
+    that is not isoparametric and a given rotation R.
+
+    T_4 = 2 T_2^2 - 1 gives h_d = 2 F^2 - |x|^4 with F = x^T Q x and
+    Q = P_H - P_{H^perp}, Q^2 = I.  So g = +-h_d in some orthonormal frame
+    exactly when (+-g + |x|^4)/2 = lam G^2 for a quadric G = x^T Gamma x and
+    a rational lam with lam Gamma^2 = I; then Q = sqrt(lam) Gamma, the
+    integer t = |tr Q| has t^2 = lam (tr Gamma)^2, and dim_h = (n - t)/2.
+    G is the packed square root `radial_square_root`, and every test is a
+    rational identity, also when H is irrational.
+
+    p and q are those of the normal form at e = e_n, read off F = g when
+    g(e) = 1 and F = -g when g(e) = -1.  If F = h_d, then e lies in H or in
+    H^perp, which has dimension k = (n + (e^T Q e) tr Q)/2
+    = (n + lam Gamma_nn tr Gamma)/2, so p = k - 1 and q = n - k; if F = -h_d,
+    (p, q) = (n - 2, 1).  ValueError when g(e) is neither 1 nor -1;
+    RuntimeError when neither F nor -F is certified, which the structure
+    theory rules out.
+    """
+    n = g.dimension
+    lead = g.coefficient((0,) * (n - 1) + (4,))
+    if lead not in (1, -1):
+        raise ValueError("rotation must send the last basis vector to a point with f = 1")
+    lead = int(lead)
+    for sign in (lead, -lead):  # F, then -F
+        found = radial_square_root(g, sign)
+        if found is None:
+            continue
+        # sign g + |x|^4 = c G^2 with G integer, so lam = c / 2; in integers,
+        # with M = 2 Gamma, lam Gamma^2 = I reads c M^2 = 8 I
+        c, m = found[0], [[0] * n for _ in range(n)]
+        for mono, coeff in found[1].terms.items():
+            i, j = (v for v, e in enumerate(mono) for _ in range(e))
+            m[i][j] = m[j][i] = int(coeff) * (1 + (i == j))
+        square = _int_matmul(m, m)
+        if any(c * square[i][j] != 8 * (i == j) for i in range(n) for j in range(n)):
+            continue
+        trace = sum(m[i][i] for i in range(n))  # 2 tr Gamma
+        t_squared = c * trace * trace / 8  # lam (tr Gamma)^2, with lam > 0
+        t = math.isqrt(t_squared.numerator)
+        if t * t != t_squared:
+            continue
+        if sign == lead:
+            # e^T Q e = +-1, since F(e) = 1, so k is an integer
+            k = int(n + c * m[n - 1][n - 1] * trace / 8) // 2
+            p, q = k - 1, n - k
+        else:
+            p, q = n - 2, 1
+        return ClassificationReport(
+            VERDICT_PRIMITIVE, n, "exact", 0.0, p=p, q=q, dim_h=(n - t) // 2
+        )
+    raise RuntimeError(
+        "eikonal quartic that is not isoparametric, but neither (f + |x|^4)/2 nor "
+        "(-f + |x|^4)/2 is lam G^2 with lam Gamma^2 = I; this contradicts the structure theory"
     )
 
 

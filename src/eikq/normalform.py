@@ -29,16 +29,18 @@ accumulated, exactly, into `extraction_residual`, judged against REJECT_TOL.
 
 `obtain_normal_form`, behind `eikq normalform`, decides which rotation
 and which sign (f or -f; congruence includes the sign) the normal form is
-read from, exact routes (`exact_normal_form`, shared with `classify`)
-first.  Their sign is read off g(e_n), the x_n^4 coefficient of g = f(R x)
-at a given rotation R or of f at the identity: -f when it is -1, else f,
-and at the identity nothing is read unless it is 1 or -1.  With a valid R,
-`rotate_if_eikonal` makes the exact zero test on the sparse f(R x) instead
-of on f, and hands the same f(R x) to the extraction; a nonzero residual
-is still measured on f.  The float route,
-`sphere_maximize` included, serves only `eikq normalform`: `classify`
-decides the remaining inputs by a closed-form certificate instead, which
-reads f at the same 0/1 points (`zero_one_derivatives`).
+read from, exact routes (`exact_normal_form`) first.  Their sign is read
+off g(e_n), the x_n^4 coefficient of g = f(R x) at a given rotation R or
+of f at the identity: -f when it is -1, else f, and at the identity
+nothing is read unless it is 1 or -1.  With a valid R, `rotate_if_eikonal`
+makes the exact zero test on the sparse f(R x) instead of on f, and hands
+the same f(R x) to the extraction; a nonzero residual is still measured
+on f.  `classify` shares the zero test and the identity route; at a
+rotation it decides by a square-root certificate on f(R x) instead, and
+reads no normal form.  The float route, `sphere_maximize` included,
+serves only `eikq normalform`: `classify` decides the remaining inputs by
+a closed-form certificate instead, which reads f at the same 0/1 points
+(`zero_one_derivatives`).
 """
 
 from __future__ import annotations
@@ -464,8 +466,9 @@ def rotate_if_eikonal(
     For an orthogonal R the eikonal residual of f(R x) is that of f at R x,
     so this zero test decides whether f is exactly eikonal.  It is cheap
     because f(R x) is sparse when R exposes a normal form, and the caller
-    passes it on to `exact_normal_form`.  A nonzero residual is left to be
-    measured on f, and an invalid rotation to be refused after that.  R's
+    passes it on to `exact_normal_form` or to `classify`'s certificate.  A
+    nonzero residual is left to be measured on f, and an invalid rotation
+    to be refused after that.  R's
     orthogonality is checked here only once the zero test has passed: when
     it fails, the caller checks R once, after the gate on f.
     """
@@ -478,28 +481,31 @@ def rotate_if_eikonal(
 
 
 def exact_normal_form(
-    f: Polynomial, rotation: RationalMatrix | None, rotated: Polynomial | None
+    g: Polynomial, rotation: RationalMatrix | None = None, *, allow_float: bool = False
 ) -> tuple[NormalForm, bool] | None:
-    """The normal form of f, or of -f (flag True), on an exact route: at the
-    given `rotation`, read off `rotated` = f(rotation x) as
-    `rotate_if_eikonal` returned it, or, without a rotation (and `rotated`
-    None), at the identity.  The normal form needs g(e_n) = 1 for g =
-    `rotated` or f, so the sign is read first: -f when g(e_n) = -1, else f.
-    At a rotation that one extraction raises its ValueError; at the identity
-    it is made only when g(e_n) = +-1, and a failure returns None.  The
-    identity route is meant for an exactly eikonal f.
+    """The normal form of g, or of -g (flag True), read exactly: at the given
+    `rotation` off g = f(rotation x) as `rotate_if_eikonal` returned it, or,
+    without one, off f = g itself at the identity.  The normal form needs
+    g(e_n) = 1, so the sign is read first: -g when g(e_n) = -1, else g.  At a
+    rotation the one extraction raises its ValueError.  At the identity it
+    is made only when g(e_n) = +-1 (else None), and its ValueError (no
+    rational orthonormal eigenbasis) is raised unless `allow_float` is on,
+    which returns None for the float route to follow.  The identity route
+    is meant for an exactly eikonal f.
     """
-    _require_quartic(f)
-    g = f if rotation is None else rotated
-    lead = g.coefficient((0,) * (f.dimension - 1) + (4,))
+    _require_quartic(g)
+    lead = g.coefficient((0,) * (g.dimension - 1) + (4,))
     negated = lead == -1
     if rotation is not None:
         return _extract(-g if negated else g, rotation, 0), negated
     if lead not in (1, -1):
         return None
+    identity = RationalMatrix.identity(g.dimension)
     try:
-        return extract_normal_form(-f if negated else f, RationalMatrix.identity(f.dimension)), negated
+        return extract_normal_form(-g if negated else g, identity), negated
     except ValueError:
+        if not allow_float:
+            raise
         return None
 
 
@@ -510,8 +516,10 @@ def obtain_normal_form(
     """The normal form of f, or of -f (flag True), by the first route that
     applies: for an exactly eikonal f, `exact_normal_form` (the sign read
     off g(e_n)) at the given `rotation` (the zero test made on f(rotation x),
-    `rotate_if_eikonal`) or, without one, at the identity; then, unless
-    `allow_float` is off (ValueError), the float route on f, then on -f.  An eikonal residual of
+    `rotate_if_eikonal`) or, without one, at the identity, whose failed
+    extraction raises its own ValueError when `allow_float` is off; then,
+    unless `allow_float` is off (ValueError), the float route on f, then on
+    -f.  An eikonal residual of
     f above REJECT_TOL raises NotEikonalEvidence before the float route,
     and an invalid rotation raises ValueError after that gate, as in
     `classify`.  -f is tried only for an f eikonal within `tol`: by Euler's
@@ -521,14 +529,14 @@ def obtain_normal_form(
     """
     rotated = rotate_if_eikonal(f, rotation)
     if rotated is not None:
-        return exact_normal_form(f, rotation, rotated)
+        return exact_normal_form(rotated, rotation)
     deviation = check_eikonal(f, 4).max_coeff
     if deviation > REJECT_TOL:
         raise NotEikonalEvidence(FAR_FROM_EIKONAL)
     if rotation is not None:
         _require_orthogonal(rotation, f.dimension)
     elif not deviation:
-        found = exact_normal_form(f, None, None)
+        found = exact_normal_form(f, allow_float=allow_float)
         if found is not None:
             return found
     if not allow_float:

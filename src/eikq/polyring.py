@@ -30,8 +30,10 @@ times packed lists and packed products over the lcm of their
 denominators; radial powers enter it at their multinomial keys
 (``_radial_terms``).  A result can stay packed (``PackedPolynomial``):
 then a zero test makes no rational and the largest |coefficient| makes
-one.  The public operators of ``Polynomial``, ``partial_derivative`` and
-the text parser still make one ``Fraction`` per term.
+one.  ``radial_square_root`` is the one exact square root on packed keys:
+long division in key order, after the content is divided out.  The public
+operators of ``Polynomial``, ``partial_derivative`` and the text parser
+still make one ``Fraction`` per term.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ import re
 from collections import defaultdict
 from fractions import Fraction
 from functools import cache
+from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement
-from math import factorial, lcm
+from math import factorial, gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -530,6 +533,67 @@ def packed_laplacian(f: Polynomial, degree: int = 0) -> PackedPolynomial:
 def laplacian(f: Polynomial) -> Polynomial:
     """Sum of second partials, exactly: one rational per output term, grlex-descending."""
     return packed_laplacian(f).unpack()
+
+
+def radial_square_root(f: Polynomial, sign: int) -> tuple[Fraction, Polynomial] | None:
+    """(lam, G) with sign f + |x|^g = lam G^2, for f of even degree g; else None.
+
+    G is a form of degree g/2 with coprime integer coefficients and a
+    positive leading (largest-key) term, which makes lam and G unique.  In
+    Python ints on packed keys: one ``_linear_combination`` adds |x|^g to
+    sign f at its ``_radial_terms`` keys over f's common denominator, and
+    the content of the numerators, signed like the leading one, goes into
+    lam.  G is then found by long division in key order, which is grlex
+    order, so each leading term of the remainder is a product with lead(G):
+    lead(G) is the square root of the leading term, each next term t is the
+    remainder's leading term over 2 lead(G), and 2 G t + t^2 is taken off,
+    G the terms found so far.  None at the first leading term that is not a
+    square, a quotient that does not divide, or a quotient key that is not
+    a monomial of degree g/2; also for a zero sum.  The keys of G are
+    distinct monomial keys that fall, so the division ends.
+    """
+    n, degree = f.dimension, f.total_degree() or 0
+    if degree % 2:
+        return None
+    base = degree + 1
+    packed, denom = _pack(f, base)
+    total = _linear_combination(n, base, [
+        (sign, denom, [(packed, None)]),
+        (1, 1, [(_radial_terms(n, base, range(n), degree // 2), None)]),
+    ])
+    remainder = {key: c for key, c in total.numerators.items() if c}
+    if not remainder:
+        return None
+    content = gcd(*remainder.values())
+    if remainder[max(remainder)] < 0:
+        content = -content
+    remainder = {key: c // content for key, c in remainder.items()}
+    keys = _variable_keys(n, base)
+    monomials = {sum(chosen) for chosen in combinations_with_replacement(keys, degree // 2)}
+    heap = [-key for key in remainder]
+    heapify(heap)
+    root: list[tuple[int, int]] = []
+    while heap:
+        key = -heappop(heap)
+        c = remainder[key]
+        if not c:
+            continue
+        if root:  # c x^key = 2 lead(G) t
+            k, (r, rest) = key - root[0][0], divmod(c, 2 * root[0][1])
+        else:  # c x^key = lead(G)^2, and c > 0
+            (k, rest), r = divmod(key, 2), isqrt(c)
+            rest = rest or r * r != c
+        if rest or k not in monomials:
+            return None
+        # take off 2 G t + t^2: its leading product cancels c x^key, and every
+        # other one lies below key, so no key is met again once passed
+        for product, value in [(k + other, 2 * r * v) for other, v in root] + [(2 * k, r * r)]:
+            if product not in remainder:
+                remainder[product] = 0
+                heappush(heap, -product)
+            remainder[product] -= value
+        root.append((k, r))
+    return Fraction(content, total.denominator), _unpack(n, dict(root), base, [1] * base)
 
 
 def evaluate(f: Polynomial, point: Sequence):

@@ -103,3 +103,11 @@ def pencil_identity_residual(matrices) -> sympy.Matrix:
         a_eta += e * m
     eta_sq = sum(e**2 for e in etas)
     return sympy.expand(a_eta * a_eta * a_eta - eta_sq * a_eta)
+
+
+def is_constant_times_square(poly) -> bool:
+    """Whether a nonzero polynomial is c G^2 for a rational c and a rational G,
+    by sympy's factorization over the rationals: every multiplicity even."""
+    xs = symbols(poly.dimension)
+    _, factors = sympy.factor_list(to_sympy(poly), *xs)
+    return all(multiplicity % 2 == 0 for _, multiplicity in factors)

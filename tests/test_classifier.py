@@ -48,6 +48,12 @@ from eikq.polyring import (
 )
 
 
+def _block_rotation(m: int, seed: int) -> RationalMatrix:
+    """diag(W, 1) for the Cayley rotation W = random_rational_orthogonal(m, seed)."""
+    w = random_rational_orthogonal(m, seed)
+    return RationalMatrix([[*w.row(i), 0] for i in range(m)] + [[0] * m + [1]])
+
+
 class TestClassifyExact:
     def test_corpus(self):
         for f, (verdict, fields) in zip(data.corpus(), data.CORPUS_EXPECTED):
@@ -117,13 +123,16 @@ class TestClassifyExact:
         "orthonormal eigenbasis of phi, though one exists",
     )
     def test_block_rotation_fixing_last_axis(self):
-        # diag(W, 1) is exactly orthogonal and keeps e_6, a maximizer with f = 1
-        w = random_rational_orthogonal(5, 1)
-        rows = [list(w.row(i)) + [0] for i in range(5)] + [[0] * 5 + [1]]
-        report = classify(make_canonical_quartic(6, 2), rotation=RationalMatrix(rows))
-        assert report.verdict == VERDICT_PRIMITIVE
-        assert report.dim_h == 2
-        assert report.arithmetic == "exact"
+        # diag(W, 1) is exactly orthogonal and keeps e_6, a maximizer with f = 1;
+        # the rows of W are a rational orthonormal eigenbasis of phi
+        nf = extract_normal_form(make_canonical_quartic(6, 2), _block_rotation(5, 1))
+        assert (nf.p, nf.q, nf.arithmetic) == (3, 2, "exact")
+
+    def test_block_rotation_is_certified(self):
+        # the square-root certificate needs no eigenbasis of phi
+        report = classify(make_canonical_quartic(6, 2), rotation=_block_rotation(5, 1))
+        assert (report.verdict, report.arithmetic) == (VERDICT_PRIMITIVE, "exact")
+        assert (report.p, report.q, report.dim_h) == (3, 2, 2)
 
     def test_negated_balanced_primitive(self):
         # -h_3 in R^6 has laplacian 16 |x|^2, that is (m1, m2) = (0, 2): primitive
@@ -436,21 +445,86 @@ class TestRotatedEikonalGate:
             checked.append(f)
             return check_eikonal(f, g)
 
-        monkeypatch.setattr(normalform_module, "substitute_linear", counting_substitution)
-        monkeypatch.setattr(normalform_module, "check_eikonal", counting_check)
-        monkeypatch.setattr(classifier_module, "check_eikonal", counting_check)
-        # phi is already diagonal, +1 block first, so no second rotation is made
+        def forbidden(*args):
+            raise AssertionError("the certificate reads no normal form")
+
+        for module in (normalform_module, classifier_module):
+            monkeypatch.setattr(module, "substitute_linear", counting_substitution)
+            monkeypatch.setattr(module, "check_eikonal", counting_check)
+        monkeypatch.setattr(normalform_module, "_extract", forbidden)
+        monkeypatch.setattr(normalform_module, "orthonormalize_rational", forbidden)
+        monkeypatch.setattr(RationalMatrix, "kernel_basis", forbidden)
         corpus = data.corpus()
-        for f in (corpus[0], corpus[3], corpus[7], corpus[8], make_primitive(4, 4, 3)):
+        cases = []
+        for f in (corpus[0], corpus[3], corpus[7], corpus[8], make_primitive(4, 4, 3), -corpus[5]):
             u = random_rational_orthogonal(f.dimension, f.dimension)
-            g = substitute_linear(f, u)
+            cases.append((substitute_linear(f, u), u.transpose()))
+        # a block rotation diag(W, 1), whose phi has no eigenbasis Gram-Schmidt reaches
+        u = random_rational_orthogonal(6, 2)
+        cases.append((substitute_linear(corpus[6], u), u.transpose() @ _block_rotation(5, 1)))
+        for g, rotation in cases:
             substituted.clear()
             checked.clear()
-            report = classify(g, u.transpose())
+            report = classify(g, rotation)
             assert (report.verdict, report.arithmetic) == (VERDICT_PRIMITIVE, "exact")
             assert substituted == [g]
             # the zero test ran once, on the sparse f(R x), never on the dense g
-            assert checked == [f]
+            assert checked == [substitute_linear(g, rotation)]
+
+
+def test_root_certificate_refuses_a_square_that_is_not_eikonal():
+    # g = 2 G^2 - |x|^4 with G = x1^2 + 3 x0 x1 is 1 at e_1, and (g + |x|^4)/2 = G^2,
+    # but Gamma^2 is not a multiple of I; the gate keeps such a g from classify
+    x0, x1 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    g = 2 * (x1 ** 2 + 3 * x0 * x1) ** 2 - radial_power(2, 2)
+    assert not check_eikonal(g, 4).is_zero
+    with pytest.raises(RuntimeError, match="contradicts the structure theory"):
+        classifier_module._root_certificate(g)
+
+
+class TestRotationCertificateSecondProof:
+    """The exact normal-form route, an independent proof of each exact
+    primitive verdict at a rotation: classify's report at R = U^T on
+    g = f(U x) is the one read off the exact normal form of f, or of -f when
+    f(e_n) = -1, at the identity, where a zero pencil gives d = p + 1 and a
+    q = 1 involution d = (p + tr A)/2 + 1."""
+
+    @staticmethod
+    def normal_form_report(f: Polynomial) -> ClassificationReport:
+        negated = f.coefficient((0,) * (f.dimension - 1) + (4,)) == -1
+        nf = extract_normal_form(-f if negated else f, RationalMatrix.identity(f.dimension))
+        n, p, q = f.dimension, nf.p, nf.q
+        if all(a.is_zero() for a in nf.pencil):
+            d = p + 1
+        else:
+            assert q == 1 and nf.pencil[0] @ nf.pencil[0] == RationalMatrix.identity(p)
+            d = (p + int(nf.pencil[0].trace())) // 2 + 1
+        return ClassificationReport(VERDICT_PRIMITIVE, n, "exact", 0.0, p=p, q=q, dim_h=min(d, n - d))
+
+    def check(self, f: Polynomial) -> None:
+        expected = self.normal_form_report(f).to_json_dict()
+        for seed in (1, 2):
+            u = random_rational_orthogonal(f.dimension, 100 * seed + f.dimension)
+            assert classify(substitute_linear(f, u), u.transpose()).to_json_dict() == expected
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_rotated_primitive(self, n):
+        for d in range(n + 1):
+            for sign in (1, -1):
+                self.check(sign * make_primitive(4, n, d))
+
+    @pytest.mark.parametrize("plant", ["involution", "zero_pencil"])
+    def test_rotated_plant(self, plant):
+        f = assemble_from_normal_form(getattr(data, f"{plant}_data")())
+        for sign in (1, -1):
+            self.check(sign * f)
+
+    def test_rotated_corpus(self):
+        # the isoparametric entry is decided by Muenzner's test before the certificate
+        for f, (verdict, _) in zip(data.corpus(), data.CORPUS_EXPECTED):
+            if verdict == VERDICT_PRIMITIVE:
+                for sign in (1, -1):
+                    self.check(sign * f)
 
 
 class TestSignReadOffTheLastAxis:
@@ -492,7 +566,8 @@ class TestSignReadOffTheLastAxis:
         calls = self.count_extractions(monkeypatch)
         report = classify(f, rotation)
         assert (report.verdict, report.arithmetic, report.dim_h) == (VERDICT_PRIMITIVE, "exact", 2)
-        assert calls == [0]
+        # at a rotation classify reads no normal form: the square-root certificate decides
+        assert calls == ([] if rotated else [0])
         calls.clear()
         nf, negated = obtain_normal_form(f, rotation, allow_float=False, tol=1e-9)
         assert (nf.arithmetic, negated) == ("exact", True)
@@ -500,15 +575,15 @@ class TestSignReadOffTheLastAxis:
 
     def test_negated_failure_names_its_own_reason(self):
         # -h_2(R x) is -1 at e_n, so -f(R x) = h_2(diag(W, 1) x) is read, and its
-        # x_n^2 coefficient has no rational orthonormal eigenbasis
-        w = random_rational_orthogonal(5, 1)
-        rotation = RationalMatrix(
-            [list(w.row(i)) + [rational(0)] for i in range(5)] + [[rational(0)] * 5 + [rational(1)]]
-        )
+        # x_n^2 coefficient has no rational orthonormal eigenbasis; classify
+        # needs none, and certifies -f(R x) = h_2 exactly
+        rotation = _block_rotation(5, 1)
         f = -make_canonical_quartic(6, 2)
-        for decide in (classify, lambda f, r: obtain_normal_form(f, r, allow_float=True, tol=1e-9)):
-            with pytest.raises(ValueError, match="^no rational orthonormal eigenbasis"):
-                decide(f, rotation)
+        with pytest.raises(ValueError, match="^no rational orthonormal eigenbasis"):
+            obtain_normal_form(f, rotation, allow_float=True, tol=1e-9)
+        report = classify(f, rotation)
+        assert (report.verdict, report.arithmetic) == (VERDICT_PRIMITIVE, "exact")
+        assert (report.p, report.q, report.dim_h) == (3, 2, 2)
 
 
 class TestClassifyNumeric:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -442,14 +443,20 @@ class TestNormalform:
         f = substitute_linear(make_canonical_quartic(6, 2), RationalMatrix(rows))
         assert check_eikonal(f, 4).is_zero
         assert f.coefficient((0,) * 5 + (4,)) == 1
-        assert exact_normal_form(f, None, None) is None
+        assert exact_normal_form(f, allow_float=True) is None
+        reason = "^no rational orthonormal eigenbasis for the x_n\\^2 coefficient"
+        with pytest.raises(ValueError, match=reason):
+            exact_normal_form(f)
         path = write(tmp_path, "f.txt", poly_to_text(f))
         code, out, _ = _in_process(["classify", path, "--json"], capsys)
         report = json.loads(out)
         assert (code, report["verdict"], report["dim_h"]) == (0, "primitive", 2)
         assert _in_process(["normalform", path], capsys)[0] == 0
+        # --exact reports the extraction's own reason, not a missing position
         for verb in ("classify", "normalform"):
-            assert _in_process([verb, path, "--exact"], capsys)[0] == 2
+            code, _, err = _in_process([verb, path, "--exact"], capsys)
+            assert code == 2
+            assert re.match("error: " + reason[1:], err), err
 
     def test_exact_flag_in_position(self, tmp_path):
         path = write(tmp_path, "f.txt", poly_to_text(data.corpus()[7]))
@@ -498,7 +505,9 @@ class TestNormalform:
     @pytest.mark.parametrize("verb", ["classify", "normalform"])
     def test_negated_failure_at_a_rotation(self, tmp_path, verb):
         # -h_2(R x) is -1 at the last basis vector, so -f is read at R, and the
-        # error is -f's own: R = diag(W, 1) leaves phi without a rational eigenbasis
+        # normalform error is -f's own: R = diag(W, 1) leaves phi without a
+        # rational eigenbasis.  classify needs none: its certificate proves
+        # -f(R x) = h_2 exactly
         from eikq.matrices import random_rational_orthogonal
 
         w = random_rational_orthogonal(5, 1)
@@ -506,8 +515,14 @@ class TestNormalform:
         rpath = write(tmp_path, "rot.txt", "6\n" + "\n".join(" ".join(map(str, row)) for row in rows) + "\n")
         fpath = write(tmp_path, "f.txt", poly_to_text(-make_canonical_quartic(6, 2)))
         result = run_cli(verb, fpath, "--rotation", rpath)
-        assert result.returncode == 2
-        assert result.stderr.startswith("error: no rational orthonormal eigenbasis")
+        if verb == "normalform":
+            assert result.returncode == 2
+            assert result.stderr.startswith("error: no rational orthonormal eigenbasis")
+        else:
+            assert (result.returncode, result.stderr) == (0, "")
+            assert result.stdout.splitlines()[:4] == [
+                "verdict: primitive", "n = 6, arithmetic = exact, residual = 0.000e+00",
+                "normal form: p = 3, q = 2", "primitive class: dim H = 2 (as min(d, n - d))"]
 
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
     def test_rotation_with_an_inexact_input(self, tmp_path, as_json):

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import _data as data
 import _oracles as oracles
 from eikq import polyring
+from eikq.constructors import assemble_from_normal_form, make_canonical_quartic
 from eikq.polyring import (
     Polynomial,
     PolyTextError,
@@ -32,6 +35,7 @@ from eikq.polyring import (
     substitute_linear,
 )
 from eikq.matrices import RationalMatrix, random_rational_orthogonal
+from test_pencils import ref_mul
 
 TOTAL_SEEDS = 25
 
@@ -667,3 +671,75 @@ def test_poly_text_round_trip_random():
         rng = random.Random(500 + seed)
         f = random_poly(rng, rng.randint(1, 5))
         assert poly_from_text(poly_to_text(f)) == f
+
+
+# -- the packed square root -----------------------------------------------------
+
+
+@st.composite
+def integer_quadrics(draw, max_n: int = 5):
+    """A nonzero quadric with small integer coefficients, dense or sparse."""
+    n = draw(st.integers(1, max_n))
+    monomials = [tuple((i == v) + (j == v) for v in range(n)) for i in range(n) for j in range(i, n)]
+    coefficients = draw(st.lists(st.sampled_from([-6, -3, -2, -1, 0, 0, 0, 1, 2, 4, 5]),
+                                 min_size=len(monomials), max_size=len(monomials)))
+    if not any(coefficients):
+        coefficients[draw(st.integers(0, len(monomials) - 1))] = 1
+    return Polynomial(n, dict(zip(monomials, coefficients)))
+
+
+_NONZERO_RATIONALS = st.builds(Fraction, st.integers(-40, 40).filter(bool), st.integers(1, 30))
+
+
+def _root_input(square: Polynomial, sign: int) -> Polynomial:
+    """The f with sign f + |x|^4 = square."""
+    return sign * (square - radial_power(square.dimension, 2))
+
+
+@given(integer_quadrics(), _NONZERO_RATIONALS, st.sampled_from([1, -1]))
+@example(Polynomial(1, {(2,): 3}), Fraction(2, 9), 1)  # x^4 + x^4 = (2/9) (3 x^2)^2
+@example(Polynomial(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}), Fraction(2), -1)  # -|x|^4
+@example(Polynomial(2, {(1, 1): -2, (0, 2): 4}), Fraction(-3, 7), 1)  # content 2, negative lead
+@settings(max_examples=120, deadline=None)
+def test_square_root_recovers_the_quadric(g, lam, sign):
+    square = lam * ref_mul(g, g)
+    assume(square != radial_power(g.dimension, 2))  # f = 0 has no degree
+    content = math.gcd(*(int(c) for c in g.terms.values()))
+    lead = g.sorted_terms()[0][1]
+    expected = (lam * content ** 2, g * Fraction(1 if lead > 0 else -1, content))
+    assert polyring.radial_square_root(_root_input(square, sign), sign) == expected
+
+
+@given(integer_quadrics(4), _NONZERO_RATIONALS, st.integers(-3, 3).filter(bool),
+       st.lists(st.integers(0, 3), min_size=4, max_size=4), st.sampled_from([1, -1]))
+# (x0^2 + x1^2)^2 - 4 x0^2 x1^2 = (x0^2 - x1^2)^2: one monomial more is a square again
+@example(Polynomial(2, {(2, 0): 1, (0, 2): 1}), Fraction(1), -4, [0, 1, 0, 1], 1)
+@example(Polynomial(2, {(2, 0): 1, (0, 2): 1}), Fraction(1), -2, [0, 1, 0, 1], -1)
+# 2 x0^4 + 2 x0^3 x1 + x0^2 x1^2: the rest agrees with (x0^2 + x0 x1)^2, the lead is no square
+@example(Polynomial(2, {(2, 0): 1, (1, 1): 1}), Fraction(1), 1, [0, 0, 0, 0], 1)
+@settings(max_examples=60, deadline=None)
+def test_square_root_against_a_factorization(g, lam, extra, picks, sign):
+    """lam G^2 plus one monomial: a root exactly when sympy factors the sum as
+    a constant times a square, and then the root squares back to the sum."""
+    mono = [0] * g.dimension
+    for v in picks:
+        mono[v % g.dimension] += 1
+    total = lam * ref_mul(g, g) + Polynomial.monomial(g.dimension, mono, extra)
+    assume(total != radial_power(g.dimension, 2))  # f = 0 has no degree
+    found = polyring.radial_square_root(_root_input(total, sign), sign)
+    if total.is_zero:
+        assert found is None
+        return
+    assert (found is not None) == oracles.is_constant_times_square(total)
+    if found is not None:
+        assert found[0] * ref_mul(found[1], found[1]) == total
+
+
+def test_square_root_rejects_quartics_that_are_not_chebyshev():
+    rotated = substitute_linear(make_canonical_quartic(6, 2), random_rational_orthogonal(6, 1))
+    assert polyring.radial_square_root(rotated, 1) is not None
+    perturbed = rotated + rational(1, 10 ** 30) * Polynomial.monomial(6, (4, 0, 0, 0, 0, 0))
+    for f in (perturbed, assemble_from_normal_form(data.isoparametric_data()), data.fkm_1_4(),
+              Polynomial.monomial(3, (1, 1, 1))):
+        for sign in (1, -1):
+            assert polyring.radial_square_root(f, sign) is None
