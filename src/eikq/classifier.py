@@ -15,21 +15,26 @@ equation), labeled by its multiplicities m1, m2 >= 1, m1 + m2 = n/2 - 1.
 
 `classify` decides the verdicts in this order:
 
-    not_eikonal, inconclusive_float  f's eikonal residual against
-                                     REJECT_TOL and tol; with a valid
-                                     rotation R the exact zero test runs
-                                     on the sparse g = f(R x), and a nonzero
-                                     residual is still measured on f
-    isoparametric                    Muenzner's equation on f itself,
-                                     within tol (n even, n >= 6)
-    primitive, exact (at R)          the square-root certificate on g, if
-                                     g(e_n) = +-1 (`_root_certificate`):
-                                     g = h_d or -h_d in an orthonormal
-                                     frame exactly when
+    primitive, exact (at R)          with a rotation R of the right shape,
+                                     first the square-root certificate on
+                                     g = f(R x), if g(e_n) = +-1
+                                     (`_root_certificate`): g = h_d or -h_d
+                                     in an orthonormal frame exactly when
                                      (+-g + |x|^4)/2 = lam G^2 for a quadric
                                      G = x^T Gamma x with lam Gamma^2 = I,
                                      and then dim_h = (n - |tr Q|)/2 with
-                                     Q = sqrt(lam) Gamma
+                                     Q = sqrt(lam) Gamma.  Such a g is
+                                     exactly eikonal and not isoparametric,
+                                     so once R is exactly orthogonal no
+                                     gate and no Muenzner run; every other
+                                     input goes on below
+    not_eikonal, inconclusive_float  f's eikonal residual against
+                                     REJECT_TOL and tol; with a valid
+                                     rotation R the exact zero test runs
+                                     on the same g, and a nonzero
+                                     residual is still measured on f
+    isoparametric                    Muenzner's equation on f itself,
+                                     within tol (n even, n >= 6)
     primitive, exact (no R)          the exact normal form of -f if
                                      f(e_n) = -1, else of f, if
                                      f(e_n) = +-1 (`exact_normal_form`):
@@ -49,9 +54,11 @@ route off the normal form it extracts.  A float one reads no normal form,
 and its p and q are null.  On the exact route every fact is a rational
 identity, and an exactly eikonal f that is neither primitive nor
 isoparametric raises RuntimeError (exit 5 in the CLI): it contradicts the
-structure theory.  At the identity a normal form that has no rational
-orthonormal eigenbasis falls through to the float certificate, or, with
-`allow_float` off, raises that ValueError.  On the float route a residual
+structure theory.  At R that is an exactly eikonal g that is not
+isoparametric and has no certificate; if g(e_n) is not +-1, it is the
+ValueError that R must send e_n to a point with f = 1.  At the identity a
+normal form that has no rational orthonormal eigenbasis falls through to
+the float certificate, or, with `allow_float` off, raises that ValueError.  On the float route a residual
 above `tol` but below the rejection threshold comes back as verdict
 "inconclusive_float", and a larger one as "not_eikonal".  An f eikonal
 within `tol` that neither sign of the certificate accepts is
@@ -73,11 +80,13 @@ from .normalform import (
     EXACT_NEEDS_EIKONAL,
     EXACT_NEEDS_POSITION,
     FAR_FROM_EIKONAL,
+    NOT_ORTHOGONAL,
     REJECT_TOL,
     NormalForm,
     _require_orthogonal,
     _require_quartic,
     exact_normal_form,
+    rotate,
     rotate_if_eikonal,
     zero_one_derivatives,
 )
@@ -208,24 +217,37 @@ def classify(
 ) -> ClassificationReport:
     """Decide primitive vs isoparametric for a quartic, with eikonal checks.
 
-    The eikonal residual of f gates everything: exactly zero keeps every
-    decision in rational arithmetic; below `tol` the float route is taken
-    (unless `allow_float` is off); between `tol` and `REJECT_TOL` the
+    With a `rotation` R of the right shape, g = f(R x) is built once and
+    the square-root certificate on g (`_root_certificate`) runs first: it
+    proves g = +-h_d, which is exactly eikonal and never isoparametric, so
+    once R is found exactly orthogonal the exact primitive report needs no
+    eikonal gate and no Muenzner.  A g that is not certified, or an R that
+    is not orthogonal, goes on to the gate.
+
+    The eikonal residual of f gates everything else: exactly zero keeps
+    every decision in rational arithmetic; below `tol` the float route is
+    taken (unless `allow_float` is off); between `tol` and `REJECT_TOL` the
     verdict is "inconclusive_float"; above it "not_eikonal".  With an
-    exactly orthogonal `rotation` R the zero test is made on the sparse
-    g = f(R x) instead (`normalform.rotate_if_eikonal`); a nonzero residual
-    is still measured on f, and an invalid rotation is refused (ValueError)
-    only after that gate.  Then Muenzner's equation on f decides
-    "isoparametric".  An exactly eikonal f is next decided at R by the
-    square-root certificate on g (`_root_certificate`), which reads no
-    normal form, and without a rotation through its exact normal form at
-    the identity, which `_judge` decides on.  Every f that is still
-    undecided gets the float primitive certificate (`_certify`), unless
-    `allow_float` is off (ValueError).
+    exactly orthogonal R the zero test is made on the same g instead
+    (`normalform.rotate_if_eikonal`); a nonzero residual is still measured
+    on f, and an invalid rotation is refused (ValueError) only after that
+    gate.  Then Muenzner's equation on f decides "isoparametric".  An exactly eikonal f is next decided at R by
+    the certificate already made, whose failure is an error (ValueError when
+    g(e_n) is not +-1, else RuntimeError), and without a rotation through its
+    exact normal form at the identity, which `_judge` decides on.  Every f
+    that is still undecided gets the float primitive certificate
+    (`_certify`), unless `allow_float` is off (ValueError).
     """
     _require_quartic(f)
     n = f.dimension
-    rotated = rotate_if_eikonal(f, rotation)
+    rotated = rotate(f, rotation)
+    certified = None if rotated is None else _root_certificate(rotated)
+    if certified is not None:
+        if rotation.is_orthogonal():
+            return certified
+        rotated = None  # the gate on f decides, and R is refused after it
+    else:
+        rotated = rotate_if_eikonal(rotated, rotation)
     deviation = Fraction(0)
     if rotated is None:
         deviation = check_eikonal(f, 4).max_coeff
@@ -238,6 +260,8 @@ def classify(
                 VERDICT_INCONCLUSIVE, n, "float", deviation,
                 detail="the eikonal residual sits between tol and the rejection threshold",
             )
+        if certified is not None:  # R failed its one check above
+            raise ValueError(NOT_ORTHOGONAL)
         if rotation is not None:
             _require_orthogonal(rotation, n)
     exact = not deviation
@@ -247,7 +271,7 @@ def classify(
         if report is not None:
             return report
     if rotated is not None:
-        return _root_certificate(rotated)
+        raise _uncertified(rotated)
     if exact:
         found = exact_normal_form(f, allow_float=allow_float)
         if found is not None:
@@ -317,9 +341,9 @@ def _judge(nf: NormalForm) -> ClassificationReport:
     )
 
 
-def _root_certificate(g: Polynomial) -> ClassificationReport:
-    """The exact primitive verdict on g = f(R x), for an exactly eikonal f
-    that is not isoparametric and a given rotation R.
+def _root_certificate(g: Polynomial) -> Optional[ClassificationReport]:
+    """The exact primitive verdict on g = f(R x) for a given rotation R, when
+    g = +-h_d in an orthonormal frame; else None.
 
     T_4 = 2 T_2^2 - 1 gives h_d = 2 F^2 - |x|^4 with F = x^T Q x and
     Q = P_H - P_{H^perp}, Q^2 = I.  So g = +-h_d in some orthonormal frame
@@ -327,22 +351,21 @@ def _root_certificate(g: Polynomial) -> ClassificationReport:
     a rational lam with lam Gamma^2 = I; then Q = sqrt(lam) Gamma, the
     integer t = |tr Q| has t^2 = lam (tr Gamma)^2, and dim_h = (n - t)/2.
     G is the packed square root `radial_square_root`, and every test is a
-    rational identity, also when H is irrational.
+    rational identity, also when H is irrational.  A certified g is exactly
+    eikonal, so `classify` runs this before its eikonal gate.
 
     p and q are those of the normal form at e = e_n, read off F = g when
-    g(e) = 1 and F = -g when g(e) = -1.  If F = h_d, then e lies in H or in
-    H^perp, which has dimension k = (n + (e^T Q e) tr Q)/2
-    = (n + lam Gamma_nn tr Gamma)/2, so p = k - 1 and q = n - k; if F = -h_d,
-    (p, q) = (n - 2, 1).  ValueError when g(e) is neither 1 nor -1;
-    RuntimeError when neither F nor -F is certified, which the structure
-    theory rules out.
+    g(e) = 1 and F = -g when g(e) = -1; the certificate is tried for F
+    first, which fixes p and q at n = 2, where both signs certify.  If
+    F = h_d, then e lies in H or in H^perp, which has dimension
+    k = (n + (e^T Q e) tr Q)/2 = (n + lam Gamma_nn tr Gamma)/2, so p = k - 1
+    and q = n - k; if F = -h_d, (p, q) = (n - 2, 1).  Only g(e) = +-1 is
+    tried.
     """
     n = g.dimension
     lead = g.coefficient((0,) * (n - 1) + (4,))
-    if lead not in (1, -1):
-        raise ValueError("rotation must send the last basis vector to a point with f = 1")
-    lead = int(lead)
-    for sign in (lead, -lead):  # F, then -F
+    signs = (int(lead), -int(lead)) if lead in (1, -1) else ()
+    for sign in signs:  # F, then -F
         found = radial_square_root(g, sign)
         if found is None:
             continue
@@ -369,7 +392,17 @@ def _root_certificate(g: Polynomial) -> ClassificationReport:
         return ClassificationReport(
             VERDICT_PRIMITIVE, n, "exact", 0.0, p=p, q=q, dim_h=(n - t) // 2
         )
-    raise RuntimeError(
+    return None
+
+
+def _uncertified(g: Polynomial) -> Exception:
+    """The error for an exactly eikonal g = f(R x), not isoparametric, that
+    `_root_certificate` does not certify: ValueError when g(e_n) is neither
+    1 nor -1, and otherwise RuntimeError, since the structure theory rules
+    that out."""
+    if g.coefficient((0,) * (g.dimension - 1) + (4,)) not in (1, -1):
+        return ValueError("rotation must send the last basis vector to a point with f = 1")
+    return RuntimeError(
         "eikonal quartic that is not isoparametric, but neither (f + |x|^4)/2 nor "
         "(-f + |x|^4)/2 is lam G^2 with lam Gamma^2 = I; this contradicts the structure theory"
     )

@@ -55,7 +55,7 @@ from .constructors import (
     normal_form_data_to_text,
     search_isoparametric_pencil,
 )
-from .matrices import RationalMatrix
+from .matrices import RationalMatrix, _raw_matrix
 from .normalform import NotEikonalEvidence, obtain_normal_form
 from .polyring import _meaningful_lines, poly_from_text, poly_to_text, rational
 
@@ -114,8 +114,8 @@ def _read_rotation(path: str) -> RationalMatrix:
         values = [rational(tok) for tok in tokens[1:]]
     except (ValueError, ZeroDivisionError):
         raise ValueError("rotation entries must be rationals") from None
-    rows = [values[i * n : (i + 1) * n] for i in range(n)]
-    return RationalMatrix(rows)
+    # the entries are Fractions already, so the matrix takes them as they are
+    return _raw_matrix(tuple(tuple(values[i * n : (i + 1) * n]) for i in range(n)))
 
 
 def _cmd_construct(args) -> _Answer:

@@ -8,9 +8,10 @@ rationals.
 
 Products run in Python ints: each operand is put over the lcm of its own
 denominators, the integer numerators are multiplied and summed, and each
-output entry costs one rational division.  `_integer_entries` and
-`_int_matmul` are that kernel; `analysis.check_pencil` runs it on a whole
-pencil over one denominator and makes no rational at all.  Elimination runs
+output entry costs one rational division; `is_orthogonal` makes none, since
+it compares the integer column products with D^2 directly.
+`_integer_entries` and `_int_matmul` are that kernel; `analysis.check_pencil`
+runs it on a whole pencil over one denominator and makes no rational at all.  Elimination runs
 on the same integer rows: `_row_reduce` is one fraction-free Gauss-Jordan
 loop behind both `kernel_basis` and `inverse`, and rationals are made only
 when the answer is read off the reduced rows.  `orthonormalize_rational` is
@@ -140,7 +141,16 @@ class RationalMatrix:
         return self.is_square and self.transpose() == -self
 
     def is_orthogonal(self) -> bool:
-        return self.is_square and self.transpose() @ self == RationalMatrix.identity(self.n_rows)
+        """Q^T Q = I, in integers: with A = D Q over the lcm D of the
+        denominators, each pair of columns i <= j has dot product D^2 delta_ij."""
+        if not self.is_square:
+            return False
+        (rows,), den = _integer_entries((self,))
+        columns, square = list(zip(*rows)), den * den
+        return all(
+            sum(map(mul, columns[i], columns[j])) == (square if i == j else 0)
+            for i in range(len(columns)) for j in range(i, len(columns))
+        )
 
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.entries for v in row)

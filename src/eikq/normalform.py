@@ -37,10 +37,12 @@ makes the exact zero test on the sparse f(R x) instead of on f, and hands
 the same f(R x) to the extraction; a nonzero residual is still measured
 on f.  `classify` shares the zero test and the identity route; at a
 rotation it decides by a square-root certificate on f(R x) instead, and
-reads no normal form.  The float route, `sphere_maximize` included,
-serves only `eikq normalform`: `classify` decides the remaining inputs by
-a closed-form certificate instead, which reads f at the same 0/1 points
-(`zero_one_derivatives`).
+reads no normal form.  It builds f(R x) once (`rotate`) and runs the
+certificate first; a certified f(R x) is eikonal and needs no zero test,
+and any other is handed to the zero test as it is.  The float route,
+`sphere_maximize` included, serves only `eikq normalform`: `classify`
+decides the remaining inputs by a closed-form certificate instead, which
+reads f at the same 0/1 points (`zero_one_derivatives`).
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ from .polyring import (
 # a float extraction residual) means f is not eikonal.
 REJECT_TOL = 1e-6
 FAR_FROM_EIKONAL = "the eikonal residual is far from zero"
+NOT_ORTHOGONAL = "rotation must be exactly orthogonal"
 EXACT_NEEDS_POSITION = (
     "--exact needs f in normal-form position or an explicit rotation; "
     "rerun without --exact to allow the float path"
@@ -453,29 +456,34 @@ def _require_orthogonal(rotation: RationalMatrix, n: int) -> None:
     if not rotation.is_square or rotation.n_rows != n:
         raise ValueError(f"rotation must be {n} x {n}")
     if not rotation.is_orthogonal():
-        raise ValueError("rotation must be exactly orthogonal")
+        raise ValueError(NOT_ORTHOGONAL)
+
+
+def rotate(f: Polynomial, rotation: RationalMatrix | None) -> Polynomial | None:
+    """f(rotation x) when `rotation` is an n x n matrix; otherwise None."""
+    if rotation is None or not rotation.is_square or rotation.n_rows != f.dimension:
+        return None
+    return substitute_linear(f, rotation)
 
 
 def rotate_if_eikonal(
-    f: Polynomial, rotation: RationalMatrix | None
+    rotated: Polynomial | None, rotation: RationalMatrix | None
 ) -> Polynomial | None:
-    """f(rotation x) when `rotation` is an exactly orthogonal n x n matrix and
-    f(rotation x) is exactly eikonal (as a quartic); otherwise None, and an
-    invalid rotation raises nothing here.
+    """`rotated` = f(rotation x), as `rotate` built it, when `rotation` is
+    exactly orthogonal and f(rotation x) is exactly eikonal (as a quartic);
+    otherwise None, and an invalid rotation raises nothing here.  `rotated`
+    is None when `rotation` is None or of the wrong size.
 
     For an orthogonal R the eikonal residual of f(R x) is that of f at R x,
     so this zero test decides whether f is exactly eikonal.  It is cheap
     because f(R x) is sparse when R exposes a normal form, and the caller
-    passes it on to `exact_normal_form` or to `classify`'s certificate.  A
+    passes it on to `exact_normal_form` or to `classify`'s errors.  A
     nonzero residual is left to be measured on f, and an invalid rotation
     to be refused after that.  R's
     orthogonality is checked here only once the zero test has passed: when
     it fails, the caller checks R once, after the gate on f.
     """
-    if rotation is None or not rotation.is_square or rotation.n_rows != f.dimension:
-        return None
-    rotated = substitute_linear(f, rotation)
-    if not check_eikonal(rotated, 4).is_zero or not rotation.is_orthogonal():
+    if rotated is None or not check_eikonal(rotated, 4).is_zero or not rotation.is_orthogonal():
         return None
     return rotated
 
@@ -527,7 +535,7 @@ def obtain_normal_form(
     and -f is 1 where f is -1 (at e_n, or the maximum of -|x|^4).  When
     every route fails, f's NotEikonalEvidence is raised.
     """
-    rotated = rotate_if_eikonal(f, rotation)
+    rotated = rotate_if_eikonal(rotate(f, rotation), rotation)
     if rotated is not None:
         return exact_normal_form(rotated, rotation)
     deviation = check_eikonal(f, 4).max_coeff

@@ -36,6 +36,7 @@ from eikq.normalform import (
     NotEikonalEvidence,
     extract_normal_form,
     obtain_normal_form,
+    rotate,
     rotate_if_eikonal,
 )
 from eikq.pencils import tau_polynomials
@@ -43,6 +44,7 @@ from eikq.polyring import (
     Polynomial,
     laplacian,
     radial_power,
+    radial_square_root,
     rational,
     substitute_linear,
 )
@@ -353,42 +355,56 @@ class TestRotatedEikonalGate:
         g = substitute_linear(f, u)
         assert check_eikonal(g, 4).is_zero == exact
         # the classify-style input: g with the rotation that undoes u
-        back = rotate_if_eikonal(g, u.transpose())
+        back = rotate_if_eikonal(rotate(g, u.transpose()), u.transpose())
         assert (back == f) if exact else back is None
 
     def test_invalid_rotation_is_not_used(self):
         f = make_canonical_quartic(4, 1)
         identity = RationalMatrix.identity(4)
-        assert rotate_if_eikonal(f, identity) == f
-        assert rotate_if_eikonal(f, None) is None
-        assert rotate_if_eikonal(f, identity.scale(2)) is None
-        assert rotate_if_eikonal(f, RationalMatrix.identity(3)) is None
+        for rotation, expected in [
+            (identity, f), (None, None), (identity.scale(2), None), (RationalMatrix.identity(3), None),
+        ]:
+            assert rotate_if_eikonal(rotate(f, rotation), rotation) == expected
 
     @staticmethod
     def f_gate_report(monkeypatch, f, rotation, **options):
-        """classify with the zero test made on f: what the gate on f alone gives."""
+        """classify with the zero test made on f: what the gate on f alone
+        gives, and whether that zero test ran.  A certified f(R x) is decided
+        before any zero test, so for it the zero test does not run."""
+        ran = []
 
-        def zero_test_on_f(f, rotation):
-            return substitute_linear(f, rotation) if check_eikonal(f, 4).is_zero else None
+        def zero_test_on_f(rotated, rotation):
+            ran.append(rotated)
+            return rotated if check_eikonal(f, 4).is_zero else None
 
         with monkeypatch.context() as patch:
             patch.setattr(classifier_module, "rotate_if_eikonal", zero_test_on_f)
-            return classify(f, rotation, **options)
+            return classify(f, rotation, **options), bool(ran)
 
     @pytest.mark.parametrize("exponent", [None, 3, 12], ids=["exact", "perturbed", "within_tol"])
     def test_reports_match_the_f_gate(self, monkeypatch, exponent):
+        # the exact primitive inputs are certified before any zero test, so here
+        # they meet the certificate on both sides; TestRotationCertificateSecondProof
+        # checks those verdicts independently.  Every other input is compared with
+        # the gate on f, which the stand-in must be seen to run.
+        gated = 0
         for index, f in enumerate(data.corpus()):
             if exponent is not None:
                 f = _perturbed(f, exponent)
             u = random_rational_orthogonal(f.dimension, 40 + index)
             g, back = substitute_linear(f, u), u.transpose()
             report = classify(g, back)
-            assert report.to_json_dict() == self.f_gate_report(monkeypatch, g, back).to_json_dict()
-            assert report.summary_lines() == self.f_gate_report(monkeypatch, g, back).summary_lines()
+            reference, ran = self.f_gate_report(monkeypatch, g, back)
+            assert ran == (classifier_module._root_certificate(substitute_linear(g, back)) is None)
+            gated += ran
+            assert report.to_json_dict() == reference.to_json_dict()
+            assert report.summary_lines() == reference.summary_lines()
             if exponent is None:
                 assert report.arithmetic == "exact"
             else:
                 assert report.residual > 0
+        # of the exact inputs only the isoparametric one is uncertified
+        assert gated == (1 if exponent is None else len(data.corpus()))
 
     def test_error_order(self):
         f = make_canonical_quartic(4, 1)
@@ -468,8 +484,76 @@ class TestRotatedEikonalGate:
             report = classify(g, rotation)
             assert (report.verdict, report.arithmetic) == (VERDICT_PRIMITIVE, "exact")
             assert substituted == [g]
-            # the zero test ran once, on the sparse f(R x), never on the dense g
-            assert checked == [substitute_linear(g, rotation)]
+            # the certificate on f(R x) proves it eikonal: no zero test, no gate on g
+            assert checked == []
+        # the rotated (3, 2, 1) isoparametric quartic has no certificate: the zero
+        # test runs once, on the same sparse f(R x), and the gate on g never does
+        u = random_rational_orthogonal(6, 6)
+        g, rotation = substitute_linear(corpus[9], u), u.transpose()
+        substituted.clear()
+        checked.clear()
+        report = classify(g, rotation)
+        assert (report.verdict, report.arithmetic) == (VERDICT_ISOPARAMETRIC, "exact")
+        assert substituted == [g]
+        assert checked == [substitute_linear(g, rotation)]
+
+    @pytest.mark.parametrize(
+        "exponent, outcome",
+        [(None, VERDICT_NOT_EIKONAL), (9, VERDICT_INCONCLUSIVE), (15, "rotation must be exactly orthogonal")],
+        ids=["far", "within_reject", "within_tol"],
+    )
+    def test_certified_g_at_a_rotation_that_is_not_orthogonal(self, monkeypatch, exponent, outcome):
+        # f = h_d(S x) with S not orthogonal and R = S^-1: g = f(R x) = h_d is
+        # certified, but f is judged by the gate, and R is refused only after it
+        checked = []
+        real = RationalMatrix.is_orthogonal
+
+        def counting(matrix):
+            checked.append(matrix)
+            return real(matrix)
+
+        stretch = rational(2) if exponent is None else 1 + rational(1, 10 ** exponent)
+        s = RationalMatrix.diagonal([1, 1, 1, stretch]) @ random_rational_orthogonal(4, 3)
+        f = substitute_linear(make_canonical_quartic(4, 1), s)
+        rotation = s.inverse()
+        assert classifier_module._root_certificate(substitute_linear(f, rotation)) is not None
+        monkeypatch.setattr(RationalMatrix, "is_orthogonal", counting)
+        if outcome.startswith("rotation"):
+            with pytest.raises(ValueError, match=f"^{outcome}$"):
+                classify(f, rotation)
+        else:
+            assert classify(f, rotation).verdict == outcome
+        assert checked == [rotation]
+
+    def test_both_signs_certify_at_n_2(self):
+        # -h_1 is h_1 turned by pi/4, so at n = 2 both signs certify; the sign
+        # g(e_n) is tried first, and p and q are those of the normal form of +-g
+        for sign in (1, -1):
+            for seed in (1, 2, 3):
+                u = random_rational_orthogonal(2, seed)
+                g = substitute_linear(sign * make_primitive(4, 2, 1), u)
+                back = substitute_linear(g, u.transpose())
+                assert all(radial_square_root(back, s) is not None for s in (1, -1))
+                report = classify(g, u.transpose())
+                nf = TestRotationCertificateSecondProof.normal_form_report(back)
+                assert (report.p, report.q, report.dim_h) == (nf.p, nf.q, nf.dim_h) == (0, 1, 1)
+
+    def test_uncertified_eikonal_input_raises_without_a_second_root(self, monkeypatch):
+        roots = []
+
+        def no_root(f, sign):
+            roots.append(sign)
+            return None
+
+        monkeypatch.setattr(classifier_module, "radial_square_root", no_root)
+        for f in (make_canonical_quartic(4, 1), -make_primitive(4, 5, 2)):
+            u = random_rational_orthogonal(f.dimension, 7)
+            roots.clear()
+            with pytest.raises(RuntimeError, match="contradicts the structure theory"):
+                classify(substitute_linear(f, u), u.transpose())
+            # F, then -F, once each: the zero test and the gate reuse the first try
+            lead = int(f.coefficient((0,) * (f.dimension - 1) + (4,)))
+            assert roots == [lead, -lead]
 
 
 def test_root_certificate_refuses_a_square_that_is_not_eikonal():
@@ -478,8 +562,7 @@ def test_root_certificate_refuses_a_square_that_is_not_eikonal():
     x0, x1 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
     g = 2 * (x1 ** 2 + 3 * x0 * x1) ** 2 - radial_power(2, 2)
     assert not check_eikonal(g, 4).is_zero
-    with pytest.raises(RuntimeError, match="contradicts the structure theory"):
-        classifier_module._root_certificate(g)
+    assert classifier_module._root_certificate(g) is None
 
 
 class TestRotationCertificateSecondProof:

@@ -89,6 +89,53 @@ def test_random_rational_orthogonal_seeds():
     assert random_rational_orthogonal(4, 3) == random_rational_orthogonal(4, 3)
 
 
+def _orthogonal_by_product(m: RationalMatrix) -> bool:
+    """The definition, Q^T Q = I in rationals, as a reference for the integer test."""
+    return m.is_square and m.transpose() @ m == RationalMatrix.identity(m.n_rows)
+
+
+def _orthogonality_cases(n: int, seed: int, row: int, col: int, bump: Fraction):
+    u = random_rational_orthogonal(n, seed)
+    block = RationalMatrix(
+        [[*random_rational_orthogonal(n - 1, seed + 1).row(i), 0] for i in range(n - 1)]
+        + [[0] * (n - 1) + [1]]
+    )
+    perturbed = [list(r) for r in u.entries]
+    perturbed[row % n][col % n] += bump
+    return [
+        u,
+        u.transpose() @ block,  # U^T diag(W, 1)
+        u.scale(bump + 1),
+        RationalMatrix(perturbed),
+        RationalMatrix([list(r) for r in u.entries[: max(n - 1, 1)]] + ([] if n > 1 else [[0]])),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=8),
+    seed=st.integers(min_value=0, max_value=10 ** 6),
+    row=st.integers(min_value=0, max_value=7),
+    col=st.integers(min_value=0, max_value=7),
+    bump=st.fractions(min_value=-2, max_value=2, max_denominator=50).filter(bool),
+)
+def test_is_orthogonal_matches_the_product(n, seed, row, col, bump):
+    for m in _orthogonality_cases(n, seed, row, col, bump):
+        assert m.is_orthogonal() == _orthogonal_by_product(m)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_is_orthogonal_examples(n):
+    orthogonal, block, scaled, perturbed, non_square = _orthogonality_cases(
+        n, n, n - 1, 0, Fraction(1, 7)
+    )
+    assert orthogonal.is_orthogonal() and block.is_orthogonal()
+    assert not scaled.is_orthogonal() and not perturbed.is_orthogonal()
+    assert not non_square.is_orthogonal()
+    assert not RationalMatrix([[1, 0, 0], [0, 1, 0]]).is_orthogonal()
+    assert RationalMatrix([]).is_orthogonal()
+
+
 def test_orthonormalize_rational_perfect_square_case():
     basis = orthonormalize_rational([(3, 4), (4, -3)])
     assert basis == [
