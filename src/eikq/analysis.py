@@ -359,19 +359,32 @@ def check_pencil(pencil: Pencil, p: int) -> PencilReport:
     = A_j for i != j, and for each i < j < k the sum of A_a A_b A_c over
     the six orders of (i, j, k) is zero.  Every coefficient matrix is
     symmetric, so this decides `eta_identity_residual` = 0 on matrices
-    alone.  `pencils._identity_coefficients` yields them in that order,
-    scaled by D^3, and the test stops at the first nonzero one.
+    alone.
 
-    Everything runs in integers on B_i = D A_i, D the lcm of every
-    denominator of the pencil; the squares B_i^2 serve the identity and
-    the traces.  The traces need no scaling to be tested for zero or for
-    equality, and tr(A_0^2) = tr(B_0^2) / D^2.
+    The input checks (`validate_pencil`, a nonempty pencil) come first;
+    then the pencil is put over D, the lcm of every denominator, by
+    `matrices._integer_entries`, and `_integer_pencil_report` decides it
+    in integers.  `constructors.search_isoparametric_pencil` calls that
+    integer core directly on its +/-1 seeds, with D = 1.
     """
     pencil = validate_pencil(pencil, p)
-    q = len(pencil)
-    if q == 0:
+    if not pencil:
         raise ValueError("pencil must contain at least one matrix")
     mats, den = _integer_entries(pencil)
+    return _integer_pencil_report(mats, den, p)
+
+
+def _integer_pencil_report(mats, den: int, p: int) -> PencilReport:
+    """`check_pencil` on B_i = D A_i: `mats` the integer rows of q >= 1
+    symmetric p x p matrices, all over the one denominator `den`.
+
+    `pencils._identity_coefficients` yields the identity's coefficient
+    matrices in `check_pencil`'s order, scaled by D^3, and the test stops at
+    the first nonzero one; the squares B_i^2 serve the identity and the
+    traces.  The traces need no scaling to be tested for zero or for
+    equality, and tr(A_0^2) = tr(B_0^2) / D^2.  No rational is made.
+    """
+    q = len(mats)
     squares = [_int_matmul(b, b) for b in mats]
     coefficients = _identity_coefficients(mats, squares, den)
     cube = all(_is_zero(c) for _, c in islice(coefficients, q))

@@ -231,7 +231,9 @@ def classify(
     exactly orthogonal R the zero test is made on the same g instead
     (`normalform.rotate_if_eikonal`); a nonzero residual is still measured
     on f, and an invalid rotation is refused (ValueError) only after that
-    gate.  Then Muenzner's equation on f decides "isoparametric".  An exactly eikonal f is next decided at R by
+    gate.  R is checked once: when g is certified or exactly eikonal, and
+    a failed check is carried past the gate; otherwise after the gate.
+    Then Muenzner's equation on f decides "isoparametric".  An exactly eikonal f is next decided at R by
     the certificate already made, whose failure is an error (ValueError when
     g(e_n) is not +-1, else RuntimeError), and without a rotation through its
     exact normal form at the identity, which `_judge` decides on.  Every f
@@ -242,12 +244,14 @@ def classify(
     n = f.dimension
     rotated = rotate(f, rotation)
     certified = None if rotated is None else _root_certificate(rotated)
-    if certified is not None:
-        if rotation.is_orthogonal():
-            return certified
+    if certified is None:
+        rotated = rotate_if_eikonal(rotated)
+    # R's one check, made only when g is certified or exactly eikonal
+    refused = rotated is not None and not rotation.is_orthogonal()
+    if refused:
         rotated = None  # the gate on f decides, and R is refused after it
-    else:
-        rotated = rotate_if_eikonal(rotated, rotation)
+    elif certified is not None:
+        return certified
     deviation = Fraction(0)
     if rotated is None:
         deviation = check_eikonal(f, 4).max_coeff
@@ -260,7 +264,7 @@ def classify(
                 VERDICT_INCONCLUSIVE, n, "float", deviation,
                 detail="the eikonal residual sits between tol and the rejection threshold",
             )
-        if certified is not None:  # R failed its one check above
+        if refused:  # R failed its one check above
             raise ValueError(NOT_ORTHOGONAL)
         if rotation is not None:
             _require_orthogonal(rotation, n)

@@ -18,7 +18,13 @@ Three construction routes live here:
   pencil fixes psi, theta_4, theta_2, theta_0 and only the mixed cubic
   theta_3 is free data.  `search_isoparametric_pencil` enumerates small
   rational pencils and a grid of theta_3 coefficients, keeping exactly the
-  candidates whose assembled quartic is eikonal.  Pencils are screened
+  candidates whose assembled quartic is eikonal.  Until a pencil passes,
+  its exact work runs in Python integers: the +/-1 seeds are integer
+  rows, each rotation C = M / d conjugates them as M^T A M / d^2 in
+  lowest terms (`_conjugate`), whose unique form keys the conjugated
+  seed, and the screen is the integer core of `check_pencil`; a
+  conjugated seed's rational matrix is built only once a pencil that
+  uses it passes.  Pencils are screened
   once per set of seeds, not once per rotated copy: rotating or reordering
   a pencil does not change whether it passes `check_pencil`.  The same
   orbit rule decides the theta_3 = 0 quartic: the quartic of a reordered,
@@ -35,11 +41,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import mul
 
-from .matrices import RationalMatrix, random_rational_orthogonal
+from .matrices import (
+    RationalMatrix,
+    _int_matmul,
+    _integer_entries,
+    _raw_matrix,
+    random_rational_orthogonal,
+)
 from .pencils import (
     Pencil,
     psi_from_pencil,
@@ -233,22 +246,23 @@ def _seed_matrices(p: int, nu: int) -> list[RationalMatrix]:
     if nu == 0:
         return [RationalMatrix.zeros(p, p)]
     pairs = list(combinations(range(p), 2))
+    # keyed by integer rows; each distinct matrix shares the three entries
     seeds: dict[tuple, RationalMatrix] = {}
+    entry = {v: rational(v) for v in (-1, 0, 1)}
     for chosen in combinations(pairs, nu):
         flat = [i for pair in chosen for i in pair]
         if len(set(flat)) != 2 * nu:
             continue
         for kinds in product("DO", repeat=nu):
-            entries = [[rational(0)] * p for _ in range(p)]
+            rows = [[0] * p for _ in range(p)]
             for (j, k), kind in zip(chosen, kinds):
                 if kind == "D":
-                    entries[j][j] = rational(1)
-                    entries[k][k] = rational(-1)
+                    rows[j][j], rows[k][k] = 1, -1
                 else:
-                    entries[j][k] = rational(1)
-                    entries[k][j] = rational(1)
-            matrix = RationalMatrix(entries)
-            seeds.setdefault(matrix.entries, matrix)
+                    rows[j][k] = rows[k][j] = 1
+            key = tuple(map(tuple, rows))
+            if key not in seeds:
+                seeds[key] = _raw_matrix(tuple(tuple(entry[v] for v in row) for row in key))
     return list(seeds.values())
 
 
@@ -275,6 +289,17 @@ def _conjugations(p: int) -> tuple[RationalMatrix, ...]:
     if p >= 2:
         out.extend(random_rational_orthogonal(p, seed) for seed in (1, 2, 3))
     return tuple(out)
+
+
+def _conjugate(a: list[list[int]], m: list[list[int]], d: int) -> tuple:
+    """C^T A C for the integer matrix A and the rotation C = M / d, in lowest
+    terms: (den, numerator rows) with C^T A C = rows / den, den > 0 and the
+    gcd of den and every numerator 1.  That form is unique, so two
+    conjugated matrices are equal exactly when their forms are."""
+    rows = _int_matmul(_int_matmul(list(zip(*m)), a), m)
+    d2 = d * d
+    g = gcd(d2, *(v for row in rows for v in row))
+    return d2 // g, tuple(tuple(v // g for v in row) for row in rows)
 
 
 def _grid_decider(f0: Polynomial, lifted: list[Polynomial], eikonal0: bool):
@@ -334,9 +359,16 @@ def search_isoparametric_pencil(
     +/-1, +/-2, +/-4}.  A pencil is a tuple of q distinct seed indices
     under one rotation C; each seed is conjugated once per rotation, and a
     pencil met before (under an earlier rotation) is skipped by the ids of
-    its conjugated seeds.  `check_pencil` decides the trace, spectrum and
-    cube identity A_eta^3 = |eta|^2 A_eta exactly, and is called once per
-    seed set, on the raw seeds in index order: `.passed` is the same for
+    its conjugated seeds.  The conjugation runs in integers: with
+    C = M / d, C^T A C is M^T A M / d^2, and with both divided by their
+    gcd that pair is the unique form of the rational matrix, so equal
+    forms, and equal ids, mean equal matrices.  A conjugated seed's
+    `RationalMatrix` is built from its form only when a pencil that uses
+    it passes.  `check_pencil` decides the trace, spectrum and
+    cube identity A_eta^3 = |eta|^2 A_eta exactly; its integer core
+    (`analysis._integer_pencil_report`) is called once per seed set, on
+    the integer rows of the raw seeds in index order, over D = 1, as the
+    seeds are symmetric +/-1 matrices: `.passed` is the same for
     C^T A_i C, since C^T C = I keeps every product identity and trace, and
     for any order of the matrices, since every condition is symmetric in
     them.  The empty pencil (q = 0) is admissible.  The theta_3 = 0
@@ -359,7 +391,7 @@ def search_isoparametric_pencil(
     once `budget` of them have been examined.  The result order is
     deterministic.
     """
-    from .analysis import check_eikonal, check_pencil
+    from .analysis import _integer_pencil_report, check_eikonal
 
     if p < 0 or q < 0 or nu < 0:
         raise ValueError("p, q, nu must be nonnegative")
@@ -377,19 +409,30 @@ def search_isoparametric_pencil(
     examined = 0
     hits: list[NormalFormData] = []
     seeds = _seed_matrices(p, nu)
-    # ids of the distinct conjugated seeds, so that pencils are keyed by ints
+    # every seed is a +/-1 matrix, so its integer rows are over D = 1
+    seed_rows, _ = _integer_entries(seeds)
+    # the distinct conjugated seeds in lowest terms (`_conjugate`), by id, so
+    # that pencils are keyed by ints; equal forms are equal matrices
     interned: dict[tuple, int] = {}
+    # the rational matrix of an id, built once a pencil that uses it passes
+    built: dict[int, RationalMatrix] = {}
     seen_pencils: set[tuple[int, ...]] = set()
-    # check_pencil(...).passed by sorted seed indices, exact as said above
+    # the screen's verdict by sorted seed indices, exact as said above
     passed: dict[tuple[int, ...], bool] = {}
     # by the same key, on the same raw seeds: (the theta_3 = 0 quartic is
     # eikonal, the theta_3 basis is empty), exact for the whole orbit
     orbit: dict[tuple[int, ...], tuple[bool, bool]] = {}
     zero3 = Polynomial.zero(p + q)
-    for conj in _conjugations(p):
-        conj_t = conj.transpose()
-        conjugated = [conj_t @ a @ conj for a in seeds]
-        ids = [interned.setdefault(m.entries, len(interned)) for m in conjugated]
+
+    def matrix(k: int, form: tuple) -> RationalMatrix:
+        if k not in built:
+            den, rows = form
+            built[k] = _raw_matrix(tuple(tuple(Fraction(v, den) for v in row) for row in rows))
+        return built[k]
+
+    for (m,), d in (_integer_entries((conj,)) for conj in _conjugations(p)):
+        forms = [_conjugate(a, m, d) for a in seed_rows]
+        ids = [interned.setdefault(form, len(interned)) for form in forms]
         for idx in product(range(len(seeds)), repeat=q):
             if nu > 0 and q > 1 and len(set(idx)) != q:
                 continue
@@ -403,7 +446,8 @@ def search_isoparametric_pencil(
             seed_set = tuple(sorted(idx))
             if idx:
                 if seed_set not in passed:
-                    passed[seed_set] = check_pencil(tuple(seeds[i] for i in seed_set), p).passed
+                    rows = [seed_rows[i] for i in seed_set]
+                    passed[seed_set] = _integer_pencil_report(rows, 1, p).passed
                 if not passed[seed_set]:
                     continue
             if seed_set not in orbit:
@@ -411,10 +455,11 @@ def search_isoparametric_pencil(
                 f_raw = assemble_from_normal_form(NormalFormData(p, q, raw, zero3))
                 orbit[seed_set] = (check_eikonal(f_raw, 4).is_zero, not theta3_basis(raw, p))
             eikonal0, flat = orbit[seed_set]
-            pencil = tuple(conjugated[i] for i in idx)
+            if flat and not eikonal0:
+                continue
+            pencil = tuple(matrix(ids[i], forms[i]) for i in idx)
             if flat:
-                if eikonal0:
-                    hits.append(NormalFormData(p, q, pencil, zero3))
+                hits.append(NormalFormData(p, q, pencil, zero3))
                 continue
             basis = theta3_basis(pencil, p)
             f0 = assemble_from_normal_form(NormalFormData(p, q, pencil, zero3))

@@ -466,24 +466,22 @@ def rotate(f: Polynomial, rotation: RationalMatrix | None) -> Polynomial | None:
     return substitute_linear(f, rotation)
 
 
-def rotate_if_eikonal(
-    rotated: Polynomial | None, rotation: RationalMatrix | None
-) -> Polynomial | None:
-    """`rotated` = f(rotation x), as `rotate` built it, when `rotation` is
-    exactly orthogonal and f(rotation x) is exactly eikonal (as a quartic);
-    otherwise None, and an invalid rotation raises nothing here.  `rotated`
-    is None when `rotation` is None or of the wrong size.
+def rotate_if_eikonal(rotated: Polynomial | None) -> Polynomial | None:
+    """`rotated` = f(rotation x), as `rotate` built it, when f(rotation x) is
+    exactly eikonal (as a quartic); otherwise None.  `rotated` is None when
+    `rotation` is None or of the wrong size.
 
     For an orthogonal R the eikonal residual of f(R x) is that of f at R x,
     so this zero test decides whether f is exactly eikonal.  It is cheap
     because f(R x) is sparse when R exposes a normal form, and the caller
     passes it on to `exact_normal_form` or to `classify`'s errors.  A
-    nonzero residual is left to be measured on f, and an invalid rotation
-    to be refused after that.  R's
-    orthogonality is checked here only once the zero test has passed: when
-    it fails, the caller checks R once, after the gate on f.
+    nonzero residual is left to be measured on f.  R's orthogonality is not
+    checked here: the caller checks R once, when it is about to use
+    f(rotation x), and carries a failed check past the gate on f, where
+    the rotation is refused; when it never uses f(rotation x), it checks R
+    once, after that gate.
     """
-    if rotated is None or not check_eikonal(rotated, 4).is_zero or not rotation.is_orthogonal():
+    if rotated is None or not check_eikonal(rotated, 4).is_zero:
         return None
     return rotated
 
@@ -535,12 +533,15 @@ def obtain_normal_form(
     and -f is 1 where f is -1 (at e_n, or the maximum of -|x|^4).  When
     every route fails, f's NotEikonalEvidence is raised.
     """
-    rotated = rotate_if_eikonal(rotate(f, rotation), rotation)
-    if rotated is not None:
+    rotated = rotate_if_eikonal(rotate(f, rotation))
+    refused = rotated is not None and not rotation.is_orthogonal()
+    if rotated is not None and not refused:
         return exact_normal_form(rotated, rotation)
     deviation = check_eikonal(f, 4).max_coeff
     if deviation > REJECT_TOL:
         raise NotEikonalEvidence(FAR_FROM_EIKONAL)
+    if refused:  # R failed its one check above
+        raise ValueError(NOT_ORTHOGONAL)
     if rotation is not None:
         _require_orthogonal(rotation, f.dimension)
     elif not deviation:

@@ -355,7 +355,7 @@ class TestRotatedEikonalGate:
         g = substitute_linear(f, u)
         assert check_eikonal(g, 4).is_zero == exact
         # the classify-style input: g with the rotation that undoes u
-        back = rotate_if_eikonal(rotate(g, u.transpose()), u.transpose())
+        back = rotate_if_eikonal(rotate(g, u.transpose()))
         assert (back == f) if exact else back is None
 
     def test_invalid_rotation_is_not_used(self):
@@ -364,7 +364,7 @@ class TestRotatedEikonalGate:
         for rotation, expected in [
             (identity, f), (None, None), (identity.scale(2), None), (RationalMatrix.identity(3), None),
         ]:
-            assert rotate_if_eikonal(rotate(f, rotation), rotation) == expected
+            assert rotate_if_eikonal(rotate(f, rotation)) == expected
 
     @staticmethod
     def f_gate_report(monkeypatch, f, rotation, **options):
@@ -373,7 +373,7 @@ class TestRotatedEikonalGate:
         before any zero test, so for it the zero test does not run."""
         ran = []
 
-        def zero_test_on_f(rotated, rotation):
+        def zero_test_on_f(rotated):
             ran.append(rotated)
             return rotated if check_eikonal(f, 4).is_zero else None
 
@@ -449,6 +449,31 @@ class TestRotatedEikonalGate:
         except NotEikonalEvidence:
             assert exponent == 3
         assert checked == expected
+
+    def test_invalid_rotation_of_an_eikonal_g_checked_once(self, monkeypatch):
+        # f = iso(S x) with S = diag(1, .., 1, 1 + 10^-15) U, and R = S^-1: f(R x) is
+        # the isoparametric quartic, exactly eikonal and uncertified, but R is not
+        # orthogonal; f is eikonal within tol, so R is refused after the gate on f
+        iso = assemble_from_normal_form(data.isoparametric_data())
+        stretch = RationalMatrix.diagonal([1] * 5 + [1 + rational(1, 10 ** 15)])
+        s = stretch @ random_rational_orthogonal(6, 3)
+        f, rotation = substitute_linear(iso, s), s.inverse()
+        assert substitute_linear(f, rotation) == iso
+        checked = []
+        real = RationalMatrix.is_orthogonal
+
+        def counting(matrix):
+            checked.append(matrix)
+            return real(matrix)
+
+        monkeypatch.setattr(RationalMatrix, "is_orthogonal", counting)
+        with pytest.raises(ValueError, match="^rotation must be exactly orthogonal$"):
+            classify(f, rotation)
+        assert checked == [rotation]
+        checked.clear()
+        with pytest.raises(ValueError, match="^rotation must be exactly orthogonal$"):
+            obtain_normal_form(f, rotation, allow_float=True, tol=1e-9)
+        assert checked == [rotation]
 
     def test_one_substitution_per_exact_rotated_call(self, monkeypatch):
         substituted, checked = [], []

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, combinations_with_replacement, product
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,7 @@ from eikq.constructors import (
     normal_form_data_to_text,
     search_isoparametric_pencil,
 )
-from eikq.matrices import RationalMatrix
+from eikq.matrices import RationalMatrix, _integer_entries
 from eikq.pencils import theta3_basis
 from eikq.polyring import (
     PolyTextError,
@@ -361,18 +362,30 @@ class TestSearch:
             seeds = constructors._seed_matrices(p, nu)
             assert len(seeds) == len({m.entries for m in seeds}) == count
 
+    def test_seed_matrices_are_symmetric_integer_matrices(self):
+        # the search screens its seeds with `analysis._integer_pencil_report`,
+        # skipping `validate_pencil`, so every seed must be a symmetric p x p
+        # matrix; its +/-1 entries put it over D = 1
+        for p in range(9):
+            for nu in range(p // 2 + 1):
+                seeds = constructors._seed_matrices(p, nu)
+                assert _integer_entries(seeds)[1] == 1
+                for m in seeds:
+                    assert m.is_square and m.n_rows == p and m.is_symmetric()
+
     def test_screens_each_seed_set_once(self, monkeypatch):
         screened = []
-        real = analysis.check_pencil
+        real = analysis._integer_pencil_report
 
-        def record(pencil, p):
-            screened.append(tuple(m.entries for m in pencil))
-            return real(pencil, p)
+        def record(mats, den, p):
+            assert den == 1
+            screened.append(tuple(tuple(map(tuple, rows)) for rows in mats))
+            return real(mats, den, p)
 
-        monkeypatch.setattr(analysis, "check_pencil", record)
+        monkeypatch.setattr(analysis, "_integer_pencil_report", record)
         hits = search_isoparametric_pencil(3, 2, 1)
         monkeypatch.undo()
-        seeds = [m.entries for m in constructors._seed_matrices(3, 1)]
+        seeds = [tuple(map(tuple, rows)) for rows in _integer_entries(constructors._seed_matrices(3, 1))[0]]
         # each unordered pair of distinct seeds, once, as raw seeds in index order
         assert sorted(screened) == sorted(
             (seeds[i], seeds[j]) for i in range(len(seeds)) for j in range(i + 1, len(seeds))
@@ -408,18 +421,73 @@ class TestSearch:
         assert len({len(r) for r in results}) > 3
 
 
+def _seed_sets(p: int, nu: int, q: int):
+    """Every seed set of q seeds that search(p, q, nu) can screen: sorted
+    seed indices, distinct unless nu = 0, whose one zero seed repeats."""
+    count = len(constructors._seed_matrices(p, nu))
+    return (combinations if nu else combinations_with_replacement)(range(count), q)
+
+
+class TestIntegerScreen:
+    """The search screens seed sets and interns conjugated seeds in integers."""
+
+    @staticmethod
+    def agree(p: int, nu: int, seed_sets) -> set[bool]:
+        seeds = constructors._seed_matrices(p, nu)
+        rows, den = _integer_entries(seeds)
+        outcomes = set()
+        for seed_set in seed_sets:
+            core = analysis._integer_pencil_report([rows[i] for i in seed_set], den, p)
+            report = analysis.check_pencil(tuple(seeds[i] for i in seed_set), p)
+            assert core == report
+            outcomes.add(core.passed)
+        return outcomes
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_core_agrees_with_check_pencil_on_every_seed_set(self, p):
+        outcomes = set()
+        for nu in range(p // 2 + 1):
+            for q in (1, 2, 3):
+                outcomes |= self.agree(p, nu, _seed_sets(p, nu, q))
+        assert outcomes == ({True} if p <= 2 else {True, False})
+
+    def test_core_agrees_with_check_pencil_on_every_seed_pair_of_6_3(self):
+        assert self.agree(6, 3, _seed_sets(6, 3, 2)) == {True, False}
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+    def test_conjugated_forms_rebuild_the_rational_conjugates(self, p):
+        for nu in range(p // 2 + 1):
+            seeds = constructors._seed_matrices(p, nu)
+            rows, _ = _integer_entries(seeds)
+            matrices_by_form = {}
+            for conj in constructors._conjugations(p):
+                (m,), d = _integer_entries((conj,))
+                for a, seed in zip(rows, seeds):
+                    form = constructors._conjugate(a, m, d)
+                    den, numerators = form
+                    assert den > 0 and gcd(den, *(v for row in numerators for v in row)) == 1
+                    expected = conj.transpose() @ seed @ conj
+                    rebuilt = RationalMatrix([[rational(v, den) for v in row] for row in numerators])
+                    assert rebuilt == expected
+                    matrices_by_form.setdefault(form, set()).add(expected.entries)
+            # two conjugated seeds share a form, and so an id, exactly when they are equal
+            assert all(len(matrices) == 1 for matrices in matrices_by_form.values())
+            assert len(set().union(*matrices_by_form.values())) == len(matrices_by_form)
+
+
 def _admissible_pencils(p: int, q: int, nu: int, count: int, monkeypatch) -> list:
     """The first `count` seed sets that search(p, q, nu) screens as admissible."""
     passed = []
-    real = analysis.check_pencil
+    real = analysis._integer_pencil_report
 
-    def record(pencil, p):
-        report = real(pencil, p)
+    def record(mats, den, p):
+        report = real(mats, den, p)
         if report.passed:
-            passed.append(pencil)
+            passed.append(tuple(RationalMatrix([[rational(v, den) for v in row] for row in rows])
+                                for rows in mats))
         return report
 
-    monkeypatch.setattr(analysis, "check_pencil", record)
+    monkeypatch.setattr(analysis, "_integer_pencil_report", record)
     search_isoparametric_pencil(p, q, nu)
     monkeypatch.undo()
     return passed[:count]
@@ -555,12 +623,17 @@ def _reference_search(p: int, q: int, nu: int, budget: int) -> list[NormalFormDa
 
 
 @pytest.mark.parametrize(
-    "case", [(2, 1, 1, 10 ** 6), (4, 1, 2, 10 ** 6), (3, 2, 1, 195), (6, 1, 3, 150)],
-    ids=["2_1_1", "4_1_2_full", "3_2_1_budget_195", "6_1_3_budget_150"],
+    "case, count",
+    [((2, 1, 1, 10 ** 6), 8), ((4, 1, 2, 10 ** 6), 56), ((3, 2, 1, 195), 4),
+     ((6, 1, 3, 150), 150), ((4, 3, 1, 300), 1), ((5, 4, 1, 200), 0)],
+    ids=["2_1_1", "4_1_2_full", "3_2_1_budget_195", "6_1_3_budget_150",
+         "4_3_1_budget_300", "5_4_1_budget_200"],
 )
-def test_search_matches_the_reference_loop(case):
+def test_search_matches_the_reference_loop(case, count):
+    # q = 3 and q = 4 screen seed triples and quadruples, whose identity has
+    # triple terms; no pencil of the (5, 4, 1) prefix is a hit
     hits = search_isoparametric_pencil(*case)
-    assert hits
+    assert len(hits) == count
     assert hits == _reference_search(*case)
 
 
@@ -575,6 +648,7 @@ def test_empty_basis_miss_is_decided_by_the_seed_residual(monkeypatch):
         passed = True
 
     monkeypatch.setattr(analysis, "check_pencil", lambda pencil, p: Passed)
+    monkeypatch.setattr(analysis, "_integer_pencil_report", lambda mats, den, p: Passed)
     monkeypatch.setattr(
         constructors, "_seed_matrices",
         lambda p, nu: real(p, nu) + [RationalMatrix.diagonal([1, 0])],

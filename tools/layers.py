@@ -21,8 +21,13 @@ on an undisturbed core of its 2-core host.  The inputs are fixed, not
 seeded: Cayley-rotated primitive quartics at n = 4, 6 and 10,
 ``make_canonical_quartic(6, 2)`` at a block rotation U^T diag(W, 1), and
 the rotated (3, 2, 1) isoparametric quartic.  Each input is a pair (f, R)
-as ``classify --rotation`` gets it, and g = f(R x).  ``--quick`` times
-every layer on the n = 4 input once, to test the schema.
+as ``classify --rotation`` gets it, and g = f(R x).  The pencil search
+is timed on its own inputs: ``search_isoparametric_pencil`` on the full
+(6, 1, 3) search and on (5, 4, 1) and (6, 3, 2) cut at 3000 candidates,
+and ``check_pencil`` on one q = 4 seed set of (5, 4, 1) that passes, so
+that every identity term is tested.  ``--quick`` times each layer once:
+those of (f, R) on the n = 4 input, the search on (2, 1, 1) and
+``check_pencil`` on one seed pair of (3, 2, 1), to test the schema.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ PAIR_SCHEMA = "eikq-layers-pair-1"
 LAYERS = (
     "classify", "substitute_linear", "check_eikonal[f]", "check_eikonal[g]",
     "radial_square_root", "_root_certificate", "is_orthogonal", "cli._read_rotation",
+    "search_isoparametric_pencil", "check_pencil",
 )
 ENVIRONMENT_KEYS = ("python", "rational_type", "cores", "commit")
 POINT_KEYS = {"layer": str, "input": str, "calls": int, "best_s": float, "wall_s": float}
@@ -128,6 +134,29 @@ def _calls(f, rotation, rotation_file: str) -> dict:
     }
 
 
+def _search_points(quick: bool) -> list:
+    """(layer, input, call) for the pencil search and its screen."""
+    from eikq import check_pencil, search_isoparametric_pencil
+    from eikq.constructors import _seed_matrices
+
+    full = 10 ** 6  # the default budget, which none of these searches reaches
+    if quick:
+        searches, (p, nu, seed_set) = [(2, 1, 1, full)], (3, 1, (0, 1))
+    else:
+        searches = [(6, 1, 3, full), (5, 4, 1, 3000), (6, 3, 2, 3000)]
+        p, nu, seed_set = 5, 1, (1, 3, 5, 7)
+    points = [
+        ("search_isoparametric_pencil",
+         "p{}-q{}-nu{}-".format(*case) + ("full" if case[3] == full else f"budget{case[3]}"),
+         lambda case=case: search_isoparametric_pencil(*case))
+        for case in searches
+    ]
+    seeds = _seed_matrices(p, nu)
+    pencil = tuple(seeds[i] for i in seed_set)
+    name = f"p{p}-nu{nu}-seeds-" + "-".join(map(str, seed_set))
+    return points + [("check_pencil", name, lambda: check_pencil(pencil, p))]
+
+
 def _serve(src: Path, quick: bool) -> None:
     """The worker: build every point's call on the eikq under `src`, write a
     header line, then answer each request "index calls" with the seconds
@@ -144,6 +173,7 @@ def _serve(src: Path, quick: bool) -> None:
                 f"{rotation.n_rows} " + " ".join(str(v) for row in rotation.entries for v in row) + "\n"
             )
             points += [(layer, name, call) for layer, call in _calls(f, rotation, str(rotation_file)).items()]
+        points += _search_points(quick)
         print(json.dumps({
             "environment": {
                 "python": platform.python_version(),
@@ -254,7 +284,8 @@ def check(record: dict) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="write the JSON record here (default: standard output)")
-    parser.add_argument("--quick", action="store_true", help="every layer once, on the n = 4 input")
+    parser.add_argument("--quick", action="store_true",
+                        help="every layer once, on the n = 4 input and the smallest search")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="the eikq source tree to time")
     parser.add_argument("--before", type=Path, help="a second tree, timed as the before side of a pair")
     parser.add_argument("--check", metavar="FILE", help="check the schema of a record and exit")
