@@ -16,7 +16,9 @@ The checks stack in three layers:
   polynomial, |grad f|^2 = g^2 |x|^(2g-2) and the radial Laplacian law
   (Muenzner's second equation).  Together they define an isoparametric
   polynomial, and `classifier.classify` decides that verdict by them on f
-  itself; `check_munzner_second` takes a tolerance for float data.
+  itself; `check_munzner_second` takes a tolerance for float data, and its
+  body `_munzner`, which `classify` calls, also returns the deviation it
+  measured.
 
 * `check_system`: the five identities tying together the coefficients
   (phi, psi, theta) of a quartic written as
@@ -193,6 +195,12 @@ def check_munzner_second(f: Polynomial, g: int, m_sum: int | None = None, tol: f
     (`polyring.packed_laplacian`): c |x|^(g-2) is subtracted from its
     integer numerators, and the deviation is one rational.
     """
+    return _munzner(f, g, m_sum, tol)[0]
+
+
+def _munzner(f: Polynomial, g: int, m_sum: int | None, tol: float):
+    """`check_munzner_second`'s answer, and the deviation of the Laplacian
+    from c |x|^(g-2) that decided it."""
     if not isinstance(g, int) or g < 1:
         raise ValueError("degree g must be a positive integer")
     lap = packed_laplacian(f, g)
@@ -202,10 +210,11 @@ def check_munzner_second(f: Polynomial, g: int, m_sum: int | None = None, tol: f
         if m_sum is not None and tol > 0:
             m2 = round((m_sum + 2 * constant / (g * g)) / 2)
             constant = rational(g * g * (2 * m2 - m_sum), 2)
-    if lap.minus_radial(constant, (g - 2) // 2).max_abs_coefficient() > tol:
-        return None
+    deviation = lap.minus_radial(constant, (g - 2) // 2).max_abs_coefficient()
+    if deviation > tol:
+        return None, deviation
     if m_sum is None:
-        return constant
+        return constant, deviation
     diff = 2 * constant / (g * g)
     m2 = (m_sum + diff) / 2
     m1 = (m_sum - diff) / 2
@@ -213,7 +222,7 @@ def check_munzner_second(f: Polynomial, g: int, m_sum: int | None = None, tol: f
         raise ValueError(
             f"constant {constant} and m1 + m2 = {m_sum} give no integer multiplicities"
         )
-    return int(m1), int(m2)
+    return (int(m1), int(m2)), deviation
 
 
 def check_system(phi: Polynomial, psi: Polynomial, theta: Polynomial) -> ResidualSet:

@@ -74,8 +74,8 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .analysis import check_eikonal, check_munzner_second, float_image, scientific
-from .matrices import RationalMatrix, _int_matmul, symmetric_eigen
+from .analysis import _munzner, check_eikonal, float_image, scientific
+from .matrices import RationalMatrix, symmetric_eigen
 from .normalform import (
     EXACT_NEEDS_EIKONAL,
     EXACT_NEEDS_POSITION,
@@ -94,7 +94,6 @@ from .pencils import quadratic_form_matrix
 from .polyring import (
     Polynomial,
     laplacian,
-    packed_laplacian,
     radial_power,
     radial_square_root,
     rational,
@@ -291,12 +290,13 @@ def _isoparametric(
     """The report when laplacian(f) is within `tol` of 8 (m2 - m1) |x|^2 with
     m1, m2 >= 1, which makes the eikonal f isoparametric; else None.
 
-    tol = 0 gives an exact verdict; on the float route the Laplacian's
-    deviation is folded into `deviation`, f's exact eikonal one.
+    tol = 0 gives an exact verdict; the Laplacian's deviation from
+    8 (m2 - m1) |x|^2, which `analysis._munzner` measured, is folded into
+    `deviation`, f's exact eikonal one, and it is 0 on the exact route.
     """
     n = f.dimension
     try:
-        pair = check_munzner_second(f, 4, n // 2 - 1, tol=tol)
+        pair, laplacian_deviation = _munzner(f, 4, n // 2 - 1, tol)
     except ValueError:  # a radial Laplacian far from any pair, as for |x|^4
         return None
     # m1 = 0 or m2 = 0 is h_{n/2} or its negative, which is primitive
@@ -304,9 +304,7 @@ def _isoparametric(
         return None
     m1, m2 = pair
     constant = rational(8 * (m2 - m1))
-    if tol:  # on the exact route the Laplacian's deviation is 0
-        remainder = packed_laplacian(f, 4).minus_radial(constant, 1)
-        deviation = max(deviation, remainder.max_abs_coefficient())
+    deviation = max(deviation, laplacian_deviation)
     p = n - 2 - m1  # f's own normal form: q = m1 + 1, nu = m2
     return ClassificationReport(
         VERDICT_ISOPARAMETRIC, n, "float" if tol else "exact", deviation,
@@ -373,23 +371,18 @@ def _root_certificate(g: Polynomial) -> Optional[ClassificationReport]:
         found = radial_square_root(g, sign)
         if found is None:
             continue
-        # sign g + |x|^4 = c G^2 with G integer, so lam = c / 2; in integers,
-        # with M = 2 Gamma, lam Gamma^2 = I reads c M^2 = 8 I
-        c, m = found[0], [[0] * n for _ in range(n)]
-        for mono, coeff in found[1].terms.items():
-            i, j = (v for v, e in enumerate(mono) for _ in range(e))
-            m[i][j] = m[j][i] = int(coeff) * (1 + (i == j))
-        square = _int_matmul(m, m)
-        if any(c * square[i][j] != 8 * (i == j) for i in range(n) for j in range(n)):
+        # sign g + |x|^4 = c G^2, so lam = c / 2
+        lam, gamma = found[0] / 2, quadratic_form_matrix(found[1], range(n))
+        if (gamma @ gamma).scale(lam) != RationalMatrix.identity(n):
             continue
-        trace = sum(m[i][i] for i in range(n))  # 2 tr Gamma
-        t_squared = c * trace * trace / 8  # lam (tr Gamma)^2, with lam > 0
+        trace = gamma.trace()
+        t_squared = lam * trace * trace  # with lam > 0
         t = math.isqrt(t_squared.numerator)
         if t * t != t_squared:
             continue
         if sign == lead:
             # e^T Q e = +-1, since F(e) = 1, so k is an integer
-            k = int(n + c * m[n - 1][n - 1] * trace / 8) // 2
+            k = int(n + lam * trace * gamma.rows[-1][-1] / gamma.den) // 2
             p, q = k - 1, n - k
         else:
             p, q = n - 2, 1

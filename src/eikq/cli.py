@@ -55,9 +55,9 @@ from .constructors import (
     normal_form_data_to_text,
     search_isoparametric_pencil,
 )
-from .matrices import RationalMatrix, _raw_matrix
+from .matrices import RationalMatrix
 from .normalform import NotEikonalEvidence, obtain_normal_form
-from .polyring import _meaningful_lines, poly_from_text, poly_to_text, rational
+from .polyring import _meaningful_lines, poly_from_text, poly_to_text
 
 _GREEN, _RED, _YELLOW = "32", "31", "33"
 
@@ -111,11 +111,9 @@ def _read_rotation(path: str) -> RationalMatrix:
     if n < 1 or len(tokens) != 1 + n * n:
         raise ValueError(f"rotation file must hold n followed by n^2 entries, n = {n}")
     try:
-        values = [rational(tok) for tok in tokens[1:]]
+        return RationalMatrix([tokens[1 + i * n : 1 + (i + 1) * n] for i in range(n)])
     except (ValueError, ZeroDivisionError):
         raise ValueError("rotation entries must be rationals") from None
-    # the entries are Fractions already, so the matrix takes them as they are
-    return _raw_matrix(tuple(tuple(values[i * n : (i + 1) * n]) for i in range(n)))
 
 
 def _cmd_construct(args) -> _Answer:

@@ -6,18 +6,22 @@ Rational orthogonal matrices for tests and searches come from the Cayley
 transform of rational antisymmetric matrices, which stays inside the
 rationals.
 
-Products run in Python ints: each operand is put over the lcm of its own
-denominators, the integer numerators are multiplied and summed, and each
-output entry costs one rational division; `is_orthogonal` makes none, since
-it compares the integer column products with D^2 directly.
-`_integer_entries` and `_int_matmul` are that kernel; `analysis.check_pencil`
-runs it on a whole pencil over one denominator and makes no rational at all.  Elimination runs
-on the same integer rows: `_row_reduce` is one fraction-free Gauss-Jordan
-loop behind both `kernel_basis` and `inverse`, and rationals are made only
-when the answer is read off the reduced rows.  `orthonormalize_rational` is
-fraction-free Gram-Schmidt on integer multiples of its vectors, with one
-`math.isqrt` per kept vector deciding whether it normalizes rationally.
-The integer expansion of the pencil identity lives in `eikq.pencils`.
+A `RationalMatrix` has one stored form: integer `rows` over one
+denominator `den > 0`, in lowest terms (the gcd of `den` and every
+numerator is 1).  That form is unique, so `==` compares (den, rows), and
+every operation runs on it in Python ints: a product is the integer
+product over the product of the denominators (`_int_matmul`), and
+`is_orthogonal` compares the integer column products with den^2.  Each
+result goes through `_matrix`, which divides out the gcd once.  The
+`Fraction` entries (`entries`, `m[i, j]`, `row(i)`) are a read-only view,
+made on first use.  Elimination runs on the same integer rows:
+`_row_reduce` is one fraction-free Gauss-Jordan loop behind both
+`kernel_basis` and `inverse`.  `_integer_entries` puts several matrices
+over one common denominator, which is how a pencil is checked
+(`analysis.check_pencil`).  `orthonormalize_rational` is fraction-free
+Gram-Schmidt on integer multiples of its vectors, with one `math.isqrt`
+per kept vector deciding whether it normalizes rationally.  The integer
+expansion of the pencil identity lives in `eikq.pencils`.
 """
 
 from __future__ import annotations
@@ -32,26 +36,36 @@ from .polyring import rational, rational_from_float
 
 
 class RationalMatrix:
-    """Immutable rectangular matrix with exact rational entries."""
+    """Immutable rectangular matrix with exact rational entries.
 
-    __slots__ = ("entries",)
+    Stored as `rows`, a tuple of tuples of ints, over `den`: entry (i, j)
+    is rows[i][j] / den, with den > 0 and the gcd of den and every
+    numerator 1.  `entries` is the same matrix as tuples of `Fraction`s.
+    """
+
+    __slots__ = ("den", "rows", "_entries")
 
     def __init__(self, rows: Sequence[Sequence]):
-        entries = tuple(tuple(rational(v) for v in row) for row in rows)
+        entries = [[rational(v) for v in row] for row in rows]
         if entries and any(len(r) != len(entries[0]) for r in entries):
             raise ValueError("rows have unequal lengths")
-        object.__setattr__(self, "entries", entries)
+        # over the lcm of entries in lowest terms, no prime divides every numerator
+        den = math.lcm(*(v.denominator for row in entries for v in row))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "rows", tuple(
+            tuple(v.numerator * (den // v.denominator) for v in row) for row in entries
+        ))
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return _matrix(1, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, n_rows: int, n_cols: int) -> "RationalMatrix":
-        return cls([[0] * n_cols for _ in range(n_rows)])
+        return _matrix(1, [[0] * n_cols for _ in range(n_rows)])
 
     @classmethod
     def diagonal(cls, values: Sequence) -> "RationalMatrix":
@@ -64,12 +78,23 @@ class RationalMatrix:
         return cls([[rational_from_float(float(v)) for v in row] for row in rows])
 
     @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as `Fraction`s, made on first use and kept."""
+        try:
+            return self._entries
+        except AttributeError:
+            den = self.den
+            entries = tuple(tuple(Fraction(v, den) for v in row) for row in self.rows)
+            object.__setattr__(self, "_entries", entries)
+            return entries
+
+    @property
     def n_rows(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
     @property
     def n_cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return len(self.rows[0]) if self.rows else 0
 
     @property
     def is_square(self) -> bool:
@@ -85,7 +110,7 @@ class RationalMatrix:
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return self.entries == other.entries
+        return self.den == other.den and self.rows == other.rows
 
     __hash__ = None
 
@@ -97,42 +122,36 @@ class RationalMatrix:
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._require_same_shape(other)
-        return _raw_matrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return _matrix(den, [[a * v + b * w for v, w in zip(ra, rb)]
+                             for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self + (-other)
 
     def __neg__(self) -> "RationalMatrix":
-        return _raw_matrix(tuple(tuple(-a for a in row) for row in self.entries))
+        return _matrix(self.den, [[-v for v in row] for row in self.rows])
 
     def scale(self, scalar) -> "RationalMatrix":
         c = rational(scalar)
-        return _raw_matrix(tuple(tuple(a * c for a in row) for row in self.entries))
+        return _matrix(self.den * c.denominator,
+                       [[v * c.numerator for v in row] for row in self.rows])
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.n_cols != other.n_rows:
             raise ValueError(
                 f"shape mismatch: {self.n_rows}x{self.n_cols} @ {other.n_rows}x{other.n_cols}"
             )
-        (rows,), da = _integer_entries((self,))
-        (other_rows,), db = _integer_entries((other,))
-        den = da * db
-        return _raw_matrix(
-            tuple(tuple(Fraction(v, den) for v in row) for row in _int_matmul(rows, other_rows))
-        )
+        return _matrix(self.den * other.den, _int_matmul(self.rows, other.rows))
 
     def transpose(self) -> "RationalMatrix":
-        return _raw_matrix(tuple(zip(*self.entries)))
+        return _matrix(self.den, list(zip(*self.rows)))
 
-    def trace(self):
+    def trace(self) -> Fraction:
         if not self.is_square:
             raise ValueError("trace of a non-square matrix")
-        return sum(self.entries[i][i] for i in range(self.n_rows))
+        return Fraction(sum(row[i] for i, row in enumerate(self.rows)), self.den)
 
     def is_symmetric(self) -> bool:
         return self.is_square and self == self.transpose()
@@ -141,52 +160,49 @@ class RationalMatrix:
         return self.is_square and self.transpose() == -self
 
     def is_orthogonal(self) -> bool:
-        """Q^T Q = I, in integers: with A = D Q over the lcm D of the
-        denominators, each pair of columns i <= j has dot product D^2 delta_ij."""
+        """Q^T Q = I, in integers: with Q = rows / den, each pair of columns
+        i <= j of rows has dot product den^2 delta_ij."""
         if not self.is_square:
             return False
-        (rows,), den = _integer_entries((self,))
-        columns, square = list(zip(*rows)), den * den
+        columns, square = list(zip(*self.rows)), self.den * self.den
         return all(
             sum(map(mul, columns[i], columns[j])) == (square if i == j else 0)
             for i in range(len(columns)) for j in range(i, len(columns))
         )
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self.entries for v in row)
+        return not any(map(any, self.rows))
 
-    def max_abs(self):
+    def max_abs(self) -> Fraction:
         """Largest entry magnitude as an exact rational (0 for empty)."""
-        values = [abs(v) for row in self.entries for v in row]
-        return max(values) if values else rational(0)
+        return Fraction(max((abs(v) for row in self.rows for v in row), default=0), self.den)
 
     def matvec(self, vector: Sequence) -> tuple:
         v = [rational(x) for x in vector]
         if len(v) != self.n_cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        scale = math.lcm(*(x.denominator for x in v))
+        w = [x.numerator * (scale // x.denominator) for x in v]
+        return tuple(Fraction(sum(map(mul, row, w)), self.den * scale) for row in self.rows)
 
     def inverse(self) -> "RationalMatrix":
-        """Exact inverse: [D A | I] reduced to [diag(a) | R], so A^-1 = D diag(a)^-1 R."""
+        """Exact inverse: [den A | I] reduced to [diag(a) | R], so
+        A^-1 = den diag(a)^-1 R, put over the lcm of the a_i."""
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
         n = self.n_rows
-        (rows,), den = _integer_entries((self,))
         reduced, pivots = _row_reduce(
-            [row + [int(j == i) for j in range(n)] for i, row in enumerate(rows)]
+            [[*row, *(int(j == i) for j in range(n))] for i, row in enumerate(self.rows)]
         )
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        return _raw_matrix(
-            tuple(
-                tuple(Fraction(den * v, row[i]) for v in row[n:]) for i, row in enumerate(reduced)
-            )
-        )
+        common = math.lcm(*(row[i] for i, row in enumerate(reduced)))
+        return _matrix(common, [[self.den * (common // row[i]) * v for v in row[n:]]
+                                for i, row in enumerate(reduced)])
 
     def kernel_basis(self) -> list[tuple]:
         """Rational basis of the nullspace, one vector per free column set to 1."""
-        (rows,), _ = _integer_entries((self,))
-        reduced, pivots = _row_reduce(rows)
+        reduced, pivots = _row_reduce(list(self.rows))
         basis = []
         for fc in (c for c in range(self.n_cols) if c not in pivots):
             vec = [rational(0)] * self.n_cols
@@ -200,20 +216,26 @@ class RationalMatrix:
         return f"RationalMatrix({self.n_rows}x{self.n_cols})"
 
 
+def _matrix(den: int, rows: Sequence[Sequence[int]]) -> RationalMatrix:
+    """The matrix rows / den, for integer rows and den > 0, in lowest terms."""
+    g = math.gcd(den, *(v for row in rows for v in row))
+    matrix = RationalMatrix.__new__(RationalMatrix)
+    object.__setattr__(matrix, "den", den // g)
+    object.__setattr__(matrix, "rows", tuple(tuple(v // g for v in row) for row in rows))
+    return matrix
+
+
 def _integer_entries(matrices: Sequence[RationalMatrix]) -> tuple[list[list[list[int]]], int]:
     """Each matrix's entries times D, as lists of integer rows, and D.
 
-    D is the lcm of every denominator of every matrix, so one D serves the
-    whole sequence and products of the integer matrices carry a power of D.
+    D is the lcm of the matrices' denominators, so one D serves the whole
+    sequence and products of the integer matrices carry a power of D.
     """
-    den = math.lcm(*(v.denominator for m in matrices for row in m.entries for v in row))
-    return [
-        [[v.numerator * (den // v.denominator) for v in row] for row in m.entries]
-        for m in matrices
-    ], den
+    den = math.lcm(*(m.den for m in matrices))
+    return [[[v * (den // m.den) for v in row] for row in m.rows] for m in matrices], den
 
 
-def _row_reduce(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+def _row_reduce(rows: list[Sequence[int]]) -> tuple[list[Sequence[int]], list[int]]:
     """Fraction-free Gauss-Jordan elimination of integer rows, in place.
 
     The first nonzero entry a of a column, in a row not yet used, is the
@@ -245,13 +267,6 @@ def _int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[
     """Product of two integer matrices given as rows."""
     cols = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
-
-
-def _raw_matrix(entries: tuple[tuple, ...]) -> RationalMatrix:
-    """Internal constructor bypassing coercion; entries must be Fractions."""
-    matrix = RationalMatrix.__new__(RationalMatrix)
-    object.__setattr__(matrix, "entries", entries)
-    return matrix
 
 
 def orthonormalize_rational(vectors: Sequence[Sequence]) -> list[tuple] | None:
@@ -304,7 +319,8 @@ def symmetric_eigen(matrix: RationalMatrix) -> tuple[list[float], list[list[floa
     if not matrix.is_symmetric():
         raise ValueError("symmetric_eigen needs a symmetric matrix")
     n = matrix.n_rows
-    a = [[float(x) for x in row] for row in matrix.entries]
+    # int / int rounds correctly, as float(Fraction) does
+    a = [[v / matrix.den for v in row] for row in matrix.rows]
     v = [[float(i == j) for j in range(n)] for i in range(n)]
     pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
     limit = max((abs(x) for row in a for x in row), default=0.0) * 2.0 ** -53

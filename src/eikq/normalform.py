@@ -53,7 +53,7 @@ from fractions import Fraction
 
 from .analysis import check_eikonal
 from .constructors import NormalFormData
-from .matrices import RationalMatrix, orthonormalize_rational, symmetric_eigen
+from .matrices import RationalMatrix, _matrix, orthonormalize_rational, symmetric_eigen
 from .pencils import Pencil, quadratic_form_matrix
 from .polyring import (
     Polynomial,
@@ -286,9 +286,7 @@ def _extract(g: Polynomial, rotation: RationalMatrix, tol: float) -> NormalForm:
         residual = max(residual, rational_from_float(deviation))
     q = m - p
     if v != RationalMatrix.identity(m):
-        w_rows = [list(v.row(i)) + [rational(0)] for i in range(m)]
-        w_rows.append([rational(0)] * m + [rational(1)])
-        w = RationalMatrix(w_rows)
+        w = _matrix(v.den, [[*row, 0] for row in v.rows] + [[0] * m + [v.den]])
         rotation = rotation @ w
         g = substitute_linear(g, w)
         layers = _xn_layers(g)

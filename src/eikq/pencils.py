@@ -39,9 +39,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import combinations, permutations
+from math import lcm
 from typing import Iterator, Sequence
 
-from .matrices import RationalMatrix, _int_matmul, _integer_entries
+from .matrices import RationalMatrix, _int_matmul, _integer_entries, _matrix
 from .polyring import (
     PackedPolynomial,
     Polynomial,
@@ -50,7 +51,6 @@ from .polyring import (
     _variable_keys,
     block_radial,
     poly_mul,
-    rational,
 )
 
 Pencil = tuple[RationalMatrix, ...]
@@ -95,35 +95,35 @@ def quadratic_form_poly(matrix: RationalMatrix, dimension: int) -> Polynomial:
     """x^T M x with x occupying the first p variables of the ring."""
     if matrix.n_rows > dimension:
         raise ValueError("quadratic form does not fit in the ring")
-    (rows,), den = _integer_entries((matrix,))
-    forms = _packed_forms(dimension, matrix.n_rows, 3, [((), rows)])
-    return PackedPolynomial(dimension, forms, 3, den).unpack()
+    forms = _packed_forms(dimension, matrix.n_rows, 3, [((), matrix.rows)])
+    return PackedPolynomial(dimension, forms, 3, matrix.den).unpack()
 
 
 def quadratic_form_matrix(f: Polynomial, indices: Sequence[int]) -> RationalMatrix:
     """Recover the symmetric matrix of a quadratic form in the given variables.
 
     Raises ValueError if f touches any variable outside `indices` or is not
-    homogeneous of degree 2.
+    homogeneous of degree 2.  The matrix is built in integers, over twice
+    the lcm of f's denominators, where each off-diagonal half is an integer.
     """
     if not f.is_zero and not f.is_homogeneous(2):
         raise ValueError("not a homogeneous quadratic")
     position = {var: slot for slot, var in enumerate(indices)}
     p = len(indices)
-    entries = [[rational(0)] * p for _ in range(p)]
+    den = 2 * lcm(*(c.denominator for c in f.terms.values()))
+    rows = [[0] * p for _ in range(p)]
     for mono, coeff in f.terms.items():
         support = [i for i, e in enumerate(mono) if e]
         if any(i not in position for i in support):
             raise ValueError("quadratic form touches unexpected variables")
+        value = coeff.numerator * (den // coeff.denominator)
         if len(support) == 1:
             j = position[support[0]]
-            entries[j][j] = coeff
+            rows[j][j] = value
         else:
             j, k = (position[i] for i in support)
-            half = coeff / 2
-            entries[j][k] = half
-            entries[k][j] = half
-    return RationalMatrix(entries)
+            rows[j][k] = rows[k][j] = value // 2
+    return _matrix(den, rows)
 
 
 def tau_polynomials(pencil: Pencil, p: int, dimension: int | None = None) -> tuple[Polynomial, ...]:

@@ -615,15 +615,17 @@ def substitute_linear(f: Polynomial, matrix) -> Polynomial:
     """f(Mx): replace variable x_i by the linear form L_i = sum_j M[i][j] x_j.
 
     The matrix must be square of size n = f.dimension, with exact rational
-    entries (a RationalMatrix or any nested sequence of rationals).
+    entries: a RationalMatrix, whose integer rows over one denominator are
+    read as they are, or any nested sequence of rationals, which is put
+    over the lcm of its denominators the same way.
 
     Algorithm: Horner's scheme over the trie of monomials.  Writing each
     monomial as a sorted index sequence i_1 <= ... <= i_d gives
     f = c + sum_i x_i f_i with f_i built from indices >= i, so
     f(Mx) = c + sum_i L_i f_i(Mx) and every trie node costs one product
     with a linear form of at most n terms.  The recursion runs in Python
-    integers on ``_pack``'s packed monomials: the matrix is multiplied by
-    the lcm of its denominators (``scale``), f is taken over the lcm of its
+    integers on ``_pack``'s packed monomials: the matrix is taken over its
+    one denominator (``scale``), f is taken over the lcm of its
     coefficient denominators (``denom``), and each L_i is packed, so each
     product is one pass of the one product loop.  The degree-d part is
     divided by denom * scale^d once at the end, one rational per output term.
@@ -632,21 +634,23 @@ def substitute_linear(f: Polynomial, matrix) -> Polynomial:
     (the order of ``sorted_terms``), so iterating over them does not depend
     on the order of f's terms.
     """
-    rows = matrix.entries if hasattr(matrix, "entries") else tuple(tuple(r) for r in matrix)
+    is_matrix = hasattr(matrix, "den")  # a RationalMatrix
+    rows = matrix.rows if is_matrix else tuple(tuple(r) for r in matrix)
     n = f.dimension
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"matrix must be {n}x{n}")
     if not f.terms:
         return _raw(n, {})
-    entries = [[rational(value) for value in row] for row in rows]
-    scale = lcm(*(c.denominator for row in entries for c in row))
+    if is_matrix:
+        scale = matrix.den
+    else:
+        entries = [[rational(value) for value in row] for row in rows]
+        scale = lcm(*(c.denominator for row in entries for c in row))
+        rows = [[c.numerator * (scale // c.denominator) for c in row] for row in entries]
     base = f.total_degree() + 1
     packed, denom = _pack(f, base)
     keys = _variable_keys(n, base)
-    forms = [
-        [(keys[j], c.numerator * (scale // c.denominator)) for j, c in enumerate(row) if c]
-        for row in entries
-    ]
+    forms = [[(keys[j], c) for j, c in enumerate(row) if c] for row in rows]
 
     def horner(items: list, depth: int) -> dict[int, int]:
         # items: (index sequence, integer coefficient), sharing a prefix of length depth

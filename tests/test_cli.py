@@ -226,7 +226,7 @@ class TestClassify:
         import eikq.classifier
         import eikq.cli
 
-        monkeypatch.setattr(eikq.classifier, "check_munzner_second", lambda *a, **k: None)
+        monkeypatch.setattr(eikq.classifier, "_munzner", lambda *a, **k: (None, 0))
         path = write(tmp_path, "iso.txt", poly_to_text(data.corpus()[9]))
         assert eikq.cli.main(["classify", path]) == 5
         captured = capsys.readouterr()

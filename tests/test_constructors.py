@@ -458,18 +458,22 @@ class TestIntegerScreen:
     def test_conjugated_forms_rebuild_the_rational_conjugates(self, p):
         for nu in range(p // 2 + 1):
             seeds = constructors._seed_matrices(p, nu)
-            rows, _ = _integer_entries(seeds)
             matrices_by_form = {}
             for conj in constructors._conjugations(p):
-                (m,), d = _integer_entries((conj,))
-                for a, seed in zip(rows, seeds):
-                    form = constructors._conjugate(a, m, d)
-                    den, numerators = form
+                for seed in seeds:
+                    conjugated = conj.transpose() @ seed @ conj
+                    form = den, numerators = conjugated.den, conjugated.rows
                     assert den > 0 and gcd(den, *(v for row in numerators for v in row)) == 1
-                    expected = conj.transpose() @ seed @ conj
+                    # C^T A C term by term in Fractions
+                    c, a = conj.entries, seed.entries
+                    expected = tuple(
+                        tuple(sum(c[k][i] * a[k][l] * c[l][j] for k in range(p) for l in range(p))
+                              for j in range(p))
+                        for i in range(p)
+                    )
                     rebuilt = RationalMatrix([[rational(v, den) for v in row] for row in numerators])
-                    assert rebuilt == expected
-                    matrices_by_form.setdefault(form, set()).add(expected.entries)
+                    assert rebuilt == conjugated and rebuilt.entries == expected
+                    matrices_by_form.setdefault(form, set()).add(expected)
             # two conjugated seeds share a form, and so an id, exactly when they are equal
             assert all(len(matrices) == 1 for matrices in matrices_by_form.values())
             assert len(set().union(*matrices_by_form.values())) == len(matrices_by_form)

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import eikq.matrices as matrices_module
+from eikq import Polynomial, substitute_linear
 from eikq.matrices import (
     RationalMatrix,
     cayley_orthogonal,
@@ -435,3 +436,190 @@ def test_symmetric_eigen_refuses_past_the_sweep_cap(monkeypatch):
 def test_symmetric_eigen_needs_a_symmetric_matrix():
     with pytest.raises(ValueError, match="symmetric"):
         symmetric_eigen(RationalMatrix([[1, 2], [3, 4]]))
+
+
+# The one stored form, against a list-of-lists of Fractions kept here.
+
+def _ref_rref(rows: list[list[Fraction]], n_cols: int):
+    """Reduced row echelon form in Fractions: the nonzero rows and their pivots."""
+    rows, pivots = [list(r) for r in rows], []
+    for c in range(n_cols):
+        r = len(pivots)
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                rows[i] = [a - rows[i][c] * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
+def _ref_kernel(rows: list[list[Fraction]], n_cols: int) -> list[tuple]:
+    reduced, pivots = _ref_rref(rows, n_cols)
+    basis = []
+    for free in (c for c in range(n_cols) if c not in pivots):
+        vec = [Fraction(0)] * n_cols
+        vec[free] = Fraction(1)
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[free]
+        basis.append(tuple(vec))
+    return basis
+
+
+def _ref_inverse(rows: list[list[Fraction]]):
+    n = len(rows)
+    reduced, pivots = _ref_rref(
+        [[*row, *(Fraction(int(i == j)) for j in range(n))] for i, row in enumerate(rows)], 2 * n
+    )
+    return [row[n:] for row in reduced] if pivots[:n] == list(range(n)) else None
+
+
+def _ref_product(a, b, n_cols_b: int) -> list[list[Fraction]]:
+    return [[sum((row[k] * b[k][j] for k in range(len(row))), Fraction(0))
+             for j in range(n_cols_b)] for row in a]
+
+
+def _transposed(rows, n_cols: int) -> list[list[Fraction]]:
+    return [[row[j] for row in rows] for j in range(n_cols)]
+
+
+_SMALL = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@st.composite
+def _reference_matrices(draw, n_rows: int | None = None, n_cols: int | None = None):
+    """A Fraction list of lists, zero, symmetric, skew, orthogonal or any,
+    so that each predicate meets both answers."""
+    kind = draw(st.sampled_from(("any", "any", "zero", "symmetric", "skew", "orthogonal")))
+    if kind != "any" and n_rows is None and n_cols is None:
+        n_rows = n_cols = draw(st.integers(0, 5))
+    if n_rows is None:
+        n_rows = draw(st.integers(0, 5))
+    if n_cols is None:
+        n_cols = draw(st.integers(0, 5)) if n_rows else 0
+    if kind == "orthogonal" and n_rows == n_cols:
+        return [list(r) for r in random_rational_orthogonal(n_rows, draw(st.integers(0, 99))).entries]
+    rows = [[draw(st.one_of(st.just(Fraction(0)), _SMALL)) for _ in range(n_cols)]
+            for _ in range(n_rows)]
+    if kind == "zero":
+        return [[Fraction(0)] * n_cols for _ in range(n_rows)]
+    if n_rows == n_cols and kind in ("symmetric", "skew"):  # A + A^T or A - A^T
+        sign = 1 if kind == "symmetric" else -1
+        return [[rows[i][j] + sign * rows[j][i] for j in range(n_cols)] for i in range(n_rows)]
+    return rows
+
+
+@st.composite
+def _spelled(draw, rows):
+    """The same entries spelled as ints, strings or Fractions."""
+    def spell(v: Fraction):
+        style = draw(st.sampled_from(("fraction", "string", "int")))
+        if style == "int" and v.denominator == 1:
+            return int(v)
+        if style == "string":
+            scale = draw(st.integers(1, 3))  # not always in lowest terms
+            return f"{v.numerator * scale}/{v.denominator * scale}"
+        return v
+    return RationalMatrix([[spell(v) for v in row] for row in rows])
+
+
+def _assert_form(m: RationalMatrix, rows: list[list[Fraction]]) -> None:
+    """m holds rows in the one form: integers over den > 0 in lowest terms."""
+    assert type(m.den) is int and m.den > 0
+    assert all(type(v) is int for row in m.rows for v in row)
+    assert gcd(m.den, *(v for row in m.rows for v in row)) == 1
+    assert type(m.rows) is tuple and all(type(row) is tuple for row in m.rows)
+    assert [[Fraction(v, m.den) for v in row] for row in m.rows] == rows
+    assert [list(row) for row in m.entries] == rows
+    assert all(m[i, j] == v and m.row(i)[j] == v for i, row in enumerate(rows) for j, v in enumerate(row))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_one_form_matches_the_fraction_reference(data):
+    a_rows = data.draw(_reference_matrices())
+    n_rows, n_cols = len(a_rows), len(a_rows[0]) if a_rows else 0
+    a = data.draw(_spelled(a_rows))
+    _assert_form(a, a_rows)
+    assert (a.n_rows, a.n_cols, a.is_square) == (n_rows, n_cols, n_rows == n_cols)
+    # equal entries give an equal (den, rows), however they were spelled
+    again = data.draw(_spelled(a_rows))
+    assert (again.den, again.rows) == (a.den, a.rows) and again == a
+    b_rows = data.draw(_reference_matrices(n_rows, n_cols))
+    b = data.draw(_spelled(b_rows))
+    assert (a == b) == (a_rows == b_rows) == ((a.den, a.rows) == (b.den, b.rows))
+
+    _assert_form(a + b, [[x + y for x, y in zip(r, s)] for r, s in zip(a_rows, b_rows)])
+    _assert_form(a - b, [[x - y for x, y in zip(r, s)] for r, s in zip(a_rows, b_rows)])
+    _assert_form(-a, [[-x for x in r] for r in a_rows])
+    c = data.draw(_SMALL)
+    _assert_form(a.scale(c), [[x * c for x in r] for r in a_rows])
+    _assert_form(a.transpose(), _transposed(a_rows, n_cols))
+    k = data.draw(st.integers(0, 5))
+    right_rows = data.draw(_reference_matrices(n_cols, k))
+    right = data.draw(_spelled(right_rows))
+    _assert_form(a @ right, _ref_product(a_rows, right_rows, len(right_rows[0]) if right_rows else 0))
+    assert a.kernel_basis() == _ref_kernel(a_rows, n_cols)
+    assert a.is_zero() == all(x == 0 for r in a_rows for x in r)
+
+    square = n_rows == n_cols
+    transposed = _transposed(a_rows, n_cols)
+    assert a.is_symmetric() == (square and transposed == a_rows)
+    assert a.is_skew() == (square and transposed == [[-x for x in r] for r in a_rows])
+    assert a.is_orthogonal() == (square and _ref_product(transposed, a_rows, n_cols) == [
+        [Fraction(int(i == j)) for j in range(n_cols)] for i in range(n_rows)
+    ])
+    if not square:
+        for method in (a.trace, a.inverse):
+            with pytest.raises(ValueError, match="non-square"):
+                method()
+        return
+    assert a.trace() == sum((a_rows[i][i] for i in range(n_rows)), Fraction(0))
+    inverse = _ref_inverse(a_rows)
+    if inverse is None:
+        with pytest.raises(ValueError, match="singular"):
+            a.inverse()
+    else:
+        _assert_form(a.inverse(), inverse)
+
+
+def test_the_form_is_read_only_and_floats_are_refused():
+    m = RationalMatrix([[Fraction(1, 2), 3]])
+    assert (m.den, m.rows) == (2, ((1, 6),))
+    for name, value in (("den", 1), ("rows", ((1, 3),)), ("entries", ())):
+        with pytest.raises(AttributeError):
+            setattr(m, name, value)
+    assert (m.den, m.rows) == (2, ((1, 6),))
+    assert RationalMatrix.__hash__ is None
+    assert isinstance(RationalMatrix.__dict__["from_float"], classmethod)
+    with pytest.raises(TypeError, match="float"):
+        RationalMatrix([[1, 0.5]])
+    # the float is refused before the row lengths are compared
+    with pytest.raises(TypeError, match="float"):
+        RationalMatrix([[0.5], [1, 2]])
+    with pytest.raises(ValueError, match="unequal"):
+        RationalMatrix([[1], [1, 2]])
+
+
+@st.composite
+def _polynomials_and_rotations(draw):
+    """(f, R): f with up to 6 terms of degree <= 3 in n <= 4 variables, and a
+    square R of size n as `_reference_matrices` draws it."""
+    n = draw(st.integers(1, 4))
+    monomials = st.tuples(*[st.integers(0, 3)] * n).filter(lambda m: sum(m) <= 3)
+    terms = draw(st.dictionaries(monomials, _SMALL.filter(bool), max_size=6))
+    return Polynomial(n, terms), draw(_reference_matrices(n, n))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_substitute_linear_reads_the_form_as_the_entries(data):
+    f, rows = data.draw(_polynomials_and_rotations())
+    r = data.draw(_spelled(rows))
+    by_form, by_entries = substitute_linear(f, r), substitute_linear(f, r.entries)
+    assert by_form == by_entries
+    assert list(by_form.terms.items()) == list(by_entries.terms.items())
+    assert by_form == substitute_linear(f, rows)

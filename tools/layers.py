@@ -21,7 +21,9 @@ on an undisturbed core of its 2-core host.  The inputs are fixed, not
 seeded: Cayley-rotated primitive quartics at n = 4, 6 and 10,
 ``make_canonical_quartic(6, 2)`` at a block rotation U^T diag(W, 1), and
 the rotated (3, 2, 1) isoparametric quartic.  Each input is a pair (f, R)
-as ``classify --rotation`` gets it, and g = f(R x).  The pencil search
+as ``classify --rotation`` gets it, and g = f(R x).  The matrix layers
+``matmul`` (R^T R), ``inverse`` (R) and ``kernel_basis`` (I - R) are timed
+on each R and on a Cayley rotation at n = 16.  The pencil search
 is timed on its own inputs: ``search_isoparametric_pencil`` on the full
 (6, 1, 3) search and on (5, 4, 1) and (6, 3, 2) cut at 3000 candidates,
 and ``check_pencil`` on one q = 4 seed set of (5, 4, 1) that passes, so
@@ -50,7 +52,7 @@ PAIR_SCHEMA = "eikq-layers-pair-1"
 LAYERS = (
     "classify", "substitute_linear", "check_eikonal[f]", "check_eikonal[g]",
     "radial_square_root", "_root_certificate", "is_orthogonal", "cli._read_rotation",
-    "search_isoparametric_pencil", "check_pencil",
+    "search_isoparametric_pencil", "check_pencil", "matmul", "inverse", "kernel_basis",
 )
 ENVIRONMENT_KEYS = ("python", "rational_type", "cores", "commit")
 POINT_KEYS = {"layer": str, "input": str, "calls": int, "best_s": float, "wall_s": float}
@@ -131,6 +133,20 @@ def _calls(f, rotation, rotation_file: str) -> dict:
         "_root_certificate": lambda: _root_certificate(g),
         "is_orthogonal": rotation.is_orthogonal,
         "cli._read_rotation": lambda: _read_rotation(rotation_file),
+        **_matrix_calls(rotation),
+    }
+
+
+def _matrix_calls(rotation) -> dict:
+    """layer -> a call of a matrix layer on the rotation R."""
+    from eikq import RationalMatrix
+
+    transposed = rotation.transpose()
+    shifted = RationalMatrix.identity(rotation.n_rows) - rotation
+    return {
+        "matmul": lambda: transposed @ rotation,
+        "inverse": rotation.inverse,
+        "kernel_basis": shifted.kernel_basis,
     }
 
 
@@ -173,6 +189,11 @@ def _serve(src: Path, quick: bool) -> None:
                 f"{rotation.n_rows} " + " ".join(str(v) for row in rotation.entries for v in row) + "\n"
             )
             points += [(layer, name, call) for layer, call in _calls(f, rotation, str(rotation_file)).items()]
+        if not quick:
+            from eikq import random_rational_orthogonal
+
+            rotation = random_rational_orthogonal(16, 16)
+            points += [(layer, "cayley-n16", call) for layer, call in _matrix_calls(rotation).items()]
         points += _search_points(quick)
         print(json.dumps({
             "environment": {
